@@ -90,7 +90,6 @@ class SolverConfig:
     local_maxiter: int = 400
     max_direct_size: int = 1500
     max_rank: Optional[int] = None
-    residual_round_tol: Optional[float] = None  # default tol/100
     seed: int = 0
 
     def __post_init__(self):
@@ -109,12 +108,6 @@ class SolverConfig:
     def effective_local_rtol(self) -> float:
         return self.tol / 10 if self.local_rtol is None else self.local_rtol
 
-    @property
-    def effective_residual_round_tol(self) -> float:
-        if self.residual_round_tol is None:
-            return self.tol / 100
-        return self.residual_round_tol
-
 
 @dataclass
 class SweepRecord:
@@ -126,7 +119,6 @@ class SweepRecord:
     local_converged: bool
     mu: list = field(default_factory=list)
     omega_surrogate: list = field(default_factory=list)
-    omega_is_surrogate: bool = True
     notes: list = field(default_factory=list)
 
 
@@ -180,7 +172,6 @@ class SweepState:
         self.left_rhs[0] = np.ones((1, 1))
         self.right_op[d - 1] = np.ones((1, 1, 1))
         self.right_rhs[d - 1] = np.ones((1, 1))
-        self.pos = 0
 
     def advance_left(self, k: int, A: TTMatrix, y: TTVector, x: TTVector):
         """Absorb core k into the left environments (valid once core k is final)."""
@@ -192,7 +183,6 @@ class SweepState:
         self.left_op[k + 1] = T.transpose(1, 2, 0)
         T = np.tensordot(self.left_rhs[k], xc, axes=(0, 0))  # (p,i,c)
         self.left_rhs[k + 1] = np.tensordot(T, yc, axes=([0, 1], [0, 1]))  # (c,q)
-        self.pos = k + 1
 
     def advance_right(self, k: int, A: TTMatrix, y: TTVector, x: TTVector):
         """Absorb core k into the right environments."""
@@ -766,10 +756,9 @@ def _default_guess(mode_sizes, rng) -> TTVector:
     return x
 
 
-def _global_residual(A, y, x, round_tol) -> float:
-    r = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
-    r = tt_round(r, round_tol)
-    return tt_norm(r)
+def _global_residual(A, y, x) -> float:
+    """Exact ``norm(y - A x)``: the unrounded sum, normed by a QR sweep."""
+    return tt_norm(tt_add(y, tt_matvec(A, x), 1.0, -1.0))
 
 
 def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
@@ -786,7 +775,7 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
         if ens is not None:
             ens.prepare_sweep(A, y, x)
         x, stats = sweep_fn(x, A, y, state, ens)
-        rel = _global_residual(A, y, x, config.effective_residual_round_tol) / yscale
+        rel = _global_residual(A, y, x) / yscale
         local_conv = all(
             s["local_res_before"] <= config.tol for s in stats
         )
@@ -811,7 +800,7 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
         if local_conv:
             # every local system was already solved on entry: the sweep made
             # no progress, so further sweeps cannot reduce the residual
-            log.status = "converged" if rel <= config.tol else "stalled"
+            log.status = "stalled"
             log.stop_reason = "local_criterion"
             break
     else:

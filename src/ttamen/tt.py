@@ -490,11 +490,20 @@ def tt_dot(x: TTVector, y: TTVector) -> float:
 
 
 def tt_norm(x: TTVector) -> float:
-    """Frobenius norm; tiny negative round-off in the dot product is clamped."""
-    s = tt_dot(x, x)
-    if s < 0:
-        s = 0.0  # round-off; the true value is nonnegative
-    return float(np.sqrt(s))
+    """Frobenius norm by a left QR sweep that keeps only the R factors.
+
+    ``carry`` is the R factor of the left interface up to the current core,
+    so ``norm(x) = norm(carry @ rest)``; no Q factor is formed.  Unlike the
+    Gram contraction ``sqrt(tt_dot(x, x))`` this stays accurate on
+    non-orthogonal sums whose norm is far below that of their terms, such as
+    the residual ``y - A x`` near convergence.
+    """
+    carry = np.ones((1, 1))
+    for core in x.cores[:-1]:
+        r, n, R = core.shape
+        carry = np.linalg.qr((carry @ core.reshape(r, n * R)).reshape(-1, R), mode="r")
+    last = x.cores[-1]
+    return float(np.linalg.norm(carry @ last.reshape(last.shape[0], -1)))
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import ttamen.amen
 from ttamen import (
     EnrichmentState,
     LocalSizeError,
+    PoissonSpec,
     SolverConfig,
     als_solve,
     amen_solve,
     amen_sweep,
     assemble_local,
     build_environments,
+    build_poisson,
     dmrg_solve,
     enrich_chol,
     enrich_svd,
@@ -471,6 +474,27 @@ class TestSolvers:
             SolverConfig(enrichment="bogus")
         with pytest.raises(ValueError):
             SolverConfig(kickrank=0)
+
+
+class TestGlobalResidual:
+    def test_reported_residual_is_exact(self):
+        # the solver's residual is the unrounded ||y - A x|| / ||y||
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=8))
+        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-5))
+        Ad, yd = to_dense(A), to_dense(y)
+        dense = np.linalg.norm(yd - Ad @ to_dense(x)) / np.linalg.norm(yd)
+        assert abs(log.final_residual - dense) <= 1e-10 * dense
+
+    @pytest.mark.parametrize("solve", [amen_solve, als_solve, dmrg_solve])
+    def test_check_needs_no_rounding(self, rng, monkeypatch, solve):
+        def no_rounding(*args, **kwargs):
+            raise AssertionError("the residual check must not round")
+
+        monkeypatch.setattr(ttamen.amen, "tt_round", no_rounding)
+        A, y = random_spd_system(3, 4, rng)
+        x, log = solve(A, y, config=SolverConfig(tol=1e-8, max_sweeps=3))
+        assert log.records
+        assert np.isfinite(log.final_residual)
 
 
 class TestSymmetrize:

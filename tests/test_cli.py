@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import ttamen.amen
 from ttamen import ConvergenceLog, tt_io_read, tt_io_write, tt_random, ttmat_identity
 from ttamen.cli import (
     CSV_HEADER,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_NOT_CONVERGED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ExperimentSpec,
     SpecError,
@@ -144,6 +146,22 @@ class TestMain:
         assert main(["solve", "--solver", "bogus"]) == EXIT_INVALID
         assert main(["solve", "--d", "0", "--out", str(tmp_path / "x")]) == EXIT_INVALID
         capsys.readouterr()
+
+    def test_numerical_failure_exit_five(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError, but it is not invalid input
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(ttamen.amen, "enrich_svd", failing_svd)
+        code = main(
+            [
+                "solve", "--problem", "poisson", "--d", "3", "--n", "4",
+                "--solver", "amen_svd", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert main(["solve", "--solver", "bogus"]) == EXIT_INVALID
 
     def test_missing_input_file_exit_four(self, tmp_path, capsys):
         code = main(

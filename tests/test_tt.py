@@ -423,3 +423,49 @@ class TestStructure:
     def test_norm_clamps_tiny_negatives(self):
         x = TTVector([np.zeros((1, 3, 1))])
         assert tt_norm(x) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Norm by R-only QR sweep
+# ----------------------------------------------------------------------
+
+def _right_orthogonal_norm(x):
+    """Reference norm: after right-orthogonalization it is that of core 1."""
+    return float(np.linalg.norm(orthogonalize(x, "right", 1).cores[0]))
+
+
+class TestNorm:
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_small_norm_of_cancelling_sum(self, rng, eps):
+        # r = (x - xo) + eps*||x||*z/||z|| has norm eps*||x||, far below the
+        # norms of its terms; on this input the Gram contraction
+        # sqrt(tt_dot(r, r)) is off by 1.2% at eps = 1e-7 and by 100% at 1e-9
+        x = tt_random([4] * 6, 3, rng=rng)
+        xo = orthogonalize(x, "right", 1)
+        z = tt_random([4] * 6, 2, rng=rng)
+        nx = _right_orthogonal_norm(x)
+        scale = eps * nx / _right_orthogonal_norm(z)
+        r = tt_add(tt_add(x, xo, 1.0, -1.0), z, 1.0, scale)
+        assert abs(tt_norm(r) / (eps * nx) - 1.0) <= 1e-6
+
+    def test_difference_of_equal_vectors_is_round_off(self, rng):
+        x = tt_random([4] * 6, 3, rng=rng)
+        xo = orthogonalize(x, "right", 1)
+        assert tt_norm(tt_add(x, xo, 1.0, -1.0)) <= 1e-14 * _right_orthogonal_norm(x)
+
+    def test_single_core_exact(self, rng):
+        core = rng.standard_normal((1, 7, 1))
+        assert tt_norm(TTVector([core])) == np.linalg.norm(core)
+
+    def test_zero_cores_exact(self, rng):
+        assert tt_norm(TTVector([np.zeros((1, 3, 2)), np.zeros((2, 4, 1))])) == 0.0
+        x = tt_random([3, 4, 3], 2, rng=rng)
+        x.cores[1] = np.zeros_like(x.cores[1])
+        assert tt_norm(x) == 0.0
+
+    def test_matches_dense_norm(self, rng):
+        for _ in range(10):
+            sizes = random_sizes(rng)
+            x = tt_random(sizes, int(rng.integers(1, 5)), rng=rng)
+            dense = np.linalg.norm(slow_dense_vector(x))
+            assert abs(tt_norm(x) - dense) <= 1e-13 * dense
