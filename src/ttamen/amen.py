@@ -16,6 +16,7 @@ each local assembly O(1) in the dimension.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -222,7 +223,7 @@ def assemble_local(
     k0 = k - 1
     r0, n, r1 = x.cores[k0].shape
     N = r0 * n * r1
-    cap = 1500 if max_size is None else max_size
+    cap = SolverConfig.max_direct_size if max_size is None else max_size
     if N > cap:
         raise LocalSizeError(
             f"local system has {N} unknowns (> {cap}); use the iterative solver"
@@ -242,10 +243,6 @@ def _local_matrix(L, Ac, R) -> np.ndarray:
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
     t = np.tensordot(np.tensordot(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
     return vec_core(t)
-
-
-def _local_matvec(L, Ac, R, v_core) -> np.ndarray:
-    return _LocalOperator(L, Ac, R).apply(v_core)
 
 
 def solve_local(B: np.ndarray, b: np.ndarray, guess=None, config: Optional[SolverConfig] = None):
@@ -305,8 +302,7 @@ class _LocalOperator:
         return abs(s1 - s2) <= 1e-10 * scale
 
 
-def _solve_local_iterative(L, Ac, R, b, guess, rtol, maxiter):
-    loc = _LocalOperator(L, Ac, R)
+def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, maxiter):
     N = b.size
     op = spla.LinearOperator((N, N), matvec=loc.matvec)
     info = {"fallback": False}
@@ -384,6 +380,14 @@ def exact_residual_core(state: SweepState, A, y, x, u_core, k: int):
     return head, tails
 
 
+def _residual_tails(A: TTMatrix, y: TTVector, x: TTVector) -> list:
+    """Blocks 1..d-1 of the exact residual chain of ``x`` (entry 0 is None)."""
+    d = x.d
+    return [None] + [
+        _residual_right_block(A, y, x, p, last=(p == d - 1)) for p in range(1, d)
+    ]
+
+
 def _gram_tails(blocks: list) -> list:
     """E[j] = Gram matrix of the chain blocks[j:], contracted right to left."""
     m = len(blocks)
@@ -399,6 +403,13 @@ def _psd_sqrt(G: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(G)
     w = np.clip(w, 0.0, None)
     return V * np.sqrt(w)
+
+
+def _factor_gram(grams: Future, j: int) -> np.ndarray:
+    """Replace Gram tail ``j`` by its PSD square root and return the factor."""
+    E = grams.result()
+    E[j] = _psd_sqrt(E[j])
+    return E[j]
 
 
 def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10):
@@ -429,15 +440,22 @@ def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10
     return L[:, :width]
 
 
-def enrich_svd(head: np.ndarray, gram_tail: np.ndarray, kickrank: int):
+def enrich_svd(
+    head: np.ndarray,
+    gram_tail: Optional[np.ndarray],
+    kickrank: int,
+    tail_factor: Optional[np.ndarray] = None,
+):
     """Dominant left singular subspace of the local residual's first unfolding.
 
     ``gram_tail`` is the Gram matrix of the right residual chain; replacing
     the chain by any factor with the same Gram matrix leaves the left singular
-    subspace unchanged.
+    subspace unchanged.  ``tail_factor``, when given, is that factor
+    (``_psd_sqrt(gram_tail)`` computed ahead of time) and ``gram_tail`` is not
+    read.
     """
     M = _unfold_first(head)
-    C = _psd_sqrt(gram_tail)
+    C = _psd_sqrt(gram_tail) if tail_factor is None else tail_factor
     U, s, _ = np.linalg.svd(M @ C, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return None, {"sigma": s, "width": 0}
@@ -471,6 +489,15 @@ def enrich_chol(head: np.ndarray, gram_tail: np.ndarray, kickrank: int):
 # Enrichment state
 # ----------------------------------------------------------------------
 
+class _InlineExecutor:
+    """Executor stand-in that runs each task at submit time."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class EnrichmentState:
     """Per-sweep caches for the residual-enrichment back-ends.
 
@@ -478,9 +505,18 @@ class EnrichmentState:
     their Gram contractions; for the ALS method it additionally maintains the
     persistent rank-``kickrank`` residual approximant and the cross
     environments needed for its one-core-per-step update.
+
+    The SVD and Cholesky caches depend only on the start-of-sweep iterate, so
+    they are built by tasks submitted to ``pool`` (an executor with one
+    worker, which runs them in submission order) while the caller goes on
+    with other work; ``enrich`` waits for the one it needs.  With
+    ``pool=None`` the tasks run at submit time.  The tasks call only NumPy and
+    the module-private helpers, never a public name of this module, so a
+    wrapper installed around those names (to time them, say) only ever runs
+    on the caller's thread.
     """
 
-    def __init__(self, method: str, kickrank: int, rng=None):
+    def __init__(self, method: str, kickrank: int, rng=None, pool=None):
         if method not in ("svd", "chol", "als"):
             raise ValueError(f"unknown enrichment method {method!r}")
         self.method = method
@@ -488,8 +524,10 @@ class EnrichmentState:
         self.rng = np.random.default_rng(rng)
         self.residual_tt: Optional[TTVector] = None
         self.notices: list[str] = []
+        self._pool = _InlineExecutor() if pool is None else pool
         self._tails = None
-        self._gram = None
+        self._grams: Optional[Future] = None
+        self._factors: list = []
         self._W = None
         self._Rzy = None
         self._Rza = None
@@ -500,14 +538,18 @@ class EnrichmentState:
 
     def prepare_sweep(self, A: TTMatrix, y: TTVector, x: TTVector):
         d = x.d
-        self._tails = [None] * d
-        for p in range(1, d):
-            self._tails[p] = _residual_right_block(A, y, x, p, last=(p == d - 1))
         if self.method in ("svd", "chol"):
-            E = _gram_tails(self._tails[1:])
-            # gram keyed by 1-based position of the first tail block
-            self._gram = {p: E[p - 1] for p in range(1, d + 1)}
+            self._tails = None  # free the last sweep's blocks before the next
+            self._grams = self._pool.submit(self._build_grams, A, y, x)
+            if self.method == "svd":
+                # one task per position, in sweep order, so the first
+                # enrichment waits for one eigh, not for all of them
+                self._factors = [None] + [
+                    self._pool.submit(_factor_gram, self._grams, p - 1)
+                    for p in range(1, d)
+                ]
             return
+        self._tails = _residual_tails(A, y, x)
         # ALS: make sure the residual approximant exists and is right-orthogonal
         z = self.residual_tt
         if z is None or z.mode_sizes != y.mode_sizes:
@@ -536,15 +578,21 @@ class EnrichmentState:
         self._Lzy = np.ones((1, 1))
         self._Lza = np.ones((1, 1, 1))
 
+    def _build_grams(self, A, y, x) -> list:
+        """Gram tails E, E[p-1] keyed by 1-based position p of the first block."""
+        self._tails = _residual_tails(A, y, x)
+        return _gram_tails(self._tails[1:])
+
     # -- per-step enrichment ----------------------------------------------
 
     def enrich(self, state: SweepState, A, y, x, u_core, k0: int):
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde."""
         head = _residual_first_block(state, A, y, u_core, k0)
         if self.method == "svd":
-            return enrich_svd(head, self._gram[k0 + 1], self.kickrank)
+            factor = self._factors[k0 + 1].result()
+            return enrich_svd(head, None, self.kickrank, tail_factor=factor)
         if self.method == "chol":
-            return enrich_chol(head, self._gram[k0 + 1], self.kickrank)
+            return enrich_chol(head, self._grams.result()[k0], self.kickrank)
         return self._enrich_als(state, A, y, x, u_core, k0, head)
 
     def _enrich_als(self, state, A, y, x, u_core, k0, head):
@@ -657,14 +705,12 @@ def _solve_core(state, A, y, x, k0, config):
         u, info = solve_local(B, b, guess, config)
         res_after = np.linalg.norm(b - B @ u) / scale
     else:
-        res_before = (
-            np.linalg.norm(b - vec_core(_local_matvec(L, Ac, R, x.cores[k0]))) / scale
-        )
+        loc = _LocalOperator(L, Ac, R)
+        res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
         u, info = _solve_local_iterative(
-            L, Ac, R, b, guess, config.effective_local_rtol, config.local_maxiter
+            loc, b, guess, config.effective_local_rtol, config.local_maxiter
         )
-        u_core = unvec_core(u, (r0, n, r1))
-        res_after = np.linalg.norm(b - vec_core(_local_matvec(L, Ac, R, u_core))) / scale
+        res_after = np.linalg.norm(b - loc.matvec(u)) / scale
     mu = res_after / res_before if res_before > 0 else 1.0
     entry = {
         "k": k0 + 1,
@@ -767,45 +813,57 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
-    ens = make_ens(rng)
-    t0 = time.perf_counter()
-    for sweep in range(config.max_sweeps):
-        x = orthogonalize(x, "right", 1)
-        state = build_environments(A, y, x)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        ens = make_ens(rng, pool)
+        t0 = time.perf_counter()
+        x_next = orthogonalize(x, "right", 1)
         if ens is not None:
-            ens.prepare_sweep(A, y, x)
-        x, stats = sweep_fn(x, A, y, state, ens)
-        rel = _global_residual(A, y, x) / yscale
-        local_conv = all(
-            s["local_res_before"] <= config.tol for s in stats
-        )
-        rec = SweepRecord(
-            sweep=sweep + 1,
-            wall_time=time.perf_counter() - t0,
-            rel_residual=float(rel),
-            a_norm_error=None,
-            max_rank=max(x.ranks),
-            local_converged=local_conv,
-            mu=[s["mu"] for s in stats],
-            omega_surrogate=[s.get("omega_surrogate") for s in stats],
-        )
-        if ens is not None and ens.notices:
-            rec.notes.extend(ens.notices)
-            ens.notices = []
-        log.records.append(rec)
-        if rel <= config.tol:
-            log.status = "converged"
-            log.stop_reason = "residual"
-            break
-        if local_conv:
-            # every local system was already solved on entry: the sweep made
-            # no progress, so further sweeps cannot reduce the residual
-            log.status = "stalled"
-            log.stop_reason = "local_criterion"
-            break
-    else:
-        log.status = "max_sweeps"
-        log.stop_reason = "max_sweeps"
+            ens.prepare_sweep(A, y, x_next)
+        for sweep in range(config.max_sweeps):
+            state = build_environments(A, y, x_next)
+            x, stats = sweep_fn(x_next, A, y, state, ens)
+            local_conv = all(
+                s["local_res_before"] <= config.tol for s in stats
+            )
+            if not local_conv and sweep + 1 < config.max_sweeps:
+                # the next sweep's enrichment set-up runs on the helper thread
+                # while this one checks the residual and builds environments
+                x_next = orthogonalize(x, "right", 1)
+                if ens is not None:
+                    ens.prepare_sweep(A, y, x_next)
+            rel = _global_residual(A, y, x) / yscale
+            rec = SweepRecord(
+                sweep=sweep + 1,
+                wall_time=time.perf_counter() - t0,
+                rel_residual=float(rel),
+                a_norm_error=None,
+                max_rank=max(x.ranks),
+                local_converged=local_conv,
+                mu=[s["mu"] for s in stats],
+                omega_surrogate=[s.get("omega_surrogate") for s in stats],
+            )
+            if ens is not None and ens.notices:
+                rec.notes.extend(ens.notices)
+                ens.notices = []
+            log.records.append(rec)
+            if rel <= config.tol:
+                log.status = "converged"
+                log.stop_reason = "residual"
+                break
+            if local_conv:
+                # every local system was already solved on entry: the sweep
+                # made no progress, so further sweeps cannot reduce the residual
+                log.status = "stalled"
+                log.stop_reason = "local_criterion"
+                break
+        else:
+            log.status = "max_sweeps"
+            log.stop_reason = "max_sweeps"
+    finally:
+        # drops the set-up of a sweep that will not run; no thread outlives
+        # the solve, also when it raises
+        pool.shutdown(wait=True, cancel_futures=True)
     return x, log
 
 
@@ -825,10 +883,10 @@ def amen_solve(
     config = config or SolverConfig()
     method = config.enrichment
 
-    def make_ens(rng):
+    def make_ens(rng, pool):
         if method == "none":
             return None
-        return EnrichmentState(method, config.kickrank, rng=rng)
+        return EnrichmentState(method, config.kickrank, rng=rng, pool=pool)
 
     def sweep_fn(x, A_, y_, state, ens):
         x, _, _, stats = amen_sweep(x, A_, y_, state, ens, config)
@@ -850,7 +908,7 @@ def als_solve(
         x, _, _, stats = amen_sweep(x, A_, y_, state, None, config)
         return x, stats
 
-    return _run_alternating(A, y, x0, config, lambda rng: None, sweep_fn)
+    return _run_alternating(A, y, x0, config, lambda rng, pool: None, sweep_fn)
 
 
 def dmrg_solve(
@@ -867,7 +925,7 @@ def dmrg_solve(
     def sweep_fn(x, A_, y_, state, ens):
         return _dmrg_sweep(x, A_, y_, state, config)
 
-    return _run_alternating(A, y, x0, config, lambda rng: None, sweep_fn)
+    return _run_alternating(A, y, x0, config, lambda rng, pool: None, sweep_fn)
 
 
 def _dmrg_sweep(x, A, y, state, config):
@@ -942,7 +1000,7 @@ def _solve_two_site(state, A, y, x, k0, config):
         loc = _LocalOperator(L, A12, R)
         res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
         u, info = _solve_local_iterative(
-            L, A12, R, b, guess, config.effective_local_rtol, config.local_maxiter
+            loc, b, guess, config.effective_local_rtol, config.local_maxiter
         )
         res_after = np.linalg.norm(b - loc.matvec(u)) / scale
     mu = res_after / res_before if res_before > 0 else 1.0

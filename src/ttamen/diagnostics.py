@@ -352,25 +352,20 @@ class _RateRecorder:
             "X": X,
             "x_star_k": dense_oracle_solve(Ak, yk),
             "t_sub": t_sub,
+            "tail": list(x.cores[k0 + 1 :]),
             "rest_after": int(np.prod(x.mode_sizes[k0 + 1 :], dtype=np.int64)),
         }
 
     def on_core_solved(self, k0: int, u_core: np.ndarray):
-        self._ctx["u_core"] = u_core
+        # u-subtrain: the solved core with the tail cores as they were before
+        # the expansion rescales core k0+1 by the QR factor
+        self._ctx["u_sub"] = subtrain_dense([u_core] + self._ctx["tail"])
 
     def on_core_done(self, k0: int, x: TTVector):
         ctx = self._ctx
         Ak, xs, t_sub = ctx["Ak"], ctx["x_star_k"], ctx["t_sub"]
-        u_core = ctx["u_core"]
+        u_sub = ctx["u_sub"]
         d = x.d
-        # u-subtrain: solved core with the not-yet-touched tail cores; at this
-        # point core k0 is already expanded/orthogonalized and core k0+1
-        # rescaled, but the represented tail tau(cores[k0+1:]) absorbed only
-        # the QR factor, so rebuild u from the recorded pre-expansion core
-        if k0 < d - 1:
-            u_sub = ctx["u_sub"]
-        else:
-            u_sub = subtrain_dense([u_core])
 
         def a_err(v):
             e = xs - v
@@ -392,35 +387,6 @@ class _RateRecorder:
             frac = float(c @ (Ak @ Rc)) / denom if denom > 0 else 1.0
             self.omega.append(float(np.sqrt(min(max(1.0 - frac, 0.0), 1.0))))
         self._ctx = None
-
-
-# the recorder needs the u-subtrain before the tail is rescaled by QR;
-# hook into on_core_solved where the tail cores are still untouched
-def _record_u_sub(rec: _RateRecorder, x: TTVector, k0: int, u_core: np.ndarray):
-    if k0 < x.d - 1:
-        rec._ctx["u_sub"] = subtrain_dense([u_core] + list(x.cores[k0 + 1 :]))
-
-
-class _HookedRecorder:
-    """Adapter wiring the dense rate recorder into the sweep hooks."""
-
-    def __init__(self, rec: _RateRecorder):
-        self.rec = rec
-        self._x = None
-
-    def on_sweep_start(self, x):
-        self._x = x
-        self.rec.on_sweep_start(x)
-
-    def on_core_start(self, k0, x):
-        self.rec.on_core_start(k0, x)
-
-    def on_core_solved(self, k0, u_core):
-        self.rec.on_core_solved(k0, u_core)
-        _record_u_sub(self.rec, self._x, k0, u_core)
-
-    def on_core_done(self, k0, x):
-        self.rec.on_core_done(k0, x)
 
 
 def instrumented_amen_run(
@@ -456,7 +422,6 @@ def instrumented_amen_run(
     rng = np.random.default_rng(seed)
     x = x0.copy() if x0 is not None else _amen._default_guess(A.col_sizes, rng)
     rec = _RateRecorder(A_dense, y_dense)
-    hooked = _HookedRecorder(rec)
     report = RateReport(
         lambda_min=lam_min,
         lambda_max=lam_max,
@@ -469,7 +434,7 @@ def instrumented_amen_run(
         if enrichment != "none":
             ens = _amen.EnrichmentState(enrichment, kickrank, rng=rng)
             ens.prepare_sweep(A, y, x)
-        x, state, ens, _ = _amen.amen_sweep(x, A, y, state, ens, config, recorder=hooked)
+        x, state, ens, _ = _amen.amen_sweep(x, A, y, state, ens, config, recorder=rec)
         j_start = rec.sweep_start_j
         j_end = rec.j_trace[-1]
         ratio = j_end / j_start if j_start > 0 else 0.0

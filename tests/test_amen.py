@@ -1,5 +1,7 @@
 """Environments, local systems, residual blocks, enrichment, and solvers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from ttamen import (
 )
 from ttamen.amen import (
     _gram_tails,
-    _local_matvec,
+    _LocalOperator,
     _psd_sqrt,
     _solve_local_iterative,
     vec_core,
@@ -119,7 +121,7 @@ class TestEnvironments:
         state = build_environments(A, y, x)
         B, _ = assemble_local(state, A, y, x, 1)
         v = x.cores[0]
-        out = _local_matvec(state.left_op[0], A.cores[0], state.right_op[0], v)
+        out = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0]).apply(v)
         assert rel_err(vec_core(out), B @ vec_core(v)) < 1e-12
 
 
@@ -147,10 +149,8 @@ class TestLocalSolvers:
         state = build_environments(A, y, x)
         B, b = assemble_local(state, A, y, x, 1)
         ref = np.linalg.solve(B, b)
-        u, info = _solve_local_iterative(
-            state.left_op[0], A.cores[0], state.right_op[0], b,
-            np.zeros_like(b), 1e-12, 500,
-        )
+        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0])
+        u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, 500)
         assert rel_err(u, ref) < 1e-8
 
 
@@ -495,6 +495,108 @@ class TestGlobalResidual:
         x, log = solve(A, y, config=SolverConfig(tol=1e-8, max_sweeps=3))
         assert log.records
         assert np.isfinite(log.final_residual)
+
+
+class _InlinePool(ttamen.amen._InlineExecutor):
+    """Stand-in for the solve's helper thread that runs every task at once."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _run_columns(log):
+    return [
+        (r.rel_residual, r.max_rank, r.local_converged, r.mu, r.omega_surrogate)
+        for r in log.records
+    ]
+
+
+def _core_bytes(x):
+    return [c.tobytes() for c in x.cores]
+
+
+class TestHelperThread:
+    """The enrichment set-up runs on one helper thread per solve."""
+
+    @staticmethod
+    def problem():
+        return build_poisson(PoissonSpec(dimension=4, grid_points=8))
+
+    @staticmethod
+    def record_threads(monkeypatch, name):
+        """Wrap ``ttamen.amen.<name>`` to note the thread each call runs on."""
+        threads = []
+        real = getattr(ttamen.amen, name)
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(ttamen.amen, name, spy)
+        return threads
+
+    @pytest.mark.parametrize(
+        "enrichment,task", [("svd", "_psd_sqrt"), ("chol", "_gram_tails")]
+    )
+    def test_same_run_with_helper_thread_and_inline(self, monkeypatch, enrichment, task):
+        A, y = self.problem()
+        config = SolverConfig(tol=1e-7, enrichment=enrichment, seed=2)
+        threads = self.record_threads(monkeypatch, task)
+        x1, log1 = amen_solve(A, y, config=config)
+        assert threads and threading.main_thread() not in threads
+        monkeypatch.setattr(ttamen.amen, "ThreadPoolExecutor", _InlinePool)
+        threads.clear()
+        x2, log2 = amen_solve(A, y, config=config)
+        assert set(threads) == {threading.current_thread()}
+        assert log1.status == log2.status == "converged"
+        assert _run_columns(log1) == _run_columns(log2)
+        assert _core_bytes(x1) == _core_bytes(x2)
+
+    def test_worker_failure_propagates(self, monkeypatch):
+        threads = []
+
+        def failing_sqrt(G):
+            threads.append(threading.current_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
+        A, y = self.problem()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            amen_solve(A, y, config=SolverConfig(tol=1e-7))
+        assert threads and threading.main_thread() not in threads
+
+    def test_no_thread_outlives_a_solve(self, monkeypatch):
+        A, y = self.problem()
+        baseline = threading.active_count()
+        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-7))
+        assert log.status == "converged"
+        assert threading.active_count() == baseline
+        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-12, max_sweeps=2))
+        assert log.status == "max_sweeps"
+        assert threading.active_count() == baseline
+
+        def failing_sqrt(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
+        with pytest.raises(np.linalg.LinAlgError):
+            amen_solve(A, y, config=SolverConfig(tol=1e-7))
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_repeat_runs_identical_bytes(self, enrichment):
+        # at the machine's default BLAS thread count, with the helper thread
+        # running BLAS alongside the solve
+        A, y = build_poisson(PoissonSpec(dimension=6, grid_points=16))
+        config = SolverConfig(tol=1e-8, enrichment=enrichment, seed=4)
+        x1, log1 = amen_solve(A, y, config=config)
+        x2, log2 = amen_solve(A, y, config=config)
+        assert log1.status == log2.status
+        assert _run_columns(log1) == _run_columns(log2)
+        assert _core_bytes(x1) == _core_bytes(x2)
 
 
 class TestSymmetrize:

@@ -163,6 +163,21 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
         assert main(["solve", "--solver", "bogus"]) == EXIT_INVALID
 
+    def test_helper_thread_failure_exit_five(self, tmp_path, monkeypatch, capsys):
+        # the eigh factors of the SVD enrichment are built on the helper thread
+        def failing_sqrt(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
+        code = main(
+            [
+                "solve", "--problem", "poisson", "--d", "3", "--n", "4",
+                "--solver", "amen_svd", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_missing_input_file_exit_four(self, tmp_path, capsys):
         code = main(
             [
