@@ -15,6 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ttamen import (
     CascadeCMESpec,
@@ -146,6 +147,7 @@ class TestAcceptance:
             f"100 random TTs, worst error excess over eps: {worst_excess:.2e}",
         )
 
+    @pytest.mark.slow
     def test_03_spd_correctness_all_enrichments(self):
         worst = 0.0
         for seed in range(50):
@@ -170,6 +172,7 @@ class TestAcceptance:
             f"50 seeds x 3 enrichments, worst A-norm error {worst:.2e} (<= 1e-8)",
         )
 
+    @pytest.mark.slow
     def test_04_poisson_desk_scale(self):
         t_start = time.perf_counter()
         A, y = build_poisson(PoissonSpec(dimension=8, grid_points=32))
@@ -234,6 +237,7 @@ class TestAcceptance:
             f"{rep['worst_slack']:.2e} (<= 1e-12)",
         )
 
+    @pytest.mark.slow
     def test_07_cme_time_system(self):
         t_start = time.perf_counter()
         spec = CascadeCMESpec(species=6, states=16)

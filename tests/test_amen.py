@@ -36,7 +36,9 @@ from ttamen import (
 )
 from ttamen.amen import (
     _gram_tails,
+    _local_matrix,
     _LocalOperator,
+    _merge_op_cores,
     _psd_sqrt,
     _solve_local_iterative,
     vec_core,
@@ -125,6 +127,65 @@ class TestEnvironments:
         assert rel_err(vec_core(out), B @ vec_core(v)) < 1e-12
 
 
+def _local_operator_case(case, rng):
+    """(local operator, its dense matrix) for one of three shape regimes."""
+    if case == "two_site":
+        d, n = 5, 4
+        A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        y = tt_random([n] * d, 2, rng=rng)
+        x = tt_random([n] * d, 8, rng=rng)  # ranks 1, 4, 8, 8, 4, 1
+        state = build_environments(A, y, x)
+        for p in range(2):
+            state.advance_left(p, A, y, x)
+        L, R = state.left_op[2], state.right_op[3]
+        A12 = _merge_op_cores(A.cores[2], A.cores[3])
+        return _LocalOperator(L, A12, R), _local_matrix(L, A12, R)
+    if case == "large_mode":  # core (8, 32, 4), operator ranks 2
+        d, n, ranks, op_rank = 3, 32, [1, 8, 4, 1], 2
+    else:  # QTT: core (8, 2, 8), operator ranks 4
+        d, n, ranks, op_rank = 6, 2, 8, 4
+    A = ttmat_random([n] * d, [n] * d, op_rank, rng=rng)
+    y = tt_random([n] * d, 2, rng=rng)
+    x = tt_random([n] * d, ranks, rng=rng)
+    k = 2 if case == "large_mode" else 3
+    state = build_environments(A, y, x)
+    for p in range(k - 1):
+        state.advance_left(p, A, y, x)
+    B, _ = assemble_local(state, A, y, x, k)
+    L, Ac, R = state.left_op[k - 1], A.cores[k - 1], state.right_op[k - 1]
+    return _LocalOperator(L, Ac, R), B
+
+
+class TestLocalOperator:
+    """The matrix-free local product, in its factored and merged orders."""
+
+    CASES = ["large_mode", "qtt", "two_site"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense(self, rng, case):
+        loc, B = _local_operator_case(case, rng)
+        v = rng.standard_normal(B.shape[1])
+        assert rel_err(loc.matvec(v), B @ v) < 1e-12
+        core = rng.standard_normal(loc.in_shape)  # C-ordered, unlike a vector view
+        out = loc.apply(core)
+        assert out.shape == loc.out_shape
+        assert rel_err(vec_core(out), B @ vec_core(core)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "case, factored", [("large_mode", True), ("qtt", False), ("two_site", True)]
+    )
+    def test_order_follows_flop_ratio(self, rng, case, factored):
+        loc, _ = _local_operator_case(case, rng)
+        assert loc.factored is factored
+
+    def test_iterative_solve_on_large_modes(self):
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=32))
+        tol = 1e-6
+        x, log = amen_solve(A, y, config=SolverConfig(tol=tol, local_solver="iterative"))
+        assert log.status == "converged"
+        assert log.final_residual <= tol
+
+
 class TestLocalSolvers:
     def test_direct_solve(self, rng):
         B = rng.standard_normal((20, 20)) + 20 * np.eye(20)
@@ -140,6 +201,16 @@ class TestLocalSolvers:
         u, info = solve_local(B, b)
         assert info.get("fallback", False)
         assert rel_err(B @ u, b) < 1e-10
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_reports_its_residual(self, rng, singular):
+        B = rng.standard_normal((20, 20)) + 20 * np.eye(20)
+        if singular:
+            B[:, 3] = 0.0
+        b = rng.standard_normal(20)
+        u, info = solve_local(B, b)
+        assert info["fallback"] is singular
+        assert info["residual"] == np.linalg.norm(b - B @ u)
 
     def test_iterative_matches_direct(self, rng):
         d, n = 3, 3
@@ -597,6 +668,52 @@ class TestHelperThread:
         assert log1.status == log2.status
         assert _run_columns(log1) == _run_columns(log2)
         assert _core_bytes(x1) == _core_bytes(x2)
+
+
+class TestSweepPreparation:
+    """Only svd/chol set up a sweep before the residual check says it runs."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "solve, enrichment",
+        [(amen_solve, "als"), (amen_solve, "none"), (als_solve, "svd"), (dmrg_solve, "svd")],
+    )
+    def test_no_set_up_after_the_last_sweep(self, rng, monkeypatch, solve, enrichment):
+        A, y = random_spd_system(3, 4, rng)
+        x0 = tt_random(A.col_sizes, 4, rng=rng)  # full rank: ALS converges too
+        orth = self.count_calls(monkeypatch, ttamen.amen, "orthogonalize")
+        prep = self.count_calls(monkeypatch, EnrichmentState, "prepare_sweep")
+        config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
+        x, log = solve(A, y, x0=x0, config=config)
+        assert log.status == "converged"
+        sweeps = len(log.records)
+        als = solve is amen_solve and enrichment == "als"
+        # one orthogonalization of x per sweep; ALS set-up also
+        # orthogonalizes its residual approximant
+        assert len(orth) == (2 * sweeps if als else sweeps)
+        assert len(prep) == (sweeps if als else 0)
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_helper_set_up_starts_before_the_check(self, rng, monkeypatch, enrichment):
+        A, y = random_spd_system(3, 4, rng)
+        x0 = tt_random(A.col_sizes, 1, rng=rng)
+        prep = self.count_calls(monkeypatch, EnrichmentState, "prepare_sweep")
+        config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
+        x, log = amen_solve(A, y, x0=x0, config=config)
+        assert log.status == "converged"
+        assert not log.records[-1].local_converged
+        assert len(prep) == len(log.records) + 1
 
 
 class TestSymmetrize:
