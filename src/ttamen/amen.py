@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -79,16 +79,14 @@ class SolverConfig:
     ``"chol"`` or ``"als"``); ``kickrank`` is the width of the basis
     expansion (the rank of the residual approximant).  Local systems up to
     ``max_direct_size`` unknowns are factorized directly, larger ones are
-    handled matrix-free by GMRES at ``local_rtol`` (default ``tol/10``).
+    solved matrix-free by CG or GMRES to a relative residual of ``tol/10``;
+    ``max_direct_size=0`` sends every local system to the matrix-free path.
     """
 
     tol: float = 1e-5
     max_sweeps: int = 20
     kickrank: int = 4
     enrichment: str = "svd"
-    local_solver: str = "auto"  # "auto" | "direct" | "iterative"
-    local_rtol: Optional[float] = None
-    local_maxiter: int = 400
     max_direct_size: int = 1500
     max_rank: Optional[int] = None
     seed: int = 0
@@ -102,12 +100,6 @@ class SolverConfig:
             raise ValueError("kickrank must be >= 1")
         if self.enrichment not in ("svd", "chol", "als", "none"):
             raise ValueError(f"unknown enrichment {self.enrichment!r}")
-        if self.local_solver not in ("auto", "direct", "iterative"):
-            raise ValueError(f"unknown local solver {self.local_solver!r}")
-
-    @property
-    def effective_local_rtol(self) -> float:
-        return self.tol / 10 if self.local_rtol is None else self.local_rtol
 
 
 @dataclass
@@ -161,10 +153,13 @@ class SweepState:
 
     ``left_op[k]`` contracts cores ``0..k-1``; ``right_op[k]`` contracts
     cores ``k+1..d-1``.  Both boundary environments are 1x1x1 identities.
+    ``symmetric`` says whether the operator is symmetric, which makes every
+    local operator symmetric too (CG rather than GMRES).
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, symmetric: bool):
         self.d = d
+        self.symmetric = symmetric
         self.left_op = [None] * d
         self.right_op = [None] * d
         self.left_rhs = [None] * d
@@ -200,10 +195,32 @@ def build_environments(A: TTMatrix, y: TTVector, x: TTVector) -> SweepState:
     if A.col_sizes != x.mode_sizes or A.row_sizes != y.mode_sizes:
         raise ValueError("operator / vector sizes are inconsistent")
     d = x.d
-    state = SweepState(d)
+    state = SweepState(d, _is_symmetric(A))
     for k in range(d - 1, 0, -1):
         state.advance_right(k, A, y, x)
     return state
+
+
+def _is_symmetric(A: TTMatrix) -> bool:
+    """Randomized test of ``A == A^T``: ``<w, A v>`` against ``<v, A w>``.
+
+    ``v`` and ``w`` are random rank-1 vectors with positive entries; with
+    signed entries both products shrink like a product of d cosines, which
+    hides the gap on many-core operators.  The gap is measured against
+    ``|w|^T |A| |v|`` (absolute cores), which bounds the contractions'
+    round-off.  Only NumPy is called, so a timing wrapper around the TT
+    algebra does not count the probe as a product.
+    """
+    if A.row_sizes != A.col_sizes:
+        return False
+    rng = np.random.default_rng(0)
+    wav = vaw = bound = np.ones(1)
+    for core in A.cores:
+        v, w = rng.uniform(0.5, 1.5, (2, core.shape[1]))
+        wav = wav @ np.einsum("i,PijQ,j->PQ", w, core, v)
+        vaw = vaw @ np.einsum("i,PijQ,j->PQ", v, core, w)
+        bound = bound @ np.einsum("i,PijQ,j->PQ", w, np.abs(core), v)
+    return bool(abs(wav[0] - vaw[0]) <= 1e-10 * bound[0])
 
 
 def assemble_local(
@@ -218,19 +235,54 @@ def assemble_local(
 
     Row/column ordering is the Fortran vectorization of the core, i.e. the
     left rank index fastest.  Raises :class:`LocalSizeError` when the local
-    problem exceeds ``max_size`` unknowns (then the matrix-free path applies).
+    problem exceeds ``max_size`` unknowns, if given (then the matrix-free
+    path applies).
     """
-    k0 = k - 1
-    r0, n, r1 = x.cores[k0].shape
-    N = r0 * n * r1
-    cap = SolverConfig.max_direct_size if max_size is None else max_size
-    if N > cap:
+    N = x.cores[k - 1].size
+    if max_size is not None and N > max_size:
         raise LocalSizeError(
-            f"local system has {N} unknowns (> {cap}); use the iterative solver"
+            f"local system has {N} unknowns (> {max_size}); use the iterative solver"
         )
-    B = _local_matrix(state.left_op[k0], A.cores[k0], state.right_op[k0])
-    b = _local_rhs(state.left_rhs[k0], y.cores[k0], state.right_rhs[k0])
-    return B, b
+    L, Ac, R, b, _ = _local_problem(state, A, y, x, k - 1, 1)
+    return _local_matrix(L, Ac, R), b
+
+
+def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
+    """The local system on cores ``k0 .. k0+sites-1``: ``(L, Ac, R, b, core)``.
+
+    ``L``, ``Ac`` and ``R`` make up the operator, ``b`` is the vectorized
+    right-hand side and ``core`` the current iterate (the guess).  For two
+    sites the operator, right-hand side and iterate cores are merged into
+    one core with a fused mode.
+    """
+    k1 = k0 + sites - 1
+    Ac, yc, core = A.cores[k0], y.cores[k0], x.cores[k0]
+    if sites == 2:
+        Ac = _merge_op_cores(Ac, A.cores[k1])
+        yc = _merge_vec_cores(yc, y.cores[k1])
+        core = _merge_vec_cores(core, x.cores[k1])
+    b = _local_rhs(state.left_rhs[k0], yc, state.right_rhs[k1])
+    return state.left_op[k0], Ac, state.right_op[k1], b, core
+
+
+def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """Contract two neighboring operator cores into one with fused modes.
+
+    The fused row index pairs (i,k) with i fastest, matching the Fortran
+    vectorization of a merged two-site block; likewise for columns.
+    """
+    RP, n1, m1, _ = A1.shape
+    _, n2, m2, RS = A2.shape
+    T = np.tensordot(A1, A2, axes=(3, 0))  # (P,i,j,k,l,S)
+    T = T.transpose(0, 3, 1, 4, 2, 5)  # (P,k,i,l,j,S)
+    return np.ascontiguousarray(T).reshape(RP, n1 * n2, m1 * m2, RS)
+
+
+def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    p, n1, _ = y1.shape
+    _, n2, q = y2.shape
+    T = np.tensordot(y1, y2, axes=(2, 0))  # (p,i,k,q)
+    return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
 
 
 def _local_matrix(L, Ac, R) -> np.ndarray:
@@ -245,7 +297,7 @@ def _local_rhs(Ly, yc, Ry) -> np.ndarray:
     return vec_core(t)
 
 
-def solve_local(B: np.ndarray, b: np.ndarray, guess=None, config: Optional[SolverConfig] = None):
+def solve_local(B: np.ndarray, b: np.ndarray):
     """Direct dense solve with a least-squares fallback for singular systems.
 
     Returns ``(u, info)`` where ``info["fallback"]`` flags an ill-conditioned
@@ -328,42 +380,74 @@ class _LocalOperator:
         T = T.reshape(P, i, c, b).transpose(2, 1, 0, 3).reshape(c * i, P * b)
         return (T @ self._L).ravel()  # [c,i,a]: the Fortran vector of (a,i,c)
 
-    def is_symmetric(self, rng=None) -> bool:
-        # cheap randomized self-adjointness probe (square operators only)
-        if self.in_shape != self.out_shape:
-            return False
-        rng = np.random.default_rng(0 if rng is None else rng)
-        v = rng.standard_normal(self.in_shape)
-        w = rng.standard_normal(self.in_shape)
-        av = self.apply(v)
-        aw = self.apply(w)
-        s1 = float(np.tensordot(w, av, axes=3))
-        s2 = float(np.tensordot(v, aw, axes=3))
-        scale = max(np.linalg.norm(av.ravel()) * np.linalg.norm(w.ravel()), 1e-300)
-        return abs(s1 - s2) <= 1e-10 * scale
+
+# cap on the products of one CG or GMRES local solve
+_LOCAL_MAXITER = 400
 
 
-def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, maxiter):
+def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool):
+    """CG for a symmetric operator, GMRES otherwise or when CG fails.
+
+    Each stops after about ``_LOCAL_MAXITER`` products (GMRES counts its
+    limit in restart cycles).  Returns ``(u, info)`` with
+    ``info["residual"] = norm(b - B u)``.
+    """
     N = b.size
-    op = spla.LinearOperator((N, N), matvec=loc.matvec)
+    # with its dtype given, the operator makes no probing product
+    op = spla.LinearOperator((N, N), matvec=loc.matvec, dtype=b.dtype)
     info = {"fallback": False}
-    if loc.is_symmetric():
-        u, code = spla.cg(op, b, x0=guess, rtol=rtol, atol=0.0, maxiter=maxiter)
+    code = None
+    if symmetric:
+        u, code = spla.cg(op, b, x0=guess, rtol=rtol, atol=0.0, maxiter=_LOCAL_MAXITER)
         info["cg_info"] = int(code)
-        if code == 0:
-            return u, info
-        guess = u  # fall through to gmres from the partial solution
-    u, code = spla.gmres(
-        op,
-        b,
-        x0=guess,
-        rtol=rtol,
-        atol=0.0,
-        maxiter=maxiter,
-        restart=min(N, 200),
-    )
-    info["gmres_info"] = int(code)
+        guess = u  # a failed CG hands its partial solution to GMRES
+    if code != 0:
+        restart = min(N, 200)
+        u, code = spla.gmres(
+            op,
+            b,
+            x0=guess,
+            rtol=rtol,
+            atol=0.0,
+            maxiter=max(1, _LOCAL_MAXITER // restart),
+            restart=restart,
+        )
+        info["gmres_info"] = int(code)
+    info["residual"] = np.linalg.norm(b - loc.matvec(u))
     return u, info
+
+
+def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config):
+    """Solve the local system on cores ``k0 .. k0+sites-1``.
+
+    Systems up to ``config.max_direct_size`` unknowns are assembled and
+    solved directly, larger ones matrix-free.  Returns the solved core (the
+    merged one for two sites) and its stats entry: the local residuals before
+    and after, scaled by ``norm(b)``, their ratio ``mu`` and whether the
+    direct solve fell back to least squares.
+    """
+    L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
+    guess = vec_core(core)
+    bnorm = np.linalg.norm(b)
+    scale = bnorm if bnorm > 0 else 1.0
+    if b.size <= config.max_direct_size:
+        B = _local_matrix(L, Ac, R)
+        res_before = np.linalg.norm(b - B @ guess) / scale
+        u, info = solve_local(B, b)
+    else:
+        loc = _LocalOperator(L, Ac, R)
+        res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
+        u, info = _solve_local_iterative(loc, b, guess, config.tol / 10, state.symmetric)
+    res_after = info["residual"] / scale
+    mu = res_after / res_before if res_before > 0 else 1.0
+    entry = {
+        "k": k0 + 1,
+        "local_res_before": float(res_before),
+        "local_res_after": float(res_after),
+        "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
+        "fallback": info["fallback"],
+    }
+    return unvec_core(u, core.shape), entry
 
 
 # ----------------------------------------------------------------------
@@ -728,41 +812,6 @@ def _qr_push(cores: list, k0: int):
 # Sweeps
 # ----------------------------------------------------------------------
 
-def _solve_core(state, A, y, x, k0, config):
-    """Solve the local system at core k0; returns (u_core, stats_entry)."""
-    r0, n, r1 = x.cores[k0].shape
-    N = r0 * n * r1
-    guess = vec_core(x.cores[k0])
-    use_direct = config.local_solver == "direct" or (
-        config.local_solver == "auto" and N <= config.max_direct_size
-    )
-    L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
-    b = _local_rhs(state.left_rhs[k0], y.cores[k0], state.right_rhs[k0])
-    bnorm = np.linalg.norm(b)
-    scale = bnorm if bnorm > 0 else 1.0
-    if use_direct:
-        B = _local_matrix(L, Ac, R)
-        res_before = np.linalg.norm(b - B @ guess) / scale
-        u, info = solve_local(B, b, guess, config)
-        res_after = info["residual"] / scale
-    else:
-        loc = _LocalOperator(L, Ac, R)
-        res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
-        u, info = _solve_local_iterative(
-            loc, b, guess, config.effective_local_rtol, config.local_maxiter
-        )
-        res_after = np.linalg.norm(b - loc.matvec(u)) / scale
-    mu = res_after / res_before if res_before > 0 else 1.0
-    entry = {
-        "k": k0 + 1,
-        "local_res_before": float(res_before),
-        "local_res_after": float(res_after),
-        "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
-        "fallback": info.get("fallback", False),
-    }
-    return unvec_core(u, (r0, n, r1)), entry
-
-
 def amen_sweep(
     x: TTVector,
     A: TTMatrix,
@@ -785,7 +834,7 @@ def amen_sweep(
     for k0 in range(d):
         if recorder is not None:
             recorder.on_core_start(k0, x)
-        u_core, entry = _solve_core(state, A, y, x, k0, config)
+        u_core, entry = _solve_local_problem(state, A, y, x, k0, 1, config)
         if recorder is not None:
             recorder.on_core_solved(k0, u_core)
         x.cores[k0] = u_core
@@ -949,14 +998,8 @@ def als_solve(
     x0: Optional[TTVector] = None,
     config: Optional[SolverConfig] = None,
 ):
-    """Fixed-rank one-site baseline: the AMEn sweep with enrichment disabled."""
-    config = config or SolverConfig()
-
-    def sweep_fn(x, A_, y_, state, ens):
-        x, _, _, stats = amen_sweep(x, A_, y_, state, None, config)
-        return x, stats
-
-    return _run_alternating(A, y, x0, config, lambda rng, pool: None, sweep_fn)
+    """Fixed-rank one-site baseline: AMEn with enrichment disabled."""
+    return amen_solve(A, y, x0, replace(config or SolverConfig(), enrichment="none"))
 
 
 def dmrg_solve(
@@ -981,10 +1024,9 @@ def _dmrg_sweep(x, A, y, state, config):
     d = x.d
     stats = []
     for k0 in range(d - 1):
-        u, entry = _solve_two_site(state, A, y, x, k0, config)
+        W, entry = _solve_local_problem(state, A, y, x, k0, 2, config)
         r0, n1, _ = x.cores[k0].shape
         _, n2, r2 = x.cores[k0 + 1].shape
-        W = unvec_core(u, (r0, n1, n2, r2))
         M = W.reshape(r0 * n1, n2 * r2, order="F")
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         snorm = np.linalg.norm(s)
@@ -1001,64 +1043,6 @@ def _dmrg_sweep(x, A, y, state, config):
         stats.append(entry)
     x.ortho = ("left_upto", d - 1)
     return x, stats
-
-
-def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Contract two neighboring operator cores into one with fused modes.
-
-    The fused row index pairs (i,k) with i fastest, matching the Fortran
-    vectorization of a merged two-site block; likewise for columns.
-    """
-    RP, n1, m1, _ = A1.shape
-    _, n2, m2, RS = A2.shape
-    T = np.tensordot(A1, A2, axes=(3, 0))  # (P,i,j,k,l,S)
-    T = T.transpose(0, 3, 1, 4, 2, 5)  # (P,k,i,l,j,S)
-    return np.ascontiguousarray(T).reshape(RP, n1 * n2, m1 * m2, RS)
-
-
-def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    p, n1, _ = y1.shape
-    _, n2, q = y2.shape
-    T = np.tensordot(y1, y2, axes=(2, 0))  # (p,i,k,q)
-    return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
-
-
-def _solve_two_site(state, A, y, x, k0, config):
-    c1, c2 = x.cores[k0], x.cores[k0 + 1]
-    r0, n1, _ = c1.shape
-    _, n2, r2 = c2.shape
-    N = r0 * n1 * n2 * r2
-    L, R = state.left_op[k0], state.right_op[k0 + 1]
-    A12 = _merge_op_cores(A.cores[k0], A.cores[k0 + 1])
-    y12 = _merge_vec_cores(y.cores[k0], y.cores[k0 + 1])
-    b = _local_rhs(state.left_rhs[k0], y12, state.right_rhs[k0 + 1])
-    bnorm = np.linalg.norm(b)
-    scale = bnorm if bnorm > 0 else 1.0
-    merged = np.tensordot(c1, c2, axes=(2, 0)).transpose(0, 2, 1, 3)
-    guess = vec_core(np.ascontiguousarray(merged).reshape(r0, n1 * n2, r2))
-    use_direct = config.local_solver == "direct" or (
-        config.local_solver == "auto" and N <= config.max_direct_size
-    )
-    if use_direct:
-        B = _local_matrix(L, A12, R)
-        res_before = np.linalg.norm(b - B @ guess) / scale
-        u, info = solve_local(B, b, guess, config)
-        res_after = info["residual"] / scale
-    else:
-        loc = _LocalOperator(L, A12, R)
-        res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
-        u, info = _solve_local_iterative(
-            loc, b, guess, config.effective_local_rtol, config.local_maxiter
-        )
-        res_after = np.linalg.norm(b - loc.matvec(u)) / scale
-    mu = res_after / res_before if res_before > 0 else 1.0
-    entry = {
-        "k": k0 + 1,
-        "local_res_before": float(res_before),
-        "local_res_after": float(res_after),
-        "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
-    }
-    return u, entry
 
 
 # ----------------------------------------------------------------------

@@ -415,7 +415,6 @@ def instrumented_amen_run(
         max_sweeps=sweeps,
         kickrank=kickrank,
         enrichment=enrichment,
-        local_solver="direct",
         max_direct_size=1 << 16,
         seed=seed,
     )

@@ -1,22 +1,28 @@
 """Environments, local systems, residual blocks, enrichment, and solvers."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ttamen.amen
 from ttamen import (
+    CascadeCMESpec,
     EnrichmentState,
     LocalSizeError,
     PoissonSpec,
     SolverConfig,
+    TimeSystemSpec,
     als_solve,
     amen_solve,
     amen_sweep,
     assemble_local,
+    build_cme_operator,
     build_environments,
+    build_initial_state,
     build_poisson,
+    build_time_system,
     dmrg_solve,
     enrich_chol,
     enrich_svd,
@@ -25,22 +31,27 @@ from ttamen import (
     frame_matrix,
     orthogonalize,
     pivoted_cholesky,
+    qtt_quantize,
     solve_local,
     symmetrize,
     to_dense,
     tt_matvec,
     tt_norm,
     tt_random,
+    ttmat_add,
     ttmat_identity,
     ttmat_random,
 )
 from ttamen.amen import (
+    _LOCAL_MAXITER,
     _gram_tails,
+    _is_symmetric,
     _local_matrix,
     _LocalOperator,
     _merge_op_cores,
     _psd_sqrt,
     _solve_local_iterative,
+    _solve_local_problem,
     vec_core,
 )
 from ttamen.diagnostics import dense_oracle_solve, subtrain_dense
@@ -181,7 +192,7 @@ class TestLocalOperator:
     def test_iterative_solve_on_large_modes(self):
         A, y = build_poisson(PoissonSpec(dimension=4, grid_points=32))
         tol = 1e-6
-        x, log = amen_solve(A, y, config=SolverConfig(tol=tol, local_solver="iterative"))
+        x, log = amen_solve(A, y, config=SolverConfig(tol=tol, max_direct_size=0))
         assert log.status == "converged"
         assert log.final_residual <= tol
 
@@ -221,8 +232,145 @@ class TestLocalSolvers:
         B, b = assemble_local(state, A, y, x, 1)
         ref = np.linalg.solve(B, b)
         loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0])
-        u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, 500)
+        u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, symmetric=True)
         assert rel_err(u, ref) < 1e-8
+
+
+class _KrylovSpy:
+    """Stand-in for ``scipy.sparse.linalg`` in ``ttamen.amen``.
+
+    Records ``[solver, products]`` for every CG and GMRES call.
+    """
+
+    def __init__(self, real):
+        self._real = real
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def _run(self, name, op, b, **kwargs):
+        call = [name, 0]
+        self.calls.append(call)
+
+        def matvec(v):
+            call[1] += 1
+            return op.matvec(v)
+
+        counted = self._real.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return getattr(self._real, name)(counted, b, **kwargs)
+
+    def cg(self, op, b, **kwargs):
+        return self._run("cg", op, b, **kwargs)
+
+    def gmres(self, op, b, **kwargs):
+        return self._run("gmres", op, b, **kwargs)
+
+
+def _nonsymmetric_system(d, n, rng):
+    noise = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+    A = ttmat_add(ttmat_identity([n] * d), noise, 8.0, 1.0)  # dominant, invertible
+    return A, tt_random([n] * d, 2, rng=rng)
+
+
+def _qtt_cme_system():
+    """A small QTT CME time system: 20 binary cores, strongly nonsymmetric."""
+    spec = CascadeCMESpec(species=4, states=8)
+    A = qtt_quantize(build_cme_operator(spec), tol=1e-13)
+    psi0 = qtt_quantize(build_initial_state(spec), tol=1e-13)
+    M, _ = build_time_system(A, psi0, TimeSystemSpec(tau=0.1, n_steps=256))
+    return qtt_quantize(M, tol=1e-13)
+
+
+class TestLocalProblemLayer:
+    """AMEn, ALS and DMRG share one local solve, capped by ``max_direct_size``."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """(Krylov calls, local products, direct solves) of the code under test."""
+        krylov = _KrylovSpy(ttamen.amen.spla)
+        monkeypatch.setattr(ttamen.amen, "spla", krylov)
+        products, direct = [], []
+        real_matvec, real_direct = _LocalOperator.matvec, ttamen.amen.solve_local
+
+        def matvec(self, v):
+            products.append(v.size)
+            return real_matvec(self, v)
+
+        def solve_local(B, b):
+            direct.append(b.size)
+            return real_direct(B, b)
+
+        monkeypatch.setattr(_LocalOperator, "matvec", matvec)
+        monkeypatch.setattr(ttamen.amen, "solve_local", solve_local)
+        return krylov, products, direct
+
+    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_forced_iterative_runs(self, rng, monkeypatch, solve, symmetric):
+        build = random_spd_system if symmetric else _nonsymmetric_system
+        A, y = build(3, 4, rng)
+        krylov, products, direct = self.spy(monkeypatch)
+        config = SolverConfig(tol=1e-8, max_sweeps=4, max_direct_size=0)
+        x, log = solve(A, y, config=config)
+        local_solves = sum(len(r.mu) for r in log.records)
+        assert local_solves > 0 and not direct
+        # one CG (symmetric) or GMRES call per local solve, decided from A
+        assert [name for name, _ in krylov.calls] == local_solves * (
+            ["cg"] if symmetric else ["gmres"]
+        )
+        # outside the Krylov loop: the residuals before and after, nothing else
+        inside = sum(count for _, count in krylov.calls)
+        assert len(products) - inside == 2 * local_solves
+
+    def test_dmrg_iterative_matches_direct(self, rng):
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-11, max_direct_size=0)
+        x_it, log_it = dmrg_solve(A, y, config=config)
+        x_d, log_d = dmrg_solve(A, y, config=replace(config, max_direct_size=1 << 16))
+        assert log_it.status == log_d.status == "converged"
+        assert rel_err(to_dense(x_it), to_dense(x_d)) < 1e-8
+
+    @pytest.mark.parametrize("cap", [0, 1 << 16])
+    def test_one_and_two_site_entries_match(self, rng, cap):
+        A, y = random_spd_system(3, 4, rng)
+        x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
+        state = build_environments(A, y, x)
+        config = SolverConfig(tol=1e-8, max_direct_size=cap)
+        one, entry1 = _solve_local_problem(state, A, y, x, 0, 1, config)
+        two, entry2 = _solve_local_problem(state, A, y, x, 0, 2, config)
+        assert one.shape == x.cores[0].shape
+        assert two.shape == (1, 16, x.cores[1].shape[2])
+        assert entry1.keys() == entry2.keys()
+        keys = {"k", "local_res_before", "local_res_after", "mu", "fallback"}
+        assert set(entry1) == keys
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_krylov_stops_within_the_product_cap(self, rng, monkeypatch, symmetric):
+        # a singular system with the rhs outside the range: no solve converges
+        n = 60
+        M = rng.standard_normal((n, n - 1))
+        M = M @ M.T if symmetric else np.hstack([M, np.zeros((n, 1))])
+        b = np.linalg.svd(M)[0][:, -1] + rng.standard_normal(n)  # leaves the range
+        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        krylov, _, _ = self.spy(monkeypatch)
+        u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-12, symmetric=symmetric)
+        assert info["gmres_info"] > 0
+        solvers = [name for name, _ in krylov.calls]
+        assert solvers == (["cg", "gmres"] if symmetric else ["gmres"])
+        # GMRES also recomputes its residual once per restart cycle (n steps)
+        for _, count in krylov.calls:
+            assert count <= _LOCAL_MAXITER + _LOCAL_MAXITER // n + 1
+
+    def test_symmetry_is_read_from_the_operator(self, rng):
+        assert _is_symmetric(random_spd_system(3, 4, rng)[0])
+        A, _ = build_poisson(PoissonSpec(dimension=2, grid_points=64))
+        assert _is_symmetric(qtt_quantize(A, tol=1e-13))  # 12 binary cores
+        AtA, _ = symmetrize(*_nonsymmetric_system(3, 4, rng))
+        assert _is_symmetric(AtA)
+        assert not _is_symmetric(_nonsymmetric_system(3, 4, rng)[0])
+        assert not _is_symmetric(_qtt_cme_system())
+        assert not _is_symmetric(ttmat_random([3, 3], [4, 4], 2, rng=rng))
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +592,7 @@ class TestSweep:
                 energies.append(e @ (Ad @ e))
 
         state = build_environments(A, y, x)
-        config = SolverConfig(tol=1e-12, local_solver="direct", max_direct_size=1 << 16)
+        config = SolverConfig(tol=1e-12, max_direct_size=1 << 16)
         ens = EnrichmentState("svd", 2, rng=rng)
         ens.prepare_sweep(A, y, x)
         amen_sweep(x, A, y, state, ens, config, recorder=Rec())
@@ -489,7 +637,7 @@ class TestSolvers:
     def test_forced_iterative_path(self, rng):
         A, y = random_spd_system(3, 4, rng)
         x, log = amen_solve(
-            A, y, config=SolverConfig(tol=1e-7, local_solver="iterative")
+            A, y, config=SolverConfig(tol=1e-7, max_direct_size=0)
         )
         assert log.status == "converged"
         res = tt_norm(
@@ -528,7 +676,7 @@ class TestSolvers:
     def test_dmrg_iterative_path(self, rng):
         A, y = random_spd_system(3, 4, rng)
         x, log = dmrg_solve(
-            A, y, config=SolverConfig(tol=1e-7, local_solver="iterative")
+            A, y, config=SolverConfig(tol=1e-7, max_direct_size=0)
         )
         assert log.final_residual <= 1e-7
 
