@@ -16,7 +16,6 @@ each local assembly O(1) in the dimension.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -79,15 +78,19 @@ class SolverConfig:
     ``"chol"`` or ``"als"``); ``kickrank`` is the width of the basis
     expansion (the rank of the residual approximant).  Local systems up to
     ``max_direct_size`` unknowns are factorized directly, larger ones are
-    solved matrix-free by CG or GMRES to a relative residual of ``tol/10``;
+    solved matrix-free by CG or GMRES to a relative residual of ``tol/100``;
     ``max_direct_size=0`` sends every local system to the matrix-free path.
+    The default cap of 512 is where the matrix-free solve starts to win:
+    summed over a solve of the benchmark's CME and Poisson systems, it takes
+    4 to 16 times less time than the LU from 512 unknowns up, and up to 9
+    times more below 256.
     """
 
     tol: float = 1e-5
     max_sweeps: int = 20
     kickrank: int = 4
     enrichment: str = "svd"
-    max_direct_size: int = 1500
+    max_direct_size: int = 512
     max_rank: Optional[int] = None
     seed: int = 0
 
@@ -437,7 +440,7 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
     else:
         loc = _LocalOperator(L, Ac, R)
         res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
-        u, info = _solve_local_iterative(loc, b, guess, config.tol / 10, state.symmetric)
+        u, info = _solve_local_iterative(loc, b, guess, config.tol / 100, state.symmetric)
     res_after = info["residual"] / scale
     mu = res_after / res_before if res_before > 0 else 1.0
     entry = {
@@ -513,28 +516,33 @@ def _residual_tails(A: TTMatrix, y: TTVector, x: TTVector) -> list:
     ]
 
 
-def _gram_tails(blocks: list) -> list:
-    """E[j] = Gram matrix of the chain blocks[j:], contracted right to left."""
-    m = len(blocks)
-    E = [None] * (m + 1)
-    E[m] = np.ones((1, 1))
-    for j in range(m - 1, -1, -1):
-        T = np.tensordot(blocks[j], E[j + 1], axes=(2, 0))  # (a,i,d)
-        E[j] = np.tensordot(T, blocks[j], axes=([1, 2], [1, 2]))  # (a,c)
-    return E
+def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
+    """Tail factors and exact norm of ``y - A x`` from one R-only QR sweep.
+
+    The unrounded chain ``y - A x`` (cores 1..d-1 are the blocks of
+    :func:`_residual_right_block`) is swept right to left keeping only the
+    R factors.  Returns ``(F, norm)``: ``F[p] @ F[p].T`` is the Gram matrix
+    of chain blocks ``p..d-1`` for ``p = 1..d`` (``F[d]`` is ``[[1]]``,
+    ``F[0]`` is None), and ``norm = ‖[y_0, -A_0 x_0] @ F[1]‖``.  Unlike a
+    square root of the Gram matrix, ``F[p]`` keeps directions far below
+    ``sqrt(eps)`` of the largest, and the norm does not cancel near
+    convergence.
+    """
+    r = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+    d = r.d
+    F = [None] * (d + 1)
+    F[d] = np.ones((1, 1))
+    for p in range(d - 1, 0, -1):
+        core = r.cores[p]
+        T = np.tensordot(core, F[p + 1], axes=(2, 0)).reshape(core.shape[0], -1)
+        F[p] = np.linalg.qr(T.T, mode="r").T
+    return F, float(np.linalg.norm(_unfold_first(r.cores[0]) @ F[1]))
 
 
 def _psd_sqrt(G: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(G)
     w = np.clip(w, 0.0, None)
     return V * np.sqrt(w)
-
-
-def _factor_gram(grams: Future, j: int) -> np.ndarray:
-    """Replace Gram tail ``j`` by its PSD square root and return the factor."""
-    E = grams.result()
-    E[j] = _psd_sqrt(E[j])
-    return E[j]
 
 
 def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10):
@@ -575,9 +583,11 @@ def enrich_svd(
 
     ``gram_tail`` is the Gram matrix of the right residual chain; replacing
     the chain by any factor with the same Gram matrix leaves the left singular
-    subspace unchanged.  ``tail_factor``, when given, is that factor
-    (``_psd_sqrt(gram_tail)`` computed ahead of time) and ``gram_tail`` is not
-    read.
+    subspace unchanged.  ``tail_factor``, when given, is such a factor (the
+    solver passes the residual sweep's ``F``) and ``gram_tail`` is not read;
+    otherwise the factor is the eigendecomposition square root of
+    ``gram_tail``, which resolves only directions above about
+    ``sqrt(eps)`` times the largest.
     """
     M = _unfold_first(head)
     C = _psd_sqrt(gram_tail) if tail_factor is None else tail_factor
@@ -592,10 +602,23 @@ def enrich_svd(
     return Z, {"sigma": s, "width": width}
 
 
-def enrich_chol(head: np.ndarray, gram_tail: np.ndarray, kickrank: int):
-    """Approximate dominant subspace via pivoted Cholesky of the Gram matrix."""
+def enrich_chol(
+    head: np.ndarray,
+    gram_tail: Optional[np.ndarray],
+    kickrank: int,
+    tail_factor: Optional[np.ndarray] = None,
+):
+    """Approximate dominant subspace via pivoted Cholesky of the Gram matrix.
+
+    The Gram matrix of the local residual is ``M gram_tail M^T``, or
+    ``(M F)(M F)^T`` when the tail factor ``F`` is given.
+    """
     M = _unfold_first(head)
-    G = M @ gram_tail @ M.T
+    if tail_factor is None:
+        G = M @ gram_tail @ M.T
+    else:
+        MF = M @ tail_factor
+        G = MF @ MF.T
     L = pivoted_cholesky(G, kickrank)
     if L.shape[1] == 0:
         return None, {"width": 0, "captured": 0.0, "total": float(np.trace(G))}
@@ -614,34 +637,17 @@ def enrich_chol(head: np.ndarray, gram_tail: np.ndarray, kickrank: int):
 # Enrichment state
 # ----------------------------------------------------------------------
 
-class _InlineExecutor:
-    """Executor stand-in that runs each task at submit time."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class EnrichmentState:
     """Per-sweep caches for the residual-enrichment back-ends.
 
-    For the SVD and Cholesky methods this holds the right residual blocks and
-    their Gram contractions; for the ALS method it additionally maintains the
-    persistent rank-``kickrank`` residual approximant and the cross
-    environments needed for its one-core-per-step update.
-
-    The SVD and Cholesky caches depend only on the start-of-sweep iterate, so
-    they are built by tasks submitted to ``pool`` (an executor with one
-    worker, which runs them in submission order) while the caller goes on
-    with other work; ``enrich`` waits for the one it needs.  With
-    ``pool=None`` the tasks run at submit time.  The tasks call only NumPy and
-    the module-private helpers, never a public name of this module, so a
-    wrapper installed around those names (to time them, say) only ever runs
-    on the caller's thread.
+    For the SVD and Cholesky methods this holds the tail factors ``F`` of the
+    residual chain of the sweep's start iterate (see :func:`_residual_sweep`);
+    for the ALS method it holds the right residual blocks, the persistent
+    rank-``kickrank`` residual approximant and the cross environments needed
+    for its one-core-per-step update.
     """
 
-    def __init__(self, method: str, kickrank: int, rng=None, pool=None):
+    def __init__(self, method: str, kickrank: int, rng=None):
         if method not in ("svd", "chol", "als"):
             raise ValueError(f"unknown enrichment method {method!r}")
         self.method = method
@@ -649,9 +655,7 @@ class EnrichmentState:
         self.rng = np.random.default_rng(rng)
         self.residual_tt: Optional[TTVector] = None
         self.notices: list[str] = []
-        self._pool = _InlineExecutor() if pool is None else pool
         self._tails = None
-        self._grams: Optional[Future] = None
         self._factors: list = []
         self._W = None
         self._Rzy = None
@@ -661,18 +665,15 @@ class EnrichmentState:
 
     # -- sweep preparation -------------------------------------------------
 
-    def prepare_sweep(self, A: TTMatrix, y: TTVector, x: TTVector):
+    def prepare_sweep(self, A: TTMatrix, y: TTVector, x: TTVector, factors=None):
+        """Set up a sweep from its start iterate ``x``.
+
+        ``factors`` are the tail factors ``_residual_sweep(A, y, x)`` returned
+        for this ``x``; svd/chol run that sweep here when they are not given.
+        """
         d = x.d
         if self.method in ("svd", "chol"):
-            self._tails = None  # free the last sweep's blocks before the next
-            self._grams = self._pool.submit(self._build_grams, A, y, x)
-            if self.method == "svd":
-                # one task per position, in sweep order, so the first
-                # enrichment waits for one eigh, not for all of them
-                self._factors = [None] + [
-                    self._pool.submit(_factor_gram, self._grams, p - 1)
-                    for p in range(1, d)
-                ]
+            self._factors = _residual_sweep(A, y, x)[0] if factors is None else factors
             return
         self._tails = _residual_tails(A, y, x)
         # ALS: make sure the residual approximant exists and is right-orthogonal
@@ -703,21 +704,15 @@ class EnrichmentState:
         self._Lzy = np.ones((1, 1))
         self._Lza = np.ones((1, 1, 1))
 
-    def _build_grams(self, A, y, x) -> list:
-        """Gram tails E, E[p-1] keyed by 1-based position p of the first block."""
-        self._tails = _residual_tails(A, y, x)
-        return _gram_tails(self._tails[1:])
-
     # -- per-step enrichment ----------------------------------------------
 
     def enrich(self, state: SweepState, A, y, x, u_core, k0: int):
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde."""
         head = _residual_first_block(state, A, y, u_core, k0)
         if self.method == "svd":
-            factor = self._factors[k0 + 1].result()
-            return enrich_svd(head, None, self.kickrank, tail_factor=factor)
+            return enrich_svd(head, None, self.kickrank, tail_factor=self._factors[k0 + 1])
         if self.method == "chol":
-            return enrich_chol(head, self._grams.result()[k0], self.kickrank)
+            return enrich_chol(head, None, self.kickrank, tail_factor=self._factors[k0 + 1])
         return self._enrich_als(state, A, y, x, u_core, k0, head)
 
     def _enrich_als(self, state, A, y, x, u_core, k0, head):
@@ -892,75 +887,61 @@ def _default_guess(mode_sizes, rng) -> TTVector:
     return x
 
 
-def _global_residual(A, y, x) -> float:
-    """Exact ``norm(y - A x)``: the unrounded sum, normed by a QR sweep."""
-    return tt_norm(tt_add(y, tt_matvec(A, x), 1.0, -1.0))
-
-
 def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        ens = make_ens(rng, pool)
-        # svd/chol set-up runs on the helper thread, so it is started before
-        # the residual check it overlaps; any other set-up waits for the check
-        early = ens is not None and ens.method != "als"
-
-        def next_sweep(x):
+    ens = make_ens(rng)
+    # svd/chol take their tail factors from the residual sweep of the next
+    # start iterate, so their check runs on that iterate; the others check
+    # the sweep's own iterate and orthogonalize only when the run goes on
+    with_factors = ens is not None and ens.method != "als"
+    t0 = time.perf_counter()
+    x_next = orthogonalize(x, "right", 1)
+    factors = _residual_sweep(A, y, x_next)[0] if with_factors else None
+    for sweep in range(config.max_sweeps):
+        if ens is not None:
+            ens.prepare_sweep(A, y, x_next, factors)
+        state = build_environments(A, y, x_next)
+        x, stats = sweep_fn(x_next, A, y, state, ens)
+        if with_factors:
             x_next = orthogonalize(x, "right", 1)
-            if ens is not None:
-                ens.prepare_sweep(A, y, x_next)
-            return x_next
-
-        t0 = time.perf_counter()
-        x_next = next_sweep(x)
-        for sweep in range(config.max_sweeps):
-            state = build_environments(A, y, x_next)
-            x, stats = sweep_fn(x_next, A, y, state, ens)
-            local_conv = all(
-                s["local_res_before"] <= config.tol for s in stats
-            )
-            goes_on = not local_conv and sweep + 1 < config.max_sweeps
-            if early and goes_on:
-                x_next = next_sweep(x)
-            rel = _global_residual(A, y, x) / yscale
-            rec = SweepRecord(
-                sweep=sweep + 1,
-                wall_time=time.perf_counter() - t0,
-                rel_residual=float(rel),
-                a_norm_error=None,
-                max_rank=max(x.ranks),
-                local_converged=local_conv,
-                mu=[s["mu"] for s in stats],
-                omega_surrogate=[s.get("omega_surrogate") for s in stats],
-            )
-            if ens is not None and ens.notices:
-                rec.notes.extend(ens.notices)
-                ens.notices = []
-            log.records.append(rec)
-            if rel <= config.tol:
-                log.status = "converged"
-                log.stop_reason = "residual"
-                break
-            if local_conv:
-                # every local system was already solved on entry: the sweep
-                # made no progress, so further sweeps cannot reduce the residual
-                log.status = "stalled"
-                log.stop_reason = "local_criterion"
-                break
-            if not early and goes_on:
-                x_next = next_sweep(x)
+            factors, res = _residual_sweep(A, y, x_next)
         else:
-            log.status = "max_sweeps"
-            log.stop_reason = "max_sweeps"
-    finally:
-        # drops the set-up of a sweep that will not run; no thread outlives
-        # the solve, also when it raises
-        pool.shutdown(wait=True, cancel_futures=True)
+            res = _residual_sweep(A, y, x)[1]
+        rel = res / yscale
+        local_conv = all(s["local_res_before"] <= config.tol for s in stats)
+        rec = SweepRecord(
+            sweep=sweep + 1,
+            wall_time=time.perf_counter() - t0,
+            rel_residual=float(rel),
+            a_norm_error=None,
+            max_rank=max(x.ranks),
+            local_converged=local_conv,
+            mu=[s["mu"] for s in stats],
+            omega_surrogate=[s.get("omega_surrogate") for s in stats],
+        )
+        if ens is not None and ens.notices:
+            rec.notes.extend(ens.notices)
+            ens.notices = []
+        log.records.append(rec)
+        if rel <= config.tol:
+            log.status = "converged"
+            log.stop_reason = "residual"
+            break
+        if local_conv:
+            # every local system was already solved on entry: the sweep
+            # made no progress, so further sweeps cannot reduce the residual
+            log.status = "stalled"
+            log.stop_reason = "local_criterion"
+            break
+        if not with_factors and sweep + 1 < config.max_sweeps:
+            x_next = orthogonalize(x, "right", 1)
+    else:
+        log.status = "max_sweeps"
+        log.stop_reason = "max_sweeps"
     return x, log
 
 
@@ -980,10 +961,10 @@ def amen_solve(
     config = config or SolverConfig()
     method = config.enrichment
 
-    def make_ens(rng, pool):
+    def make_ens(rng):
         if method == "none":
             return None
-        return EnrichmentState(method, config.kickrank, rng=rng, pool=pool)
+        return EnrichmentState(method, config.kickrank, rng=rng)
 
     def sweep_fn(x, A_, y_, state, ens):
         x, _, _, stats = amen_sweep(x, A_, y_, state, ens, config)
@@ -1016,7 +997,7 @@ def dmrg_solve(
     def sweep_fn(x, A_, y_, state, ens):
         return _dmrg_sweep(x, A_, y_, state, config)
 
-    return _run_alternating(A, y, x0, config, lambda rng, pool: None, sweep_fn)
+    return _run_alternating(A, y, x0, config, lambda rng: None, sweep_fn)
 
 
 def _dmrg_sweep(x, A, y, state, config):

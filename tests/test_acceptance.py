@@ -312,7 +312,7 @@ class TestAcceptance:
         )
 
     def test_10_determinism_and_io(self, tmp_path):
-        """Fixed-seed determinism, the golden run, and the TT file round trip.
+        r"""Fixed-seed determinism, the golden run, and the TT file round trip.
 
         Scenario: Poisson d=3, n=8, amen_svd, tol 1e-8, kickrank 4, seed 42.
 
@@ -320,19 +320,28 @@ class TestAcceptance:
           same values in every column but wall time and write the same
           ``.tt`` bytes.
         - ``fixtures/golden_poisson_d3.csv`` was recorded with one BLAS
-          thread; a run pinned to one thread reproduces its rows 1-2 bit for
-          bit (OpenBLAS 0.3.31). The run is repeated in a subprocess pinned
-          to one thread, and every fixture row whose residual is above
-          ``tol`` must match to 1e-12 relative, with the same row count and
-          rank column. The residual depends on the thread count by nature:
-          the sweep-2 enrichment keeps directions with
-          sigma_3/sigma_1 = 5.4e-7, which round-off fixes only to about
-          eps * sigma_1/sigma_3 = 4e-10, and the row-2 residual moves by
-          1.8e-3 between one and two threads.
+          thread, from the repository root, by::
+
+              OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+              PYTHONPATH=src python3 -m ttamen.cli solve --problem poisson \
+                  --solver amen_svd --d 3 --n 8 --tol 1e-8 --kickrank 4 \
+                  --seed 42 --out golden
+              mv golden.csv tests/fixtures/golden_poisson_d3.csv
+              rm golden.json golden.tt
+
+          A run pinned to one thread reproduces its rows 1-3 bit for bit
+          (OpenBLAS 0.3.31). The run is repeated in a subprocess pinned to
+          one thread, and every fixture row whose residual is above ``tol``
+          must match to 1e-12 relative, with the same row count and rank
+          column. The residual depends on the thread count by nature: the
+          sweep-2 enrichment at core 2 keeps directions with
+          sigma_2/sigma_1 = 2.3e-12 down to sigma_4/sigma_1 = 1.8e-13, which
+          round-off fixes only to about eps * sigma_1/sigma_4 = 1e-3, and
+          the row-2 residual moves by 1.4e-2 between one and two threads.
         - The last row is the converged residual at the round-off floor:
-          1.07e-15 in the fixture, 1.06e-15 on one thread, 1.36e-15 on two,
-          while the dense residual of the same iterate is 2.1e-15. Its
-          digits are not reproducible by any program, so it is checked
+          2.22e-15 in the fixture and on one thread, 1.88e-15 on two, while
+          the dense residual of the same iterates is 3.0e-15 and 2.4e-15.
+          Its digits are not reproducible by any program, so it is checked
           against an absolute floor of 1e-13 together with the status
           ``converged``.
         - Across thread counts the runs agree at the precision the method

@@ -13,6 +13,7 @@ from ttamen import (
     LocalSizeError,
     PoissonSpec,
     SolverConfig,
+    TTVector,
     TimeSystemSpec,
     als_solve,
     amen_solve,
@@ -35,6 +36,7 @@ from ttamen import (
     solve_local,
     symmetrize,
     to_dense,
+    tt_add,
     tt_matvec,
     tt_norm,
     tt_random,
@@ -44,17 +46,18 @@ from ttamen import (
 )
 from ttamen.amen import (
     _LOCAL_MAXITER,
-    _gram_tails,
     _is_symmetric,
     _local_matrix,
     _LocalOperator,
     _merge_op_cores,
     _psd_sqrt,
+    _residual_sweep,
     _solve_local_iterative,
     _solve_local_problem,
     vec_core,
 )
 from ttamen.diagnostics import dense_oracle_solve, subtrain_dense
+from ttamen.tt import _right_interface
 
 from conftest import random_spd_system, rel_err
 
@@ -311,10 +314,22 @@ class TestLocalProblemLayer:
         build = random_spd_system if symmetric else _nonsymmetric_system
         A, y = build(3, 4, rng)
         krylov, products, direct = self.spy(monkeypatch)
+        entries = []
+        real_solve = ttamen.amen._solve_local_problem
+
+        def solve_local_problem(*args):
+            out = real_solve(*args)
+            entries.append(out[1])
+            return out
+
+        monkeypatch.setattr(ttamen.amen, "_solve_local_problem", solve_local_problem)
         config = SolverConfig(tol=1e-8, max_sweeps=4, max_direct_size=0)
         x, log = solve(A, y, config=config)
         local_solves = sum(len(r.mu) for r in log.records)
         assert local_solves > 0 and not direct
+        # every matrix-free solve reaches tol/100, relative to norm(b)
+        assert len(entries) == local_solves
+        assert all(e["local_res_after"] <= config.tol / 100 for e in entries)
         # one CG (symmetric) or GMRES call per local solve, decided from A
         assert [name for name, _ in krylov.calls] == local_solves * (
             ["cg"] if symmetric else ["gmres"]
@@ -362,6 +377,29 @@ class TestLocalProblemLayer:
         for _, count in krylov.calls:
             assert count <= _LOCAL_MAXITER + _LOCAL_MAXITER // n + 1
 
+    @pytest.mark.parametrize("mode, direct_path", [(16, True), (17, False)])
+    def test_default_cap_is_512_unknowns(self, rng, monkeypatch, mode, direct_path):
+        # the middle core (4, mode, 8) has 512 or 544 unknowns
+        sizes = [8, mode, 8]
+        A = ttmat_identity(sizes)
+        y = tt_random(sizes, 2, rng=rng)
+        x = TTVector(
+            [
+                rng.standard_normal((1, 8, 4)),
+                rng.standard_normal((4, mode, 8)),
+                rng.standard_normal((8, 8, 1)),
+            ]
+        )
+        x = orthogonalize(orthogonalize(x, "left", 2), "right", 2)
+        state = build_environments(A, y, x)
+        state.advance_left(0, A, y, x)
+        krylov, _, direct = self.spy(monkeypatch)
+        _solve_local_problem(state, A, y, x, 1, 1, SolverConfig())
+        if direct_path:
+            assert direct == [512] and not krylov.calls
+        else:
+            assert not direct and [name for name, _ in krylov.calls] == ["cg"]
+
     def test_symmetry_is_read_from_the_operator(self, rng):
         assert _is_symmetric(random_spd_system(3, 4, rng)[0])
         A, _ = build_poisson(PoissonSpec(dimension=2, grid_points=64))
@@ -407,7 +445,7 @@ class TestResidualBlocks:
         assert rel_err(z, ref) < 1e-11
 
     def test_tails_reusable_across_head_positions(self, rng):
-        """Right blocks built at sweep start stay valid for every later head."""
+        """Tail factors built at sweep start stay valid for every later head."""
         d, n = 4, 2
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
@@ -418,9 +456,51 @@ class TestResidualBlocks:
         for k in range(1, d):
             u_core = x.cores[k - 1]
             _, tails = exact_residual_core(state, A, y, x, u_core, k)
-            for t, cached in zip(tails, ens._tails[k:]):
-                assert rel_err(t, cached) < 1e-14
+            R = _right_interface(tails)
+            F = ens._factors[k]
+            assert rel_err(F @ F.T, R @ R.T) < 1e-12
             state.advance_left(k - 1, A, y, x)
+
+
+class TestResidualSweep:
+    """Tail factors and exact norm of ``y - A x`` from one R-only QR sweep."""
+
+    def test_factor_grams_match_dense(self, rng):
+        d, n = 4, 3
+        A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        y = tt_random([n] * d, 2, rng=rng)
+        x = tt_random([n] * d, 3, rng=rng)
+        F, _ = _residual_sweep(A, y, x)
+        assert len(F) == d + 1 and F[0] is None and F[d].tolist() == [[1.0]]
+        chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+        for p in range(1, d):
+            R = _right_interface(chain.cores[p:])
+            assert rel_err(F[p] @ F[p].T, R @ R.T) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_norm_matches_dense(self, rng, d):
+        n = 4
+        A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        y = tt_random([n] * d, 2, rng=rng)
+        x = tt_random([n] * d, 3, rng=rng)
+        _, norm = _residual_sweep(A, y, x)
+        dense = np.linalg.norm(to_dense(y) - to_dense(A) @ to_dense(x))
+        assert abs(norm - dense) <= 1e-10 * dense
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_norm_of_cancelling_residual(self, rng, eps):
+        # y - A x = (t - to) + s*z with A = I and to the orthogonalized t: the
+        # norm is eps*||t||, far below the norms of the terms.  The sweep's own
+        # round-off is about 1e-16 ||t||, i.e. 1e-7 of the result at 1e-9
+        # (measured up to 4e-8), so the bound is relative 1e-6.
+        sizes = [4] * 6
+        t = tt_random(sizes, 3, rng=rng)
+        z = tt_random(sizes, 2, rng=rng)
+        nt = np.linalg.norm(orthogonalize(t, "left", 6).cores[-1])
+        nz = np.linalg.norm(orthogonalize(z, "left", 6).cores[-1])
+        x = tt_add(orthogonalize(t, "right", 1), z, 1.0, -eps * nt / nz)
+        _, norm = _residual_sweep(ttmat_identity(sizes), t, x)
+        assert abs(norm / (eps * nt) - 1.0) <= 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -428,16 +508,6 @@ class TestResidualBlocks:
 # ----------------------------------------------------------------------
 
 class TestGramAndCholesky:
-    def test_gram_tails_match_dense(self, rng):
-        blocks = [rng.standard_normal((3, 2, 4)), rng.standard_normal((4, 2, 1))]
-        E = _gram_tails(blocks)
-        W = subtrain_dense(blocks).reshape(-1)  # not used; interface below
-        # dense right interface of the chain starting at block j
-        from ttamen.tt import _right_interface
-        for j in range(2):
-            R = _right_interface(blocks[j:])
-            assert rel_err(E[j], R @ R.T) < 1e-12
-
     def test_psd_sqrt(self, rng):
         M = rng.standard_normal((5, 5))
         G = M @ M.T
@@ -522,6 +592,37 @@ class TestEnrichmentSubspaces:
             Z, _ = fn(head, gram, 2)
             M = Z.reshape(-1, Z.shape[2], order="F")
             assert np.linalg.norm(M.T @ M - np.eye(M.shape[1])) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tail_factor_resolves_a_1e10_direction(self, seed):
+        """Enrichment from the sweep's ``F`` keeps a direction at 1e-10.
+
+        ``y - x`` with ``A = I`` and d = 2 has the head ``M`` (n x 3) and the
+        tail ``T = U diag(1, 1e-10, 0) V^T`` (3 x n).  The exact width-2
+        subspace of ``M T`` is the range of ``M U[:, :2]``.  The eigh square
+        root of ``T T^T`` resolves nothing below about 1e-8.
+        """
+        rng = np.random.default_rng(seed)
+        n = 8
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+        T = (U * [1.0, 1e-10, 0.0]) @ V.T
+        M = rng.standard_normal((n, 3))
+        y = TTVector([M[:, :1].reshape(1, n, 1), T[:1].reshape(1, n, 1)])
+        x = TTVector([-M[:, 1:].reshape(1, n, 2), T[1:].reshape(2, n, 1)])
+        F, _ = _residual_sweep(ttmat_identity([n, n]), y, x)
+        head = M.reshape(1, n, 3)
+        Q = np.linalg.qr(M @ U[:, :2])[0]
+
+        def gap(Z):
+            Zm = Z.reshape(-1, Z.shape[2], order="F")
+            return np.linalg.norm(Zm @ Zm.T - Q @ Q.T, 2)
+
+        assert gap(enrich_svd(head, None, 2, tail_factor=F[1])[0]) <= 1e-6
+        # the eigh factor reproduces the Gram matrix, yet loses the direction
+        C = _psd_sqrt(T @ T.T)
+        assert rel_err(C @ C.T, T @ T.T) < 1e-12
+        assert gap(enrich_svd(head, None, 2, tail_factor=C)[0]) > 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +787,22 @@ class TestSolvers:
         r2 = amen_solve(A, y, config=SolverConfig(tol=1e-8, seed=3))[1]
         assert [r.rel_residual for r in r1.records] == [r.rel_residual for r in r2.records]
 
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_repeat_runs_identical_bytes(self, enrichment):
+        # at the machine's default BLAS thread count
+        A, y = build_poisson(PoissonSpec(dimension=6, grid_points=16))
+        config = SolverConfig(tol=1e-8, enrichment=enrichment, seed=4)
+        x1, log1 = amen_solve(A, y, config=config)
+        x2, log2 = amen_solve(A, y, config=config)
+        columns = [
+            [(r.rel_residual, r.max_rank, r.local_converged, r.mu, r.omega_surrogate)
+             for r in log.records]
+            for log in (log1, log2)
+        ]
+        assert log1.status == log2.status
+        assert columns[0] == columns[1]
+        assert [c.tobytes() for c in x1.cores] == [c.tobytes() for c in x2.cores]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0)
@@ -716,110 +833,8 @@ class TestGlobalResidual:
         assert np.isfinite(log.final_residual)
 
 
-class _InlinePool(ttamen.amen._InlineExecutor):
-    """Stand-in for the solve's helper thread that runs every task at once."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _run_columns(log):
-    return [
-        (r.rel_residual, r.max_rank, r.local_converged, r.mu, r.omega_surrogate)
-        for r in log.records
-    ]
-
-
-def _core_bytes(x):
-    return [c.tobytes() for c in x.cores]
-
-
-class TestHelperThread:
-    """The enrichment set-up runs on one helper thread per solve."""
-
-    @staticmethod
-    def problem():
-        return build_poisson(PoissonSpec(dimension=4, grid_points=8))
-
-    @staticmethod
-    def record_threads(monkeypatch, name):
-        """Wrap ``ttamen.amen.<name>`` to note the thread each call runs on."""
-        threads = []
-        real = getattr(ttamen.amen, name)
-
-        def spy(*args):
-            threads.append(threading.current_thread())
-            return real(*args)
-
-        monkeypatch.setattr(ttamen.amen, name, spy)
-        return threads
-
-    @pytest.mark.parametrize(
-        "enrichment,task", [("svd", "_psd_sqrt"), ("chol", "_gram_tails")]
-    )
-    def test_same_run_with_helper_thread_and_inline(self, monkeypatch, enrichment, task):
-        A, y = self.problem()
-        config = SolverConfig(tol=1e-7, enrichment=enrichment, seed=2)
-        threads = self.record_threads(monkeypatch, task)
-        x1, log1 = amen_solve(A, y, config=config)
-        assert threads and threading.main_thread() not in threads
-        monkeypatch.setattr(ttamen.amen, "ThreadPoolExecutor", _InlinePool)
-        threads.clear()
-        x2, log2 = amen_solve(A, y, config=config)
-        assert set(threads) == {threading.current_thread()}
-        assert log1.status == log2.status == "converged"
-        assert _run_columns(log1) == _run_columns(log2)
-        assert _core_bytes(x1) == _core_bytes(x2)
-
-    def test_worker_failure_propagates(self, monkeypatch):
-        threads = []
-
-        def failing_sqrt(G):
-            threads.append(threading.current_thread())
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
-        A, y = self.problem()
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            amen_solve(A, y, config=SolverConfig(tol=1e-7))
-        assert threads and threading.main_thread() not in threads
-
-    def test_no_thread_outlives_a_solve(self, monkeypatch):
-        A, y = self.problem()
-        baseline = threading.active_count()
-        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-7))
-        assert log.status == "converged"
-        assert threading.active_count() == baseline
-        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-12, max_sweeps=2))
-        assert log.status == "max_sweeps"
-        assert threading.active_count() == baseline
-
-        def failing_sqrt(G):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
-        with pytest.raises(np.linalg.LinAlgError):
-            amen_solve(A, y, config=SolverConfig(tol=1e-7))
-        assert threading.active_count() == baseline
-
-    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
-    def test_repeat_runs_identical_bytes(self, enrichment):
-        # at the machine's default BLAS thread count, with the helper thread
-        # running BLAS alongside the solve
-        A, y = build_poisson(PoissonSpec(dimension=6, grid_points=16))
-        config = SolverConfig(tol=1e-8, enrichment=enrichment, seed=4)
-        x1, log1 = amen_solve(A, y, config=config)
-        x2, log2 = amen_solve(A, y, config=config)
-        assert log1.status == log2.status
-        assert _run_columns(log1) == _run_columns(log2)
-        assert _core_bytes(x1) == _core_bytes(x2)
-
-
 class TestSweepPreparation:
-    """Only svd/chol set up a sweep before the residual check says it runs."""
+    """One residual sweep per sweep; no set-up after the last sweep."""
 
     @staticmethod
     def count_calls(monkeypatch, owner, name):
@@ -852,16 +867,34 @@ class TestSweepPreparation:
         assert len(orth) == (2 * sweeps if als else sweeps)
         assert len(prep) == (sweeps if als else 0)
 
-    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
-    def test_helper_set_up_starts_before_the_check(self, rng, monkeypatch, enrichment):
+    @pytest.mark.parametrize("enrichment", ["svd", "chol", "als", "none"])
+    def test_residual_chain_once_per_sweep(self, rng, monkeypatch, enrichment):
         A, y = random_spd_system(3, 4, rng)
         x0 = tt_random(A.col_sizes, 1, rng=rng)
-        prep = self.count_calls(monkeypatch, EnrichmentState, "prepare_sweep")
+        products = self.count_calls(monkeypatch, ttamen.amen, "tt_matvec")
         config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
         x, log = amen_solve(A, y, x0=x0, config=config)
+        assert len(log.records) > 1
+        # svd/chol also sweep the start iterate for the first sweep's factors
+        first = 1 if enrichment in ("svd", "chol") else 0
+        assert len(products) == len(log.records) + first
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_solve_starts_no_thread(self, monkeypatch, enrichment):
+        threads = []
+        real = ttamen.amen.build_environments
+
+        def spy(*args):
+            threads.append(threading.active_count())
+            return real(*args)
+
+        monkeypatch.setattr(ttamen.amen, "build_environments", spy)
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=8))
+        baseline = threading.active_count()
+        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-7, enrichment=enrichment))
         assert log.status == "converged"
-        assert not log.records[-1].local_converged
-        assert len(prep) == len(log.records) + 1
+        assert threads and set(threads) == {baseline}
+        assert threading.active_count() == baseline
 
 
 class TestSymmetrize:

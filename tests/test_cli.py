@@ -163,12 +163,18 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
         assert main(["solve", "--solver", "bogus"]) == EXIT_INVALID
 
-    def test_helper_thread_failure_exit_five(self, tmp_path, monkeypatch, capsys):
-        # the eigh factors of the SVD enrichment are built on the helper thread
-        def failing_sqrt(G):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def test_residual_sweep_failure_exit_five(self, tmp_path, monkeypatch, capsys):
+        # the QR sweep that checks the residual and builds the svd tail factors
+        def failing_qr(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR did not converge")
 
-        monkeypatch.setattr(ttamen.amen, "_psd_sqrt", failing_sqrt)
+        real_sweep = ttamen.amen._residual_sweep
+
+        def residual_sweep(A, y, x):
+            monkeypatch.setattr(ttamen.amen.np.linalg, "qr", failing_qr)
+            return real_sweep(A, y, x)
+
+        monkeypatch.setattr(ttamen.amen, "_residual_sweep", residual_sweep)
         code = main(
             [
                 "solve", "--problem", "poisson", "--d", "3", "--n", "4",
