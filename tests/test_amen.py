@@ -502,6 +502,25 @@ class TestResidualSweep:
         _, norm = _residual_sweep(ttmat_identity(sizes), t, x)
         assert abs(norm / (eps * nt) - 1.0) <= 1e-6
 
+    def test_failure_propagates_from_the_solve(self, monkeypatch):
+        threads = []
+
+        def failing_qr(*args, **kwargs):
+            threads.append(threading.current_thread())
+            raise np.linalg.LinAlgError("QR did not converge")
+
+        real_sweep = ttamen.amen._residual_sweep
+
+        def residual_sweep(A, y, x):
+            monkeypatch.setattr(ttamen.amen.np.linalg, "qr", failing_qr)
+            return real_sweep(A, y, x)
+
+        monkeypatch.setattr(ttamen.amen, "_residual_sweep", residual_sweep)
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=8))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            amen_solve(A, y, config=SolverConfig(tol=1e-7))
+        assert threads and set(threads) == {threading.main_thread()}
+
 
 # ----------------------------------------------------------------------
 # Enrichment back-ends
