@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
     TTMatrix,
     TTVector,
@@ -114,6 +114,8 @@ class SweepRecord:
     max_rank: int
     local_converged: bool
     mu: list = field(default_factory=list)
+    local_path: list = field(default_factory=list)
+    local_products: list = field(default_factory=list)
     omega_surrogate: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -339,6 +341,9 @@ class _LocalOperator:
     shapes the factored order ranges from 1.5x slower to 2.2x faster per
     product (22% less time summed over them), and the CME runs' sweep
     counts are sensitive to the round-off a change of order brings.
+
+    ``shape`` and ``dtype`` let the Krylov solvers take it as it is;
+    ``products`` counts the products made.
     """
 
     def __init__(self, L, Ac, R):
@@ -347,6 +352,9 @@ class _LocalOperator:
         c, _, d = R.shape
         self.out_shape = (a, i, c)
         self.in_shape = (b, j, d)
+        self.shape = (a * i * c, b * j * d)
+        self.dtype = np.result_type(L, Ac, R)
+        self.products = 0
         merged = a * i * Q * d * (b * j + c)
         factored = b * c * (Q * d * j + P * i * Q * j + a * i * P)
         self.factored = 2 * factored <= merged
@@ -371,6 +379,7 @@ class _LocalOperator:
         return (W @ self._M2.T).reshape(r0l, n, r1l)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.products += 1
         if not self.factored:
             return vec_core(self.apply(unvec_core(v, self.in_shape)))
         # the Fortran vector of (b,j,d) is the C array [d,j,b]
@@ -392,31 +401,32 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
     """CG for a symmetric operator, GMRES otherwise or when CG fails.
 
     Each stops after about ``_LOCAL_MAXITER`` products (GMRES counts its
-    limit in restart cycles).  Returns ``(u, info)`` with
-    ``info["residual"] = norm(b - B u)``.
+    limit in restart cycles).  Returns ``(u, info)`` with the norms of
+    ``b - B guess`` and ``b - B u`` in ``info["residual_before"]`` and
+    ``info["residual"]``, and the solvers run in ``info["path"]``.
     """
-    N = b.size
-    # with its dtype given, the operator makes no probing product
-    op = spla.LinearOperator((N, N), matvec=loc.matvec, dtype=b.dtype)
-    info = {"fallback": False}
-    code = None
+    r0 = b - loc.matvec(guess)  # the solvers start from it
+    info = {"fallback": False, "residual_before": np.linalg.norm(r0)}
     if symmetric:
-        u, code = spla.cg(op, b, x0=guess, rtol=rtol, atol=0.0, maxiter=_LOCAL_MAXITER)
+        u, code = spla.cg(loc, b, x0=guess, r0=r0, rtol=rtol, maxiter=_LOCAL_MAXITER)
         info["cg_info"] = int(code)
-        guess = u  # a failed CG hands its partial solution to GMRES
-    if code != 0:
-        restart = min(N, 200)
-        u, code = spla.gmres(
-            op,
-            b,
-            x0=guess,
-            rtol=rtol,
-            atol=0.0,
-            maxiter=max(1, _LOCAL_MAXITER // restart),
-            restart=restart,
-        )
-        info["gmres_info"] = int(code)
-    info["residual"] = np.linalg.norm(b - loc.matvec(u))
+        if code == 0:
+            info["path"] = "cg"
+            info["residual"] = np.linalg.norm(b - loc.matvec(u))
+            return u, info
+        guess, r0 = u, None  # a failed CG hands its iterate to GMRES
+    restart = min(b.size, 200)
+    u, code, info["residual"] = spla.gmres(
+        loc,
+        b,
+        x0=guess,
+        r0=r0,
+        rtol=rtol,
+        maxiter=max(1, _LOCAL_MAXITER // restart),
+        restart=restart,
+    )
+    info["gmres_info"] = int(code)
+    info["path"] = "cg+gmres" if symmetric else "gmres"
     return u, info
 
 
@@ -426,8 +436,10 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
     Systems up to ``config.max_direct_size`` unknowns are assembled and
     solved directly, larger ones matrix-free.  Returns the solved core (the
     merged one for two sites) and its stats entry: the local residuals before
-    and after, scaled by ``norm(b)``, their ratio ``mu`` and whether the
-    direct solve fell back to least squares.
+    and after, scaled by ``norm(b)``, their ratio ``mu``, whether the direct
+    solve fell back to least squares, the ``path`` taken (``direct``,
+    ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``) and the local operator's
+    ``products`` (0 on the direct path; the initial residual's counts).
     """
     L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
     guess = vec_core(core)
@@ -437,10 +449,12 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
         B = _local_matrix(L, Ac, R)
         res_before = np.linalg.norm(b - B @ guess) / scale
         u, info = solve_local(B, b)
+        path, products = ("lstsq" if info["fallback"] else "direct"), 0
     else:
         loc = _LocalOperator(L, Ac, R)
-        res_before = np.linalg.norm(b - loc.matvec(guess)) / scale
         u, info = _solve_local_iterative(loc, b, guess, config.tol / 100, state.symmetric)
+        res_before = info["residual_before"] / scale
+        path, products = info["path"], loc.products
     res_after = info["residual"] / scale
     mu = res_after / res_before if res_before > 0 else 1.0
     entry = {
@@ -449,6 +463,8 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
         "local_res_after": float(res_after),
         "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
         "fallback": info["fallback"],
+        "path": path,
+        "products": products,
     }
     return unvec_core(u, core.shape), entry
 
@@ -921,6 +937,8 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             max_rank=max(x.ranks),
             local_converged=local_conv,
             mu=[s["mu"] for s in stats],
+            local_path=[s["path"] for s in stats],
+            local_products=[s["products"] for s in stats],
             omega_surrogate=[s.get("omega_surrogate") for s in stats],
         )
         if ens is not None and ens.notices:
@@ -931,11 +949,17 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             log.status = "converged"
             log.stop_reason = "residual"
             break
-        if local_conv:
-            # every local system was already solved on entry: the sweep
-            # made no progress, so further sweeps cannot reduce the residual
+        if ens is None and local_conv:
+            # every local system was already solved on entry: without
+            # enrichment the sweep made no progress, nor can later ones
             log.status = "stalled"
             log.stop_reason = "local_criterion"
+            break
+        if ens is not None and sweep >= 2 and rel > 0.9 * log.records[-3].rel_residual:
+            # enrichment widens the basis even where every local system was
+            # already solved, so only the global residual tells a stall
+            log.status = "stalled"
+            log.stop_reason = "residual_stagnation"
             break
         if not with_factors and sweep + 1 < config.max_sweeps:
             x_next = orthogonalize(x, "right", 1)
@@ -954,9 +978,11 @@ def amen_solve(
     """Rank-adaptive AMEn solve of ``A x = y``.
 
     Runs left-to-right sweeps (re-orthogonalizing in between) until the global
-    relative residual reaches ``config.tol``, the local stopping criterion
-    fires, or ``max_sweeps`` is exhausted.  Never raises on non-convergence;
-    the status is in the returned log.
+    relative residual reaches ``config.tol``, stalls or ``max_sweeps`` is
+    exhausted.  With enrichment a run stalls when its global residual falls
+    by less than 10% over two sweeps; without it (``enrichment="none"``),
+    when every local system was already solved on entry to a sweep.  Never
+    raises on non-convergence; the status is in the returned log.
     """
     config = config or SolverConfig()
     method = config.enrichment

@@ -240,7 +240,7 @@ class TestLocalSolvers:
 
 
 class _KrylovSpy:
-    """Stand-in for ``scipy.sparse.linalg`` in ``ttamen.amen``.
+    """Stand-in for ``ttamen.krylov`` in ``ttamen.amen``.
 
     Records ``[solver, products]`` for every CG and GMRES call.
     """
@@ -334,9 +334,17 @@ class TestLocalProblemLayer:
         assert [name for name, _ in krylov.calls] == local_solves * (
             ["cg"] if symmetric else ["gmres"]
         )
-        # outside the Krylov loop: the residuals before and after, nothing else
+        # outside the Krylov loop: the initial residual, and after CG the
+        # final one (GMRES returns the norm of the residual it computes last)
         inside = sum(count for _, count in krylov.calls)
-        assert len(products) - inside == 2 * local_solves
+        assert len(products) - inside == (2 if symmetric else 1) * local_solves
+        # each entry names its path and counts every product of its solve
+        assert {e["path"] for e in entries} == {"cg" if symmetric else "gmres"}
+        assert sum(e["products"] for e in entries) == len(products)
+        assert [p for r in log.records for p in r.local_path] == [e["path"] for e in entries]
+        assert [n for r in log.records for n in r.local_products] == [
+            e["products"] for e in entries
+        ]
 
     def test_dmrg_iterative_matches_direct(self, rng):
         A, y = random_spd_system(3, 4, rng)
@@ -358,7 +366,9 @@ class TestLocalProblemLayer:
         assert two.shape == (1, 16, x.cores[1].shape[2])
         assert entry1.keys() == entry2.keys()
         keys = {"k", "local_res_before", "local_res_after", "mu", "fallback"}
-        assert set(entry1) == keys
+        assert set(entry1) == keys | {"path", "products"}
+        assert entry1["path"] == ("cg" if cap == 0 else "direct")
+        assert (entry1["products"] > 0) == (cap == 0)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_krylov_stops_within_the_product_cap(self, rng, monkeypatch, symmetric):
@@ -829,6 +839,112 @@ class TestSolvers:
             SolverConfig(enrichment="bogus")
         with pytest.raises(ValueError):
             SolverConfig(kickrank=0)
+
+
+# (solver, enrichment) pairs: AMEn with each enrichment, ALS and DMRG
+ALL_SOLVERS = [
+    (amen_solve, "svd"),
+    (amen_solve, "chol"),
+    (amen_solve, "als"),
+    (amen_solve, "none"),
+    (als_solve, "svd"),
+    (dmrg_solve, "svd"),
+]
+
+
+def _enriches(solve, enrichment):
+    return solve is amen_solve and enrichment != "none"
+
+
+class TestStopRule:
+    """Converged at ``rel <= tol``.  Without enrichment a run stalls once every
+    local system was solved on entry; with it, once the global residual falls
+    by less than 10% over two sweeps."""
+
+    @staticmethod
+    def script(monkeypatch, residuals):
+        """Make the check of sweep ``s`` read ``residuals[s - 1]``, with ``norm(y) = 1``."""
+        built = []
+        real_env, real_sweep = ttamen.amen.build_environments, ttamen.amen._residual_sweep
+
+        def build_environments(*args):
+            built.append(None)
+            return real_env(*args)
+
+        def residual_sweep(A, y, x):
+            F, res = real_sweep(A, y, x)
+            # the sweep before the first only sets up the enrichment
+            return F, (residuals[len(built) - 1] if built else res)
+
+        monkeypatch.setattr(ttamen.amen, "build_environments", build_environments)
+        monkeypatch.setattr(ttamen.amen, "_residual_sweep", residual_sweep)
+        monkeypatch.setattr(ttamen.amen, "tt_norm", lambda y: 1.0)
+
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
+    @pytest.mark.parametrize("above", [False, True])
+    def test_status_at_the_tolerance(self, rng, monkeypatch, solve, enrichment, above):
+        tol = 1e-6
+        last = np.nextafter(tol, 1.0) if above else tol
+        self.script(monkeypatch, [0.5, last])
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=tol, max_sweeps=2, enrichment=enrichment)
+        x, log = solve(A, y, config=config)
+        assert [r.rel_residual for r in log.records] == [0.5, last]
+        if not above:
+            assert (log.status, log.stop_reason) == ("converged", "residual")
+        elif not _enriches(solve, enrichment) and log.records[-1].local_converged:
+            assert (log.status, log.stop_reason) == ("stalled", "local_criterion")
+        else:
+            assert (log.status, log.stop_reason) == ("max_sweeps", "max_sweeps")
+
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
+    @pytest.mark.parametrize("third, stalls", [(0.91, True), (0.9, False)])
+    def test_stall_over_two_sweeps(self, rng, monkeypatch, solve, enrichment, third, stalls):
+        self.script(monkeypatch, [1.0, 0.99, third, 0.5])
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-300, max_sweeps=4, enrichment=enrichment)
+        x, log = solve(A, y, config=config)
+        if _enriches(solve, enrichment):
+            assert len(log.records) == (3 if stalls else 4)
+            expected = ("stalled", "residual_stagnation") if stalls else ("max_sweeps",) * 2
+            assert (log.status, log.stop_reason) == expected
+        else:
+            assert log.stop_reason != "residual_stagnation"
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol", "als"])
+    def test_enrichment_helps_where_every_local_system_is_solved(
+        self, rng, monkeypatch, enrichment
+    ):
+        # every local system reports itself solved on entry, yet the
+        # enrichment still lowers the residual: AMEn goes on, ALS stops
+        real = ttamen.amen._solve_local_problem
+
+        def solved_on_entry(*args):
+            core, entry = real(*args)
+            return core, dict(entry, local_res_before=0.0)
+
+        monkeypatch.setattr(ttamen.amen, "_solve_local_problem", solved_on_entry)
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-8, enrichment=enrichment)
+        x, log = amen_solve(A, y, config=config)
+        assert all(r.local_converged for r in log.records)
+        assert log.status == "converged" and len(log.records) > 1
+        x, log = als_solve(A, y, config=config)
+        assert (log.status, log.stop_reason, len(log.records)) == (
+            "stalled",
+            "local_criterion",
+            1,
+        )
+
+    def test_rank_capped_amen_stalls_on_its_residual(self, rng):
+        # at max_rank=1 nothing can be enriched: the residual levels off
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-10, max_sweeps=20, max_rank=1)
+        x, log = amen_solve(A, y, config=config)
+        assert (log.status, log.stop_reason) == ("stalled", "residual_stagnation")
+        assert len(log.records) < config.max_sweeps
+        rel = [r.rel_residual for r in log.records]
+        assert rel[-1] > 0.9 * rel[-3]
 
 
 class TestGlobalResidual:
