@@ -25,8 +25,9 @@ from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
     TTMatrix,
     TTVector,
+    _matvec_core,
     orthogonalize,
-    tt_add,
+    tt_add,  # unused here, but bench/tracing.py wraps it by this name
     tt_matvec,
     tt_norm,
     tt_random,
@@ -195,12 +196,18 @@ class SweepState:
         self.right_rhs[k - 1] = np.tensordot(T, yc, axes=([1, 2], [1, 2]))
 
 
-def build_environments(A: TTMatrix, y: TTVector, x: TTVector) -> SweepState:
-    """Populate all right environments; left ones start at identities."""
+def build_environments(
+    A: TTMatrix, y: TTVector, x: TTVector, symmetric: Optional[bool] = None
+) -> SweepState:
+    """Populate all right environments; left ones start at identities.
+
+    ``symmetric`` says whether ``A`` is symmetric (see :func:`_is_symmetric`);
+    when omitted, ``A`` is probed.
+    """
     if A.col_sizes != x.mode_sizes or A.row_sizes != y.mode_sizes:
         raise ValueError("operator / vector sizes are inconsistent")
     d = x.d
-    state = SweepState(d, _is_symmetric(A))
+    state = SweepState(d, _is_symmetric(A) if symmetric is None else symmetric)
     for k in range(d - 1, 0, -1):
         state.advance_right(k, A, y, x)
     return state
@@ -480,17 +487,11 @@ def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int, last: b
     core; at the last position the two column blocks collapse to rank 1.
     """
     yc = y.cores[p]
-    ac, xc = A.cores[p], x.cores[p]
-    R0, n, _, R1 = ac.shape
-    r0, _, r1 = xc.shape
-    ax = np.tensordot(ac, xc, axes=(2, 1))  # (P,i,Q,b,d)
-    ax = np.ascontiguousarray(ax.transpose(0, 3, 1, 2, 4)).reshape(
-        R0 * r0, n, R1 * r1
-    )
-    ry0, _, ry1 = yc.shape
+    ax = _matvec_core(A.cores[p], x.cores[p])
     if last:
         return np.concatenate([yc, ax], axis=0)
-    block = np.zeros((ry0 + R0 * r0, n, ry1 + R1 * r1))
+    ry0, n, ry1 = yc.shape
+    block = np.zeros((ry0 + ax.shape[0], n, ry1 + ax.shape[2]))
     block[:ry0, :, :ry1] = yc
     block[ry0:, :, ry1:] = ax
     return block
@@ -532,27 +533,67 @@ def _residual_tails(A: TTMatrix, y: TTVector, x: TTVector) -> list:
     ]
 
 
+def _residual_factored(ac: np.ndarray, xc: np.ndarray) -> bool:
+    """Whether :func:`_residual_block_product` contracts core p factored.
+
+    The factored route costs ``w R1 r0 m (r1 + R0 n)`` multiply-adds, the
+    block route ``w R0 r0 n R1 r1``; as in :class:`_LocalOperator`, the
+    factored one runs only where it needs at most half of them.  QTT cores
+    (n = m = 2) take it once ``r1 >= 12`` at ``R0 = 3``; large modes
+    (Poisson's n = 32, R = 2) and the last core (``r1 = 1``) never do, so
+    their bits are those of the chain ``tt_add(y, tt_matvec(A, x))``.
+    """
+    R0, n, m, _ = ac.shape
+    r1 = xc.shape[2]
+    return 2 * m * (r1 + R0 * n) <= R0 * n * r1
+
+
+def _residual_block_product(A: TTMatrix, y: TTVector, x: TTVector, p: int, F_next):
+    """Chain block p (0-based, ``p >= 1``) of ``y - A x`` times ``F_next``: (rows, n, w).
+
+    Block route: form the block of :func:`_residual_right_block` and contract
+    it.  Factored route (see :func:`_residual_factored`): the y rows of
+    ``F_next`` meet ``y_p``; its ``A x`` rows meet ``x_p`` over ``d`` first,
+    then ``A_p`` over ``(j, Q)``, so the ``A x`` core is never formed.
+    """
+    yc, ac, xc = y.cores[p], A.cores[p], x.cores[p]
+    if not _residual_factored(ac, xc):
+        block = _residual_right_block(A, y, x, p, last=(p == x.d - 1))
+        return np.tensordot(block, F_next, axes=(2, 0))
+    R0, n, _, R1 = ac.shape
+    r0, _, r1 = xc.shape
+    ry0, _, ry1 = yc.shape
+    w = F_next.shape[1]
+    out = np.empty((ry0 + R0 * r0, n, w))
+    out[:ry0] = np.tensordot(yc, F_next[:ry1], axes=(2, 0))
+    T = np.tensordot(xc, F_next[ry1:].reshape(R1, r1, w), axes=(2, 1))  # (b,j,Q,w)
+    T = np.tensordot(ac, T, axes=([2, 3], [1, 2]))  # (P,i,b,w)
+    out[ry0:].reshape(R0, r0, n, w)[...] = T.transpose(0, 2, 1, 3)
+    return out
+
+
 def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
     """Tail factors and exact norm of ``y - A x`` from one R-only QR sweep.
 
     The unrounded chain ``y - A x`` (cores 1..d-1 are the blocks of
     :func:`_residual_right_block`) is swept right to left keeping only the
-    R factors.  Returns ``(F, norm)``: ``F[p] @ F[p].T`` is the Gram matrix
-    of chain blocks ``p..d-1`` for ``p = 1..d`` (``F[d]`` is ``[[1]]``,
-    ``F[0]`` is None), and ``norm = ‖[y_0, -A_0 x_0] @ F[1]‖``.  Unlike a
-    square root of the Gram matrix, ``F[p]`` keeps directions far below
-    ``sqrt(eps)`` of the largest, and the norm does not cancel near
-    convergence.
+    R factors.  Each block's product with the factor to its right comes from
+    :func:`_residual_block_product`, so the chain itself is never built.
+    Returns ``(F, norm)``: ``F[p] @ F[p].T`` is the Gram matrix of chain
+    blocks ``p..d-1`` for ``p = 1..d`` (``F[d]`` is ``[[1]]``, ``F[0]`` is
+    None), and ``norm = ‖[y_0, -A_0 x_0] @ F[1]‖``.  Unlike a square root of
+    the Gram matrix, ``F[p]`` keeps directions far below ``sqrt(eps)`` of the
+    largest, and the norm does not cancel near convergence.
     """
-    r = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
-    d = r.d
+    d = x.d
     F = [None] * (d + 1)
     F[d] = np.ones((1, 1))
     for p in range(d - 1, 0, -1):
-        core = r.cores[p]
-        T = np.tensordot(core, F[p + 1], axes=(2, 0)).reshape(core.shape[0], -1)
-        F[p] = np.linalg.qr(T.T, mode="r").T
-    return F, float(np.linalg.norm(_unfold_first(r.cores[0]) @ F[1]))
+        T = _residual_block_product(A, y, x, p, F[p + 1])
+        F[p] = np.linalg.qr(T.reshape(T.shape[0], -1).T, mode="r").T
+    ax = _matvec_core(A.cores[0], x.cores[0])
+    head = y.cores[0] - ax if d == 1 else np.concatenate([y.cores[0], -ax], axis=2)
+    return F, float(np.linalg.norm(_unfold_first(head) @ F[1]))
 
 
 def _psd_sqrt(G: np.ndarray) -> np.ndarray:
@@ -607,7 +648,11 @@ def enrich_svd(
     """
     M = _unfold_first(head)
     C = _psd_sqrt(gram_tail) if tail_factor is None else tail_factor
-    U, s, _ = np.linalg.svd(M @ C, full_matrices=False)
+    X = M @ C
+    if X.shape[1] > X.shape[0]:
+        # a wide X = L Q^T has the left singular pairs of its square L factor
+        X = np.linalg.qr(X.T, mode="r").T
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return None, {"sigma": s, "width": 0}
     width = min(kickrank, int(np.sum(s > 1e-14 * s[0])))
@@ -917,10 +962,11 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     t0 = time.perf_counter()
     x_next = orthogonalize(x, "right", 1)
     factors = _residual_sweep(A, y, x_next)[0] if with_factors else None
+    symmetric = _is_symmetric(A)
     for sweep in range(config.max_sweeps):
         if ens is not None:
             ens.prepare_sweep(A, y, x_next, factors)
-        state = build_environments(A, y, x_next)
+        state = build_environments(A, y, x_next, symmetric)
         x, stats = sweep_fn(x_next, A, y, state, ens)
         if with_factors:
             x_next = orthogonalize(x, "right", 1)

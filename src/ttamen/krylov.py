@@ -15,6 +15,8 @@ returns the norm of the true residual it computes last, so neither product
 is made twice.  An operator is anything with a ``matvec`` method.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
@@ -89,6 +91,7 @@ def gmres(op, b, x0=None, *, rtol, restart, maxiter, r0=None):
     if rnorm < atol:
         return x, 0, rnorm
     v = np.empty((restart + 1, n))
+    buf = np.empty(n)  # holds tmp * v[k], so the Gram-Schmidt makes no temporaries
     h = np.zeros((restart, restart + 1))  # row col: Hessenberg column col
     for _ in range(maxiter):
         v[0] = r
@@ -99,13 +102,15 @@ def gmres(op, b, x0=None, *, rtol, restart, maxiter, r0=None):
         for col in range(restart):
             w = op.matvec(v[col])
             # modified Gram-Schmidt
-            h0 = np.linalg.norm(w)
+            h0 = math.sqrt(w.dot(w))  # the bits of np.linalg.norm(w)
             hcol = []
             for k in range(col + 1):
-                tmp = np.dot(v[k], w)
+                vk = v[k]
+                tmp = np.dot(vk, w)
                 hcol.append(tmp)
-                w -= tmp * v[k]
-            h1 = np.linalg.norm(w)
+                np.multiply(tmp, vk, out=buf)
+                w -= buf
+            h1 = math.sqrt(w.dot(w))
             v[col + 1] = w
             breakdown = h1 <= _EPS * h0  # exact solution reached
             if breakdown:

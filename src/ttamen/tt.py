@@ -468,14 +468,16 @@ def tt_matvec(A: TTMatrix, x: TTVector) -> TTVector:
         raise ValueError(
             f"operator column sizes {A.col_sizes} != vector modes {x.mode_sizes}"
         )
-    cores = []
-    for Ac, xc in zip(A.cores, x.cores):
-        R0, n, m, R1 = Ac.shape
-        r0, _, r1 = xc.shape
-        c = np.tensordot(Ac, xc, axes=(2, 1))  # (a,i,b,c,d)
-        c = np.ascontiguousarray(c.transpose(0, 3, 1, 2, 4))
-        cores.append(c.reshape(R0 * r0, n, R1 * r1))
-    return TTVector(cores)
+    return TTVector([_matvec_core(Ac, xc) for Ac, xc in zip(A.cores, x.cores)])
+
+
+def _matvec_core(Ac: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Core ``(R0*r0, n, R1*r1)`` of ``A x`` at one position."""
+    R0, n, _, R1 = Ac.shape
+    r0, _, r1 = xc.shape
+    c = np.tensordot(Ac, xc, axes=(2, 1))  # (a,i,b,c,d)
+    c = np.ascontiguousarray(c.transpose(0, 3, 1, 2, 4))
+    return c.reshape(R0 * r0, n, R1 * r1)
 
 
 def tt_dot(x: TTVector, y: TTVector) -> float:

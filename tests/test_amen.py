@@ -51,6 +51,7 @@ from ttamen.amen import (
     _LocalOperator,
     _merge_op_cores,
     _psd_sqrt,
+    _residual_factored,
     _residual_sweep,
     _solve_local_iterative,
     _solve_local_problem,
@@ -472,6 +473,36 @@ class TestResidualBlocks:
             state.advance_left(k - 1, A, y, x)
 
 
+def _chain_sweep(A, y, x):
+    """Reference for ``_residual_sweep``: the R-only QR sweep over the chain
+    ``tt_add(y, tt_matvec(A, x), 1, -1)``, built in full."""
+    r = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+    d = r.d
+    F = [None] * (d + 1)
+    F[d] = np.ones((1, 1))
+    for p in range(d - 1, 0, -1):
+        core = r.cores[p]
+        T = np.tensordot(core, F[p + 1], axes=(2, 0)).reshape(core.shape[0], -1)
+        F[p] = np.linalg.qr(T.T, mode="r").T
+    M = r.cores[0].reshape(-1, r.cores[0].shape[2], order="F")
+    return F, float(np.linalg.norm(M @ F[1]))
+
+
+def _cancelling_residual(sizes, rank, eps, rng):
+    """``(t, x, ||y - x||)`` with ``y = t`` and ``t - x = (t - to) + s z``.
+
+    ``to`` is the orthogonalized ``t``: the norm is ``eps*||t||``, far below
+    the norms of the terms.
+    """
+    d = len(sizes)
+    t = tt_random(sizes, rank, rng=rng)
+    z = tt_random(sizes, 2, rng=rng)
+    nt = np.linalg.norm(orthogonalize(t, "left", d).cores[-1])
+    nz = np.linalg.norm(orthogonalize(z, "left", d).cores[-1])
+    x = tt_add(orthogonalize(t, "right", 1), z, 1.0, -eps * nt / nz)
+    return t, x, eps * nt
+
+
 class TestResidualSweep:
     """Tail factors and exact norm of ``y - A x`` from one R-only QR sweep."""
 
@@ -497,20 +528,71 @@ class TestResidualSweep:
         dense = np.linalg.norm(to_dense(y) - to_dense(A) @ to_dense(x))
         assert abs(norm - dense) <= 1e-10 * dense
 
+    @staticmethod
+    def route_system(route, d, rng):
+        """``(A, y, x)`` whose middle cores take the factored or the block route."""
+        if route == "block":  # Poisson, n = 32, operator rank 2
+            A, y = build_poisson(PoissonSpec(dimension=d, grid_points=32))
+            return A, y, tt_random(A.col_sizes, 15, rng=rng)
+        # binary modes, operator rank 4, x rank 10: 2*2*(10 + 4*2) <= 4*2*10
+        A = ttmat_random([2] * d, [2] * d, 4, rng=rng)
+        ranks = [1] + [10] * (d - 1) + [1]
+        x = TTVector([rng.standard_normal((ranks[k], 2, ranks[k + 1])) for k in range(d)])
+        return A, tt_random([2] * d, 2, rng=rng), x
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("route", ["factored", "block"])
+    def test_routes_match_the_chain(self, rng, route, d):
+        A, y, x = self.route_system(route, d, rng)
+        if d == 3:
+            assert _residual_factored(A.cores[1], x.cores[1]) is (route == "factored")
+        F, norm = _residual_sweep(A, y, x)
+        chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+        for p in range(1, d):
+            R = _right_interface(chain.cores[p:])
+            assert rel_err(F[p] @ F[p].T, R @ R.T) < 1e-12
+        dense = np.linalg.norm(to_dense(y) - to_dense(tt_matvec(A, x)))
+        assert abs(norm - dense) <= 1e-10 * dense
+
+    def test_route_pick(self, rng):
+        # n = m = 32, R = 2: 2*32*(r1 + 64) > 64*r1 whatever the rank
+        A, _ = build_poisson(PoissonSpec(dimension=8, grid_points=32))
+        assert not any(
+            _residual_factored(ac, np.empty((1, 32, r1)))
+            for ac in A.cores
+            for r1 in range(1, 1025)
+        )
+        M = _qtt_cme_system()
+        x = tt_random(M.col_sizes, 20, rng=rng)
+        assert any(_residual_factored(ac, xc) for ac, xc in zip(M.cores, x.cores))
+
+    def test_block_route_has_the_bits_of_the_chain(self, rng):
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=32))
+        x = tt_random(A.col_sizes, 40, rng=rng)  # ranks 1, 32, 40, 32, 1
+        F, norm = _residual_sweep(A, y, x)
+        F_ref, norm_ref = _chain_sweep(A, y, x)
+        assert F[0] is None and all(np.array_equal(F[p], F_ref[p]) for p in range(1, 5))
+        assert norm == norm_ref
+
     @pytest.mark.parametrize("eps", [1e-7, 1e-9])
     def test_norm_of_cancelling_residual(self, rng, eps):
-        # y - A x = (t - to) + s*z with A = I and to the orthogonalized t: the
-        # norm is eps*||t||, far below the norms of the terms.  The sweep's own
-        # round-off is about 1e-16 ||t||, i.e. 1e-7 of the result at 1e-9
-        # (measured up to 4e-8), so the bound is relative 1e-6.
-        sizes = [4] * 6
-        t = tt_random(sizes, 3, rng=rng)
-        z = tt_random(sizes, 2, rng=rng)
-        nt = np.linalg.norm(orthogonalize(t, "left", 6).cores[-1])
-        nz = np.linalg.norm(orthogonalize(z, "left", 6).cores[-1])
-        x = tt_add(orthogonalize(t, "right", 1), z, 1.0, -eps * nt / nz)
-        _, norm = _residual_sweep(ttmat_identity(sizes), t, x)
-        assert abs(norm / (eps * nt) - 1.0) <= 1e-6
+        # the sweep's own round-off is about 1e-16 ||t||, i.e. 1e-7 of the
+        # result at 1e-9 (measured up to 4e-8), so the bound is relative 1e-6
+        t, x, exact = _cancelling_residual([4] * 6, 3, eps, rng)
+        _, norm = _residual_sweep(ttmat_identity([4] * 6), t, x)
+        assert abs(norm / exact - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_cancelling_residual_on_the_factored_route(self, rng, eps):
+        # the identity written as four quarters (rank 4) on binary modes;
+        # x has ranks up to 6 + 2, so its middle cores take the factored route
+        sizes = [2] * 12
+        half = ttmat_add(ttmat_identity(sizes), ttmat_identity(sizes), 0.5, 0.5)
+        A = ttmat_add(half, half, 0.5, 0.5)
+        t, x, exact = _cancelling_residual(sizes, 6, eps, rng)
+        assert any(_residual_factored(ac, xc) for ac, xc in zip(A.cores, x.cores))
+        _, norm = _residual_sweep(A, t, x)
+        assert abs(norm / exact - 1.0) <= 1e-6
 
     def test_failure_propagates_from_the_solve(self, monkeypatch):
         threads = []
@@ -621,6 +703,17 @@ class TestEnrichmentSubspaces:
             Z, _ = fn(head, gram, 2)
             M = Z.reshape(-1, Z.shape[2], order="F")
             assert np.linalg.norm(M.T @ M - np.eye(M.shape[1])) < 1e-12
+
+    def test_wide_block_matches_plain_svd(self, rng):
+        # M @ F is 6 x 14: the SVD runs on its 6 x 6 L factor
+        head = rng.standard_normal((2, 3, 10))
+        F = rng.standard_normal((10, 14))
+        X = head.reshape(6, 10, order="F") @ F
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        Z, info = enrich_svd(head, None, 3, tail_factor=F)
+        assert rel_err(info["sigma"], s) < 1e-12
+        Zm = Z.reshape(-1, 3, order="F")
+        assert np.linalg.norm(Zm @ Zm.T - U[:, :3] @ U[:, :3].T) < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tail_factor_resolves_a_1e10_direction(self, seed):
@@ -969,7 +1062,8 @@ class TestGlobalResidual:
 
 
 class TestSweepPreparation:
-    """One residual sweep per sweep; no set-up after the last sweep."""
+    """One residual sweep per sweep and one symmetry probe per solve; no set-up
+    after the last sweep."""
 
     @staticmethod
     def count_calls(monkeypatch, owner, name):
@@ -1006,13 +1100,27 @@ class TestSweepPreparation:
     def test_residual_chain_once_per_sweep(self, rng, monkeypatch, enrichment):
         A, y = random_spd_system(3, 4, rng)
         x0 = tt_random(A.col_sizes, 1, rng=rng)
+        sweeps = self.count_calls(monkeypatch, ttamen.amen, "_residual_sweep")
+        adds = self.count_calls(monkeypatch, ttamen.amen, "tt_add")
         products = self.count_calls(monkeypatch, ttamen.amen, "tt_matvec")
         config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
         x, log = amen_solve(A, y, x0=x0, config=config)
         assert len(log.records) > 1
         # svd/chol also sweep the start iterate for the first sweep's factors
         first = 1 if enrichment in ("svd", "chol") else 0
-        assert len(products) == len(log.records) + first
+        assert len(sweeps) == len(log.records) + first
+        # the sweep contracts the cores of A and x; y - A x is never built
+        assert not adds and not products
+
+    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
+    def test_symmetry_probed_once_per_solve(self, rng, monkeypatch, solve):
+        A, y = random_spd_system(4, 4, rng)
+        probes = self.count_calls(monkeypatch, ttamen.amen, "_is_symmetric")
+        x, log = solve(A, y, config=SolverConfig(tol=1e-12, max_sweeps=4))
+        assert len(log.records) > 1 and len(probes) == 1
+        # a given answer is taken as it is; a direct caller gets the probe
+        assert not build_environments(A, y, x, False).symmetric
+        assert build_environments(A, y, x).symmetric and len(probes) == 2
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol"])
     def test_solve_starts_no_thread(self, monkeypatch, enrichment):
