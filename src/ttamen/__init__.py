@@ -10,7 +10,6 @@ convergence theory.
 from .amen import (
     ConvergenceLog,
     EnrichmentState,
-    LocalSizeError,
     SolverConfig,
     SweepRecord,
     SweepState,
@@ -22,7 +21,6 @@ from .amen import (
     dmrg_solve,
     enrich_chol,
     enrich_svd,
-    exact_residual_core,
     expand_and_orthogonalize,
     pivoted_cholesky,
     solve_local,

@@ -26,6 +26,7 @@ from .tt import (
     TTMatrix,
     TTVector,
     _matvec_core,
+    _qr_push_right,
     orthogonalize,
     tt_add,  # unused here, but bench/tracing.py wraps it by this name
     tt_matvec,
@@ -43,11 +44,9 @@ __all__ = [
     "EnrichmentState",
     "ConvergenceLog",
     "SweepRecord",
-    "LocalSizeError",
     "build_environments",
     "assemble_local",
     "solve_local",
-    "exact_residual_core",
     "enrich_svd",
     "enrich_chol",
     "expand_and_orthogonalize",
@@ -60,10 +59,6 @@ __all__ = [
     "vec_core",
     "unvec_core",
 ]
-
-
-class LocalSizeError(RuntimeError):
-    """Local system too large to assemble densely; use the iterative path."""
 
 
 # ----------------------------------------------------------------------
@@ -241,20 +236,12 @@ def assemble_local(
     y: TTVector,
     x: TTVector,
     k: int,
-    max_size: Optional[int] = None,
 ):
     """Dense local system (B_k, b_k) at 1-based position k.
 
     Row/column ordering is the Fortran vectorization of the core, i.e. the
-    left rank index fastest.  Raises :class:`LocalSizeError` when the local
-    problem exceeds ``max_size`` unknowns, if given (then the matrix-free
-    path applies).
+    left rank index fastest.
     """
-    N = x.cores[k - 1].size
-    if max_size is not None and N > max_size:
-        raise LocalSizeError(
-            f"local system has {N} unknowns (> {max_size}); use the iterative solver"
-        )
     L, Ac, R, b, _ = _local_problem(state, A, y, x, k - 1, 1)
     return _local_matrix(L, Ac, R), b
 
@@ -480,7 +467,7 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
 # Exact residual in TT block form
 # ----------------------------------------------------------------------
 
-def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int, last: bool):
+def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int):
     """Block p of the exact local residual chain (0-based p >= 1).
 
     Block-diagonal pairing of the rhs core with the operator-times-iterate
@@ -488,7 +475,7 @@ def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int, last: b
     """
     yc = y.cores[p]
     ax = _matvec_core(A.cores[p], x.cores[p])
-    if last:
+    if p == x.d - 1:
         return np.concatenate([yc, ax], axis=0)
     ry0, n, ry1 = yc.shape
     block = np.zeros((ry0 + ax.shape[0], n, ry1 + ax.shape[2]))
@@ -506,31 +493,6 @@ def _residual_first_block(state: SweepState, A, y, u_core, k0: int) -> np.ndarra
     r0, n = a_part.shape[0], a_part.shape[1]
     a_part = a_part.reshape(r0, n, -1)
     return np.concatenate([y_part, -a_part], axis=2)
-
-
-def exact_residual_core(state: SweepState, A, y, x, u_core, k: int):
-    """Exact TT factors of the local residual at 1-based position k.
-
-    Returns ``(head, tails)``: ``head`` is the only block that depends on the
-    freshly solved core, ``tails`` are the blocks for positions k+1..d built
-    from data available before the step.
-    """
-    k0 = k - 1
-    head = _residual_first_block(state, A, y, u_core, k0)
-    d = x.d
-    tails = [
-        _residual_right_block(A, y, x, p, last=(p == d - 1))
-        for p in range(k0 + 1, d)
-    ]
-    return head, tails
-
-
-def _residual_tails(A: TTMatrix, y: TTVector, x: TTVector) -> list:
-    """Blocks 1..d-1 of the exact residual chain of ``x`` (entry 0 is None)."""
-    d = x.d
-    return [None] + [
-        _residual_right_block(A, y, x, p, last=(p == d - 1)) for p in range(1, d)
-    ]
 
 
 def _residual_factored(ac: np.ndarray, xc: np.ndarray) -> bool:
@@ -558,7 +520,7 @@ def _residual_block_product(A: TTMatrix, y: TTVector, x: TTVector, p: int, F_nex
     """
     yc, ac, xc = y.cores[p], A.cores[p], x.cores[p]
     if not _residual_factored(ac, xc):
-        block = _residual_right_block(A, y, x, p, last=(p == x.d - 1))
+        block = _residual_right_block(A, y, x, p)
         return np.tensordot(block, F_next, axes=(2, 0))
     R0, n, _, R1 = ac.shape
     r0, _, r1 = xc.shape
@@ -596,18 +558,12 @@ def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
     return F, float(np.linalg.norm(_unfold_first(head) @ F[1]))
 
 
-def _psd_sqrt(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(G)
-    w = np.clip(w, 0.0, None)
-    return V * np.sqrt(w)
-
-
-def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10):
+def pivoted_cholesky(G: np.ndarray, max_rank: int):
     """Rank-truncated pivoted Cholesky of a (near) PSD Gram matrix.
 
     Pivots on the largest remaining diagonal entry (ties -> lowest index) and
-    stops at ``max_rank`` columns, at numerical rank exhaustion, or when a
-    pivot drops below ``-indefinite_tol * trace``.
+    stops at ``max_rank`` columns or once the largest remaining pivot is at
+    most ``1e-12 * trace`` (numerical rank exhaustion, or a negative pivot).
     Returns the factor ``L`` with ``L @ L.T ~= G`` (on the achieved width).
     """
     n = G.shape[0]
@@ -618,8 +574,6 @@ def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10
     for j in range(min(max_rank, n)):
         i = int(np.argmax(diag))
         dmax = diag[i]
-        if dmax < -indefinite_tol * max(trace0, 1e-300):
-            break
         if dmax <= 1e-12 * max(trace0, 1e-300):
             break
         col = G[:, i] - L[:, :j] @ L[i, :j]
@@ -630,68 +584,57 @@ def pivoted_cholesky(G: np.ndarray, max_rank: int, indefinite_tol: float = 1e-10
     return L[:, :width]
 
 
-def enrich_svd(
-    head: np.ndarray,
-    gram_tail: Optional[np.ndarray],
-    kickrank: int,
-    tail_factor: Optional[np.ndarray] = None,
-):
+def _omega(captured: float, total: float) -> float:
+    """Enrichment angle surrogate: the uncaptured share ``sqrt(1 - captured/total)``."""
+    if total <= 0:
+        return 0.0
+    return float(np.sqrt(max(0.0, 1.0 - captured / total)))
+
+
+def enrich_svd(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     """Dominant left singular subspace of the local residual's first unfolding.
 
-    ``gram_tail`` is the Gram matrix of the right residual chain; replacing
-    the chain by any factor with the same Gram matrix leaves the left singular
-    subspace unchanged.  ``tail_factor``, when given, is such a factor (the
-    solver passes the residual sweep's ``F``) and ``gram_tail`` is not read;
-    otherwise the factor is the eigendecomposition square root of
-    ``gram_tail``, which resolves only directions above about
-    ``sqrt(eps)`` times the largest.
+    The unfolding is ``M @ T`` with ``M`` the first unfolding of ``head`` and
+    ``T`` the right residual chain.  Any ``tail_factor`` ``F`` with
+    ``F @ F.T == T @ T.T`` (the solver passes the residual sweep's ``F``)
+    gives the same left singular subspace, so the SVD runs on ``M @ F``.
+    ``info`` holds the singular values, the width taken and its ``omega``
+    (see :func:`_omega`).
     """
-    M = _unfold_first(head)
-    C = _psd_sqrt(gram_tail) if tail_factor is None else tail_factor
-    X = M @ C
+    X = _unfold_first(head) @ tail_factor
     if X.shape[1] > X.shape[0]:
         # a wide X = L Q^T has the left singular pairs of its square L factor
         X = np.linalg.qr(X.T, mode="r").T
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
-        return None, {"sigma": s, "width": 0}
+        return None, {"sigma": s, "width": 0, "omega": 0.0}
     width = min(kickrank, int(np.sum(s > 1e-14 * s[0])))
-    if width == 0:
-        return None, {"sigma": s, "width": 0}
+    info = {
+        "sigma": s,
+        "width": width,
+        "omega": _omega(float(np.sum(s[:width] ** 2)), float(np.sum(s**2))),
+    }
     r0, n, _ = head.shape
-    Z = unvec_core(U[:, :width].ravel(order="F"), (r0, n, width))
-    return Z, {"sigma": s, "width": width}
+    return unvec_core(U[:, :width].ravel(order="F"), (r0, n, width)), info
 
 
-def enrich_chol(
-    head: np.ndarray,
-    gram_tail: Optional[np.ndarray],
-    kickrank: int,
-    tail_factor: Optional[np.ndarray] = None,
-):
+def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     """Approximate dominant subspace via pivoted Cholesky of the Gram matrix.
 
-    The Gram matrix of the local residual is ``M gram_tail M^T``, or
-    ``(M F)(M F)^T`` when the tail factor ``F`` is given.
+    The Gram matrix of the local residual is ``(M F)(M F)^T`` with ``M`` the
+    first unfolding of ``head`` and ``F = tail_factor``.  ``info`` holds the
+    width taken and its ``omega`` (see :func:`_omega`).
     """
-    M = _unfold_first(head)
-    if tail_factor is None:
-        G = M @ gram_tail @ M.T
-    else:
-        MF = M @ tail_factor
-        G = MF @ MF.T
+    MF = _unfold_first(head) @ tail_factor
+    G = MF @ MF.T
     L = pivoted_cholesky(G, kickrank)
+    total = float(np.trace(G))
     if L.shape[1] == 0:
-        return None, {"width": 0, "captured": 0.0, "total": float(np.trace(G))}
+        return None, {"width": 0, "omega": _omega(0.0, total)}
     Q, _ = np.linalg.qr(L)
     r0, n, _ = head.shape
     Z = unvec_core(Q.ravel(order="F"), (r0, n, Q.shape[1]))
-    info = {
-        "width": Q.shape[1],
-        "captured": float(np.sum(L**2)),
-        "total": float(np.trace(G)),
-    }
-    return Z, info
+    return Z, {"width": Q.shape[1], "omega": _omega(float(np.sum(L**2)), total)}
 
 
 # ----------------------------------------------------------------------
@@ -703,9 +646,11 @@ class EnrichmentState:
 
     For the SVD and Cholesky methods this holds the tail factors ``F`` of the
     residual chain of the sweep's start iterate (see :func:`_residual_sweep`);
-    for the ALS method it holds the right residual blocks, the persistent
-    rank-``kickrank`` residual approximant and the cross environments needed
-    for its one-core-per-step update.
+    for the ALS method it holds the persistent rank-``kickrank`` residual
+    approximant and the cross environments needed for its one-core-per-step
+    update.  ``_W[p]`` is the product of the chain blocks ``p..d-1`` with the
+    approximant's cores ``p..d-1``; each block is contracted into it as it is
+    formed, so no residual block is kept.
     """
 
     def __init__(self, method: str, kickrank: int, rng=None):
@@ -716,7 +661,6 @@ class EnrichmentState:
         self.rng = np.random.default_rng(rng)
         self.residual_tt: Optional[TTVector] = None
         self.notices: list[str] = []
-        self._tails = None
         self._factors: list = []
         self._W = None
         self._Rzy = None
@@ -736,7 +680,6 @@ class EnrichmentState:
         if self.method in ("svd", "chol"):
             self._factors = _residual_sweep(A, y, x)[0] if factors is None else factors
             return
-        self._tails = _residual_tails(A, y, x)
         # ALS: make sure the residual approximant exists and is right-orthogonal
         z = self.residual_tt
         if z is None or z.mode_sizes != y.mode_sizes:
@@ -749,7 +692,8 @@ class EnrichmentState:
         self._W = [None] * (d + 1)
         self._W[d] = np.ones((1, 1))
         for p in range(d - 1, 0, -1):
-            T = np.tensordot(self._tails[p], self._W[p + 1], axes=(2, 0))  # (a,i,h)
+            block = _residual_right_block(A, y, x, p)
+            T = np.tensordot(block, self._W[p + 1], axes=(2, 0))  # (a,i,h)
             self._W[p] = np.tensordot(T, z.cores[p], axes=([1, 2], [1, 2]))  # (a,g)
         self._Rzy = [None] * d
         self._Rza = [None] * d
@@ -771,9 +715,9 @@ class EnrichmentState:
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde."""
         head = _residual_first_block(state, A, y, u_core, k0)
         if self.method == "svd":
-            return enrich_svd(head, None, self.kickrank, tail_factor=self._factors[k0 + 1])
+            return enrich_svd(head, self._factors[k0 + 1], self.kickrank)
         if self.method == "chol":
-            return enrich_chol(head, None, self.kickrank, tail_factor=self._factors[k0 + 1])
+            return enrich_chol(head, self._factors[k0 + 1], self.kickrank)
         return self._enrich_als(state, A, y, x, u_core, k0, head)
 
     def _enrich_als(self, state, A, y, x, u_core, k0, head):
@@ -854,14 +798,7 @@ def _expand(cores: list, k0: int, Z: Optional[np.ndarray]):
         cores[k0] = np.concatenate([cores[k0], Z], axis=2)
         pad = np.zeros((Z.shape[2],) + cores[k0 + 1].shape[1:])
         cores[k0 + 1] = np.concatenate([cores[k0 + 1], pad], axis=0)
-    _qr_push(cores, k0)
-
-
-def _qr_push(cores: list, k0: int):
-    r0, n, r1 = cores[k0].shape
-    Q, Rf = np.linalg.qr(cores[k0].reshape(r0 * n, r1))
-    cores[k0] = Q.reshape(r0, n, -1)
-    cores[k0 + 1] = np.einsum("ab,bnc->anc", Rf, cores[k0 + 1])
+    _qr_push_right(cores, k0)
 
 
 # ----------------------------------------------------------------------
@@ -877,7 +814,7 @@ def amen_sweep(
     config: SolverConfig,
     recorder=None,
 ):
-    """One left-to-right AMEn pass; returns (x, state, ens, per-core stats).
+    """One left-to-right AMEn pass; returns (x, per-core stats).
 
     Expects ``x`` right-orthogonal from position 2 with fresh environments
     and, when ``ens`` is given, ``ens.prepare_sweep`` already called.
@@ -899,7 +836,7 @@ def amen_sweep(
             if ens is not None:
                 Z, einfo = ens.enrich(state, A, y, x, u_core, k0)
                 entry["enrich_width"] = einfo.get("width", 0)
-                entry["omega_surrogate"] = _omega_surrogate(ens.method, einfo)
+                entry["omega_surrogate"] = einfo.get("omega")
                 if Z is not None and config.max_rank is not None:
                     room = config.max_rank - x.cores[k0].shape[2]
                     if room <= 0:
@@ -914,25 +851,7 @@ def amen_sweep(
             recorder.on_core_done(k0, x)
         stats.append(entry)
     x.ortho = ("left_upto", d - 1)
-    return x, state, ens, stats
-
-
-def _omega_surrogate(method: str, einfo: dict) -> Optional[float]:
-    if method == "svd":
-        s = einfo.get("sigma")
-        if s is None or s.size == 0:
-            return None
-        total = float(np.sum(s**2))
-        if total == 0:
-            return 0.0
-        captured = float(np.sum(s[: einfo["width"]] ** 2))
-        return float(np.sqrt(max(0.0, 1.0 - captured / total)))
-    if method == "chol":
-        total = einfo.get("total", 0.0)
-        if total <= 0:
-            return 0.0
-        return float(np.sqrt(max(0.0, 1.0 - einfo.get("captured", 0.0) / total)))
-    return None
+    return x, stats
 
 
 # ----------------------------------------------------------------------
@@ -1039,8 +958,7 @@ def amen_solve(
         return EnrichmentState(method, config.kickrank, rng=rng)
 
     def sweep_fn(x, A_, y_, state, ens):
-        x, _, _, stats = amen_sweep(x, A_, y_, state, ens, config)
-        return x, stats
+        return amen_sweep(x, A_, y_, state, ens, config)
 
     return _run_alternating(A, y, x0, config, make_ens, sweep_fn)
 

@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -304,7 +303,6 @@ def make_parser() -> _Parser:
     ps.add_argument("--reference", choices=("dense", "tight", "none"), default="dense")
     ps.add_argument("--symmetrize", action="store_true")
     ps.add_argument("--spec", default=None, help="JSON experiment file overriding flags")
-    ps.add_argument("--jobs", type=int, default=1, help="concurrent experiments for list specs")
 
     pd = sub.add_parser("diag", help="randomized convergence-theory checks")
     pd.add_argument("--check", choices=("kantorovich", "rate", "fom"), required=True)
@@ -358,11 +356,7 @@ def _run_solve(args) -> int:
     specs = _spec_from_args(args)
     for spec in specs:
         spec.validate()
-    if len(specs) == 1 or args.jobs <= 1:
-        results = [run_experiment(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_experiment, specs))
+    results = [run_experiment(s) for s in specs]
     worst = EXIT_OK
     for spec, (x, log) in zip(specs, results):
         converged = log.status == "converged"

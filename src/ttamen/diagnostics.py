@@ -433,7 +433,7 @@ def instrumented_amen_run(
         if enrichment != "none":
             ens = _amen.EnrichmentState(enrichment, kickrank, rng=rng)
             ens.prepare_sweep(A, y, x)
-        x, state, ens, _ = _amen.amen_sweep(x, A, y, state, ens, config, recorder=rec)
+        x, _ = _amen.amen_sweep(x, A, y, state, ens, config, recorder=rec)
         j_start = rec.sweep_start_j
         j_end = rec.j_trace[-1]
         ratio = j_end / j_start if j_start > 0 else 0.0

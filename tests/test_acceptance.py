@@ -296,9 +296,8 @@ class TestAcceptance:
             # well-separated singular values through strong scaling
             head *= np.array([10.0**-j for j in range(width)])[None, None, :]
             f = rng.standard_normal((width, tail))
-            gram = f @ f.T
-            Zs, _ = enrich_svd(head, gram, width)
-            Zc, _ = enrich_chol(head, gram, width)
+            Zs, _ = enrich_svd(head, f, width)
+            Zc, _ = enrich_chol(head, f, width)
             Us = Zs.reshape(-1, Zs.shape[2], order="F")
             Uc = Zc.reshape(-1, Zc.shape[2], order="F")
             cosines = np.linalg.svd(Us.T @ Uc, compute_uv=False)

@@ -10,7 +10,6 @@ import ttamen.amen
 from ttamen import (
     CascadeCMESpec,
     EnrichmentState,
-    LocalSizeError,
     PoissonSpec,
     SolverConfig,
     TTVector,
@@ -27,7 +26,6 @@ from ttamen import (
     dmrg_solve,
     enrich_chol,
     enrich_svd,
-    exact_residual_core,
     expand_and_orthogonalize,
     frame_matrix,
     orthogonalize,
@@ -50,8 +48,8 @@ from ttamen.amen import (
     _local_matrix,
     _LocalOperator,
     _merge_op_cores,
-    _psd_sqrt,
     _residual_factored,
+    _residual_first_block,
     _residual_sweep,
     _solve_local_iterative,
     _solve_local_problem,
@@ -120,15 +118,6 @@ class TestEnvironments:
         x = tt_random([2, 3], 1, rng=rng)
         with pytest.raises(ValueError):
             build_environments(A, y, x)
-
-    def test_local_size_error(self, rng):
-        d, n = 3, 8
-        A = ttmat_identity([n] * d)
-        y = tt_random([n] * d, 2, rng=rng)
-        x = tt_random([n] * d, 6, rng=rng)
-        state = build_environments(A, y, x)
-        with pytest.raises(LocalSizeError):
-            assemble_local(state, A, y, x, 2, max_size=10)
 
     def test_matrix_free_apply_matches_dense(self, rng):
         d, n = 3, 3
@@ -429,10 +418,11 @@ class TestLocalProblemLayer:
 class TestResidualBlocks:
     @pytest.mark.parametrize("k", [1, 2])
     def test_blocks_contract_to_reduced_residual(self, rng, k):
-        """head + tails equal y_k - A_k u in the reduced (projected) system.
+        """head + chain tails equal y_k - A_k u in the reduced system.
 
-        Positions 1..d-1 only: that is where the sweep consumes the blocks
-        (the last core gets no enrichment).
+        The tails are cores k+1..d of the chain ``y - A x`` built by
+        ``tt_add``.  Positions 1..d-1 only: that is where the sweep consumes
+        the blocks (the last core gets no enrichment).
         """
         d, n = 3, 3
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
@@ -443,8 +433,9 @@ class TestResidualBlocks:
         for p in range(k - 1):
             state.advance_left(p, A, y, x)
         u_core = rng.standard_normal(x.cores[k - 1].shape)
-        head, tails = exact_residual_core(state, A, y, x, u_core, k)
-        z = subtrain_dense([head] + tails)
+        head = _residual_first_block(state, A, y, u_core, k - 1)
+        chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+        z = subtrain_dense([head] + chain.cores[k:])
         # reference: project y - A*(left-interface (x) [u, tail cores])
         from ttamen.tt import _left_interface
         xu = x.copy()
@@ -461,16 +452,27 @@ class TestResidualBlocks:
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(tt_random([n] * d, 2, rng=rng), "right", 1)
-        state = build_environments(A, y, x)
         ens = EnrichmentState("svd", 2, rng=rng)
         ens.prepare_sweep(A, y, x)
+        chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for k in range(1, d):
-            u_core = x.cores[k - 1]
-            _, tails = exact_residual_core(state, A, y, x, u_core, k)
-            R = _right_interface(tails)
+            R = _right_interface(chain.cores[k:])
             F = ens._factors[k]
             assert rel_err(F @ F.T, R @ R.T) < 1e-12
-            state.advance_left(k - 1, A, y, x)
+
+    def test_als_cross_environment_matches_chain(self, rng):
+        """``W[p]`` pairs chain blocks p..d-1 with approximant cores p..d-1."""
+        d, n = 4, 3
+        A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        y = tt_random([n] * d, 2, rng=rng)
+        x = orthogonalize(tt_random([n] * d, 3, rng=rng), "right", 1)
+        ens = EnrichmentState("als", 2, rng=rng)
+        ens.prepare_sweep(A, y, x)
+        chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
+        z = ens.residual_tt
+        for p in range(1, d):
+            ref = _right_interface(chain.cores[p:]) @ _right_interface(z.cores[p:]).T
+            assert rel_err(ens._W[p], ref) < 1e-12
 
 
 def _chain_sweep(A, y, x):
@@ -619,12 +621,6 @@ class TestResidualSweep:
 # ----------------------------------------------------------------------
 
 class TestGramAndCholesky:
-    def test_psd_sqrt(self, rng):
-        M = rng.standard_normal((5, 5))
-        G = M @ M.T
-        C = _psd_sqrt(G)
-        assert rel_err(C @ C.T, G) < 1e-10
-
     def test_pivoted_cholesky_full_rank(self, rng):
         M = rng.standard_normal((6, 6))
         G = M @ M.T
@@ -650,21 +646,24 @@ class TestGramAndCholesky:
         L = pivoted_cholesky(G, 1)
         assert L[0, 0] == 1.0 and L[1, 0] == 0.0
 
+    def test_pivoted_cholesky_stops_at_a_negative_pivot(self):
+        L = pivoted_cholesky(np.diag([2.0, -1.0]), 2)
+        assert L.shape == (2, 1)
+        assert abs(L[0, 0] - np.sqrt(2.0)) < 1e-14 and L[1, 0] == 0.0
+
 
 class TestEnrichmentSubspaces:
     @staticmethod
     def residual_fixture(rng, r0=2, n=3, width=3, tail=5):
-        """Low-rank local residual as (head, tail Gram); returns dense too."""
+        """Low-rank local residual as (head, tail factor); returns dense too."""
         head = rng.standard_normal((r0, n, width))
         tail_factor = rng.standard_normal((width, tail))
         M = head.reshape(r0 * n, width, order="F")
-        gram = tail_factor @ tail_factor.T
-        dense_unfold = M @ tail_factor
-        return head, gram, dense_unfold
+        return head, tail_factor, M @ tail_factor
 
     def test_svd_recovers_exact_subspace(self, rng):
-        head, gram, dense = self.residual_fixture(rng)
-        Z, info = enrich_svd(head, gram, 3)
+        head, f, dense = self.residual_fixture(rng)
+        Z, info = enrich_svd(head, f, 3)
         U, s, _ = np.linalg.svd(dense, full_matrices=False)
         k = int(np.sum(s > 1e-12 * s[0]))
         Zm = Z.reshape(-1, Z.shape[2], order="F")
@@ -678,14 +677,14 @@ class TestEnrichmentSubspaces:
         assert Z is None and info["width"] == 0
 
     def test_svd_width_capped_by_numerical_rank(self, rng):
-        head, gram, _ = self.residual_fixture(rng, width=1)
-        Z, info = enrich_svd(head, gram, 4)
+        head, f, _ = self.residual_fixture(rng, width=1)
+        Z, info = enrich_svd(head, f, 4)
         assert info["width"] == 1 and Z.shape[2] == 1
 
     def test_chol_matches_svd_on_separated_spectrum(self, rng):
-        head, gram, dense = self.residual_fixture(rng)
-        Zs, _ = enrich_svd(head, gram, 3)
-        Zc, _ = enrich_chol(head, gram, 3)
+        head, f, _ = self.residual_fixture(rng)
+        Zs, _ = enrich_svd(head, f, 3)
+        Zc, _ = enrich_chol(head, f, 3)
         Us = Zs.reshape(-1, Zs.shape[2], order="F")
         Uc = Zc.reshape(-1, Zc.shape[2], order="F")
         ang = np.linalg.svd(Us.T @ Uc, compute_uv=False)
@@ -693,14 +692,13 @@ class TestEnrichmentSubspaces:
 
     def test_chol_rank_one_gram(self, rng):
         head = rng.standard_normal((2, 2, 1))
-        gram = np.array([[2.0]])
-        Z, info = enrich_chol(head, gram, 3)
+        Z, info = enrich_chol(head, np.array([[np.sqrt(2.0)]]), 3)
         assert info["width"] == 1
 
     def test_orthonormal_columns(self, rng):
-        head, gram, _ = self.residual_fixture(rng)
+        head, f, _ = self.residual_fixture(rng)
         for fn in (enrich_svd, enrich_chol):
-            Z, _ = fn(head, gram, 2)
+            Z, _ = fn(head, f, 2)
             M = Z.reshape(-1, Z.shape[2], order="F")
             assert np.linalg.norm(M.T @ M - np.eye(M.shape[1])) < 1e-12
 
@@ -710,7 +708,7 @@ class TestEnrichmentSubspaces:
         F = rng.standard_normal((10, 14))
         X = head.reshape(6, 10, order="F") @ F
         U, s, _ = np.linalg.svd(X, full_matrices=False)
-        Z, info = enrich_svd(head, None, 3, tail_factor=F)
+        Z, info = enrich_svd(head, F, 3)
         assert rel_err(info["sigma"], s) < 1e-12
         Zm = Z.reshape(-1, 3, order="F")
         assert np.linalg.norm(Zm @ Zm.T - U[:, :3] @ U[:, :3].T) < 1e-12
@@ -740,11 +738,12 @@ class TestEnrichmentSubspaces:
             Zm = Z.reshape(-1, Z.shape[2], order="F")
             return np.linalg.norm(Zm @ Zm.T - Q @ Q.T, 2)
 
-        assert gap(enrich_svd(head, None, 2, tail_factor=F[1])[0]) <= 1e-6
+        assert gap(enrich_svd(head, F[1], 2)[0]) <= 1e-6
         # the eigh factor reproduces the Gram matrix, yet loses the direction
-        C = _psd_sqrt(T @ T.T)
+        w, V = np.linalg.eigh(T @ T.T)
+        C = V * np.sqrt(np.clip(w, 0.0, None))
         assert rel_err(C @ C.T, T @ T.T) < 1e-12
-        assert gap(enrich_svd(head, None, 2, tail_factor=C)[0]) > 1e-3
+        assert gap(enrich_svd(head, C, 2)[0]) > 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -828,7 +827,7 @@ class TestSweep:
         state = build_environments(A, y, x)
         ens = EnrichmentState("svd", 2, rng=rng)
         ens.prepare_sweep(A, y, x)
-        out, _, _, stats = amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
+        out, stats = amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
         assert "enrich_width" in stats[0]
         assert "enrich_width" not in stats[-1]
 

@@ -224,7 +224,7 @@ class TestMain:
         )
         code = main(
             [
-                "solve", "--spec", str(spec), "--jobs", "2",
+                "solve", "--spec", str(spec),
                 "--out", str(tmp_path / "batch"),
             ]
         )
