@@ -44,10 +44,12 @@ from ttamen import (
 )
 from ttamen.amen import (
     _LOCAL_MAXITER,
+    _WIDEN_ABOVE,
     _is_symmetric,
     _local_matrix,
     _LocalOperator,
     _merge_op_cores,
+    _next_width,
     _residual_factored,
     _residual_first_block,
     _residual_sweep,
@@ -1037,6 +1039,93 @@ class TestStopRule:
         assert len(log.records) < config.max_sweeps
         rel = [r.rel_residual for r in log.records]
         assert rel[-1] > 0.9 * rel[-3]
+
+
+def _small_cme_time_system():
+    """A QTT CME time system on 14 binary cores, with its right-hand side.
+
+    At ``kickrank=2`` its svd and chol runs to 1e-8 take 11 sweeps at one
+    BLAS thread, and one of their early sweeps leaves more than 0.3 of the
+    residual before it.
+    """
+    spec = CascadeCMESpec(species=3, states=8)
+    A = qtt_quantize(build_cme_operator(spec), tol=1e-13)
+    psi0 = qtt_quantize(build_initial_state(spec), tol=1e-13)
+    M, b = build_time_system(A, psi0, TimeSystemSpec(tau=0.1, n_steps=32))
+    return qtt_quantize(M, tol=1e-13), qtt_quantize(b, tol=1e-13)
+
+
+def _trigger_sweep(log):
+    """0-based index of the first sweep that leaves more than 0.3 of the one before."""
+    rel = [r.rel_residual for r in log.records]
+    return next(s for s in range(1, len(rel)) if rel[s] > _WIDEN_ABOVE * rel[s - 1])
+
+
+def _widths(record):
+    """The enrichment widths of one sweep's cores; the last core has none."""
+    assert record.enrich_width[-1] is None
+    return record.enrich_width[:-1]
+
+
+class TestEnrichmentWidth:
+    """svd/chol start at ``kickrank`` and double their width once a sweep
+    leaves more than 0.3 of the residual before it, up to ``2·kickrank``;
+    ALS keeps ``kickrank``."""
+
+    @pytest.mark.parametrize("rel", [0.3, 0.1, 0.0])
+    def test_no_change_at_a_contraction_of_at_most_0_3(self, rel):
+        assert _next_width(3, rel, 1.0, 3) == 3
+
+    @pytest.mark.parametrize("rel", [np.nextafter(0.3, 1.0), 0.5, 2.0])
+    def test_doubles_above_0_3(self, rel):
+        assert _next_width(3, rel, 1.0, 3) == 6
+
+    @pytest.mark.parametrize("width", [5, 6])
+    def test_capped_at_twice_kickrank(self, width):
+        assert _next_width(width, 0.9, 1.0, 3) == 6
+
+    def test_no_change_on_the_first_sweep(self):
+        assert _next_width(3, 0.9, None, 3) == 3
+
+    def test_never_shrinks(self):
+        assert _next_width(6, 1e-3, 1.0, 3) == 6
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return _small_cme_time_system()
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_width_doubles_after_the_trigger_sweep(self, system, enrichment):
+        kickrank = 2
+        config = SolverConfig(tol=1e-8, enrichment=enrichment, kickrank=kickrank)
+        x, log = amen_solve(*system, config=config)
+        assert log.status == "converged"
+        trigger = _trigger_sweep(log)
+        assert trigger + 1 < len(log.records)
+        for s, record in enumerate(log.records):
+            cap = kickrank if s <= trigger else 2 * kickrank
+            assert max(_widths(record)) <= cap
+        later = [w for record in log.records[trigger + 1:] for w in _widths(record)]
+        assert 2 * kickrank in later
+        # the rank profile of every sweep is kept
+        assert all(r.max_rank == max(r.ranks) for r in log.records)
+        assert log.records[-1].ranks == list(x.ranks)
+
+    def test_max_rank_trims_the_wider_blocks(self, system):
+        config = SolverConfig(
+            tol=1e-8, enrichment="svd", kickrank=2, max_rank=12, max_sweeps=12
+        )
+        x, log = amen_solve(*system, config=config)
+        assert 4 in [w for record in log.records for w in _widths(record)]
+        assert all(max(r.ranks) <= 12 for r in log.records)
+        assert max(x.ranks) == 12
+
+    def test_als_keeps_kickrank(self, system):
+        config = SolverConfig(tol=1e-8, enrichment="als", kickrank=2)
+        x, log = amen_solve(*system, config=config)
+        _trigger_sweep(log)  # a sweep that would widen svd/chol
+        widths = [w for record in log.records for w in _widths(record)]
+        assert max(widths) == 2
 
 
 class TestGlobalResidual:
