@@ -15,6 +15,7 @@ each local assembly O(1) in the dimension.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -298,8 +299,68 @@ def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
 
 
-def _local_matrix(L, Ac, R) -> np.ndarray:
-    T = np.tensordot(L, Ac, axes=(1, 0))  # (a,b,i,j,Q)
+class _Workspace:
+    """The step's ``L·Ac`` block, built once into a buffer that a solve reuses.
+
+    ``T(L, Ac)`` is the (a,b,i,j,Q) contraction over ``P``: the GEMM that
+    ``np.tensordot(L, Ac, axes=(1, 0))`` runs, on the same operands, so the
+    bits are the same.  ``M(L, Ac)`` is its (a i Q, b j) copy, made only when
+    a consumer asks for it: the merged :class:`_LocalOperator` and the
+    enrichment head.  Both are built at most once per step: the workspace
+    keeps the step's ``L`` and ``Ac`` and hands out what it built while it is
+    asked for these very arrays (it holds them, so the test by identity is
+    sound).  So the enrichment takes the block the local solve built.  A
+    block is valid until the workspace is asked for another one.
+
+    A step's block is several MB on large modes (15 x 15 x 32 x 32 x 2 on
+    Poisson n = 32).  Made afresh at every step, glibc hands it back to the
+    kernel and faults it in again at the next: 10.6k minor faults per
+    ``poisson-amen`` solve, 4.8k per ``poisson-dmrg`` solve.  One buffer
+    holds ``T`` and then ``M``.  It grows when a step needs a larger block
+    and never shrinks; ``allocations`` counts the grows.  One buffer rather
+    than two: the old one is freed before its successor is made, and glibc
+    can hand its pages on only while nothing was allocated after it (with
+    two buffers, 3.3k faults per ``poisson-amen`` solve remain, not 1.3k).
+    ``_run_alternating`` makes one workspace per solve, so nothing is kept
+    once the solve returns.  A fresh workspace gives fresh arrays.
+    """
+
+    def __init__(self):
+        self._buffer = None  # T, then M, in one array
+        self._step = None  # the (L, Ac) that _T and _M were built from
+        self._T = self._M = None
+        self.allocations = 0
+
+    def T(self, L, Ac) -> np.ndarray:
+        step = self._step
+        if step is None or step[0] is not L or step[1] is not Ac:
+            self._step = self._T = self._M = None
+            a, P, b = L.shape
+            _, i, j, Q = Ac.shape
+            size, dtype = a * b * i * j * Q, np.result_type(L, Ac)
+            buf = self._buffer
+            if buf is None or buf.size < 2 * size or buf.dtype != dtype:
+                # freed first, so that its successor can take its pages
+                self._buffer = buf = None
+                self._buffer = buf = np.empty(2 * size, dtype)
+                self.allocations += 1
+            T = buf[:size].reshape(a * b, i * j * Q)
+            np.dot(L.transpose(0, 2, 1).reshape(a * b, P), Ac.reshape(P, i * j * Q), out=T)
+            self._step, self._T = (L, Ac), T.reshape(a, b, i, j, Q)
+        return self._T
+
+    def M(self, L, Ac) -> np.ndarray:
+        T = self.T(L, Ac)
+        if self._M is None:
+            a, b, i, j, Q = T.shape
+            M = self._buffer[T.size : 2 * T.size].reshape(a * i * Q, b * j)
+            np.copyto(M.reshape(a, i, Q, b, j), T.transpose(0, 2, 4, 1, 3))
+            self._M = M
+        return self._M
+
+
+def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarray:
+    T = (workspace or _Workspace()).T(L, Ac)  # (a,b,i,j,Q)
     T = np.tensordot(T, R, axes=(4, 1))  # (a,b,i,j,c,d)
     N = L.shape[0] * Ac.shape[1] * R.shape[0]
     return np.ascontiguousarray(T.transpose(4, 2, 0, 5, 3, 1)).reshape(N, N)
@@ -351,10 +412,11 @@ class _LocalOperator:
     counts are sensitive to the round-off a change of order brings.
 
     ``shape`` and ``dtype`` let the Krylov solvers take it as it is;
-    ``products`` counts the products made.
+    ``products`` counts the products made.  The merged order takes ``M1``
+    from ``workspace`` (see :class:`_Workspace`; fresh without one).
     """
 
-    def __init__(self, L, Ac, R):
+    def __init__(self, L, Ac, R, workspace: Optional[_Workspace] = None):
         a, P, b = L.shape
         _, i, j, Q = Ac.shape
         c, _, d = R.shape
@@ -373,8 +435,7 @@ class _LocalOperator:
             self._A = np.ascontiguousarray(A_t).reshape(P * i, Q * j)
             self._L = np.ascontiguousarray(L.transpose(1, 2, 0)).reshape(P * b, a)
             return
-        M1 = np.einsum("aPb,PijQ->aiQbj", L, Ac, optimize=True)
-        self._M1 = np.ascontiguousarray(M1.reshape(a * i * Q, b * j))
+        self._M1 = (workspace or _Workspace()).M(L, Ac)  # (a i Q, b j)
         self._M2 = np.ascontiguousarray(R.reshape(c, Q * d))
 
     def apply(self, v_core: np.ndarray) -> np.ndarray:
@@ -438,7 +499,9 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
     return u, info
 
 
-def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config):
+def _solve_local_problem(
+    state: SweepState, A, y, x, k0: int, sites: int, config, workspace=None
+):
     """Solve the local system on cores ``k0 .. k0+sites-1``.
 
     Systems up to ``config.max_direct_size`` unknowns are assembled and
@@ -448,18 +511,19 @@ def _solve_local_problem(state: SweepState, A, y, x, k0: int, sites: int, config
     solve fell back to least squares, the ``path`` taken (``direct``,
     ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``) and the local operator's
     ``products`` (0 on the direct path; the initial residual's counts).
+    The step's ``L·Ac`` block goes into ``workspace`` (see :class:`_Workspace`).
     """
     L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
     guess = vec_core(core)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
     if b.size <= config.max_direct_size:
-        B = _local_matrix(L, Ac, R)
+        B = _local_matrix(L, Ac, R, workspace)
         res_before = np.linalg.norm(b - B @ guess) / scale
         u, info = solve_local(B, b)
         path, products = ("lstsq" if info["fallback"] else "direct"), 0
     else:
-        loc = _LocalOperator(L, Ac, R)
+        loc = _LocalOperator(L, Ac, R, workspace)
         u, info = _solve_local_iterative(loc, b, guess, config.tol / 100, state.symmetric)
         res_before = info["residual_before"] / scale
         path, products = info["path"], loc.products
@@ -498,15 +562,20 @@ def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int):
     return block
 
 
-def _residual_first_block(state: SweepState, A, y, u_core, k0: int) -> np.ndarray:
-    """Step-dependent head block of the exact local residual at core k0."""
+def _residual_first_block(
+    state: SweepState, A, y, u_core, k0: int, workspace=None
+) -> np.ndarray:
+    """Step-dependent head block of the exact local residual at core k0.
+
+    ``L·A_k`` comes from ``workspace`` (see :class:`_Workspace`), so
+    the ``M`` the local solve built is not formed again.
+    """
     yc = y.cores[k0]
     y_part = np.tensordot(state.left_rhs[k0], yc, axes=(1, 0))  # (a,i,q)
-    T = np.tensordot(state.left_op[k0], A.cores[k0], axes=(1, 0))  # (a,b,i,j,Q)
-    a_part = np.tensordot(T, u_core, axes=([1, 3], [0, 1]))  # (a,i,Q,c)
-    r0, n = a_part.shape[0], a_part.shape[1]
-    a_part = a_part.reshape(r0, n, -1)
-    return np.concatenate([y_part, -a_part], axis=2)
+    M = (workspace or _Workspace()).M(state.left_op[k0], A.cores[k0])  # (a i Q, b j)
+    b, j, c = u_core.shape
+    a_part = np.dot(M, u_core.reshape(b * j, c))  # (a i Q, c)
+    return np.concatenate([y_part, -a_part.reshape(y_part.shape[:2] + (-1,))], axis=2)
 
 
 def _residual_factored(ac: np.ndarray, xc: np.ndarray) -> bool:
@@ -659,8 +728,9 @@ class EnrichmentState:
     """Per-sweep caches for the residual-enrichment back-ends.
 
     For the SVD and Cholesky methods this holds the tail factors ``F`` of the
-    residual chain of the sweep's start iterate (see :func:`_residual_sweep`)
-    and the sweep's enrichment ``width``; for the ALS method it holds the
+    residual chain of the sweep's start iterate (see :func:`_residual_sweep`),
+    each dropped once its step has used it, and the sweep's enrichment
+    ``width``; for the ALS method it holds the
     persistent rank-``kickrank`` residual approximant and the cross
     environments needed for its one-core-per-step update.  ``_W[p]`` is the
     product of the chain blocks ``p..d-1`` with the approximant's cores
@@ -733,14 +803,20 @@ class EnrichmentState:
 
     # -- per-step enrichment ----------------------------------------------
 
-    def enrich(self, state: SweepState, A, y, x, u_core, k0: int):
-        """Enrichment block for 0-based core k0 (< d-1); may update z-tilde."""
-        head = _residual_first_block(state, A, y, u_core, k0)
-        if self.method == "svd":
-            return enrich_svd(head, self._factors[k0 + 1], self.width)
-        if self.method == "chol":
-            return enrich_chol(head, self._factors[k0 + 1], self.width)
-        return self._enrich_als(state, A, y, x, u_core, k0, head)
+    def enrich(self, state: SweepState, A, y, x, u_core, k0: int, workspace=None):
+        """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
+
+        The head takes the step's ``L·A_k`` block from ``workspace`` (see
+        :func:`_residual_first_block`).  svd/chol drop the tail factor they
+        used, so the list is released as the sweep goes, while the next
+        sweep's is built.
+        """
+        head = _residual_first_block(state, A, y, u_core, k0, workspace)
+        if self.method == "als":
+            return self._enrich_als(state, A, y, x, u_core, k0, head)
+        F, self._factors[k0 + 1] = self._factors[k0 + 1], None
+        back_end = enrich_svd if self.method == "svd" else enrich_chol
+        return back_end(head, F, self.width)
 
     def _enrich_als(self, state, A, y, x, u_core, k0, head):
         M = _unfold_first(head)
@@ -835,12 +911,17 @@ def amen_sweep(
     ens: Optional[EnrichmentState],
     config: SolverConfig,
     recorder=None,
+    workspace: Optional[_Workspace] = None,
 ):
     """One left-to-right AMEn pass; returns (x, per-core stats).
 
     Expects ``x`` right-orthogonal from position 2 with fresh environments
-    and, when ``ens`` is given, ``ens.prepare_sweep`` already called.
+    and, when ``ens`` is given, ``ens.prepare_sweep`` already called.  Each
+    step's ``L·A_k`` block is built once, into ``workspace`` (a solve passes
+    its own; without one the sweep makes one for itself).
     """
+    if workspace is None:
+        workspace = _Workspace()
     x = x.copy()
     d = x.d
     stats = []
@@ -849,14 +930,14 @@ def amen_sweep(
     for k0 in range(d):
         if recorder is not None:
             recorder.on_core_start(k0, x)
-        u_core, entry = _solve_local_problem(state, A, y, x, k0, 1, config)
+        u_core, entry = _solve_local_problem(state, A, y, x, k0, 1, config, workspace)
         if recorder is not None:
             recorder.on_core_solved(k0, u_core)
         x.cores[k0] = u_core
         if k0 < d - 1:
             Z = None
             if ens is not None:
-                Z, einfo = ens.enrich(state, A, y, x, u_core, k0)
+                Z, einfo = ens.enrich(state, A, y, x, u_core, k0, workspace)
                 entry["enrich_width"] = einfo.get("width", 0)
                 entry["omega_surrogate"] = einfo.get("omega")
                 if Z is not None and config.max_rank is not None:
@@ -916,6 +997,7 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
     ens = make_ens(rng)
+    workspace = _Workspace()  # for every step of this solve, dropped with it
     # svd/chol take their tail factors from the residual sweep of the next
     # start iterate, so their check runs on that iterate; the others check
     # the sweep's own iterate and orthogonalize only when the run goes on
@@ -929,7 +1011,7 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
         if ens is not None:
             ens.prepare_sweep(A, y, x_next, factors, width)
         state = build_environments(A, y, x_next, symmetric)
-        x, stats = sweep_fn(x_next, A, y, state, ens)
+        x, stats = sweep_fn(x_next, A, y, state, ens, workspace)
         if with_factors:
             x_next = orthogonalize(x, "right", 1)
             factors, res = _residual_sweep(A, y, x_next)
@@ -1006,8 +1088,8 @@ def amen_solve(
             return None
         return EnrichmentState(method, config.kickrank, rng=rng)
 
-    def sweep_fn(x, A_, y_, state, ens):
-        return amen_sweep(x, A_, y_, state, ens, config)
+    def sweep_fn(x, A_, y_, state, ens, workspace):
+        return amen_sweep(x, A_, y_, state, ens, config, workspace=workspace)
 
     return _run_alternating(A, y, x0, config, make_ens, sweep_fn)
 
@@ -1033,18 +1115,18 @@ def dmrg_solve(
     if A.d < 2:
         return amen_solve(A, y, x0, config)
 
-    def sweep_fn(x, A_, y_, state, ens):
-        return _dmrg_sweep(x, A_, y_, state, config)
+    def sweep_fn(x, A_, y_, state, ens, workspace):
+        return _dmrg_sweep(x, A_, y_, state, config, workspace)
 
     return _run_alternating(A, y, x0, config, lambda rng: None, sweep_fn)
 
 
-def _dmrg_sweep(x, A, y, state, config):
+def _dmrg_sweep(x, A, y, state, config, workspace):
     x = x.copy()
     d = x.d
     stats = []
     for k0 in range(d - 1):
-        W, entry = _solve_local_problem(state, A, y, x, k0, 2, config)
+        W, entry = _solve_local_problem(state, A, y, x, k0, 2, config, workspace)
         r0, n1, _ = x.cores[k0].shape
         _, n2, r2 = x.cores[k0 + 1].shape
         M = W.reshape(r0 * n1, n2 * r2, order="F")

@@ -1,6 +1,8 @@
 """Environments, local systems, residual blocks, enrichment, and solvers."""
 
+import math
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from ttamen import (
     EnrichmentState,
     PoissonSpec,
     SolverConfig,
+    TTMatrix,
     TTVector,
     TimeSystemSpec,
     als_solve,
@@ -49,16 +52,19 @@ from ttamen.amen import (
     _local_matrix,
     _LocalOperator,
     _merge_op_cores,
+    _merge_vec_cores,
     _next_width,
     _residual_factored,
     _residual_first_block,
     _residual_sweep,
     _solve_local_iterative,
     _solve_local_problem,
+    _Workspace,
+    unvec_core,
     vec_core,
 )
 from ttamen.diagnostics import dense_oracle_solve, subtrain_dense
-from ttamen.tt import _right_interface
+from ttamen.tt import _right_interface, ttmat_to_tt
 
 from conftest import random_spd_system, rel_err
 
@@ -264,7 +270,10 @@ class _KrylovSpy:
 
 def _nonsymmetric_system(d, n, rng):
     noise = ttmat_random([n] * d, [n] * d, 2, rng=rng)
-    A = ttmat_add(ttmat_identity([n] * d), noise, 8.0, 1.0)  # dominant, invertible
+    # dominant, invertible: the shift is twice the noise's Frobenius norm,
+    # which bounds its spectral norm at every d (a fixed shift does not)
+    shift = 2 * tt_norm(ttmat_to_tt(noise))
+    A = ttmat_add(ttmat_identity([n] * d), noise, shift, 1.0)
     return A, tt_random([n] * d, 2, rng=rng)
 
 
@@ -300,12 +309,10 @@ class TestLocalProblemLayer:
         monkeypatch.setattr(ttamen.amen, "solve_local", solve_local)
         return krylov, products, direct
 
-    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_forced_iterative_runs(self, rng, monkeypatch, solve, symmetric):
-        build = random_spd_system if symmetric else _nonsymmetric_system
-        A, y = build(3, 4, rng)
-        krylov, products, direct = self.spy(monkeypatch)
+    @classmethod
+    def check_forced_iterative(cls, monkeypatch, solve, A, y, symmetric, max_sweeps):
+        """Run ``solve`` on the matrix-free path only and check its accounting."""
+        krylov, products, direct = cls.spy(monkeypatch)
         entries = []
         real_solve = ttamen.amen._solve_local_problem
 
@@ -315,7 +322,7 @@ class TestLocalProblemLayer:
             return out
 
         monkeypatch.setattr(ttamen.amen, "_solve_local_problem", solve_local_problem)
-        config = SolverConfig(tol=1e-8, max_sweeps=4, max_direct_size=0)
+        config = SolverConfig(tol=1e-8, max_sweeps=max_sweeps, max_direct_size=0)
         x, log = solve(A, y, config=config)
         local_solves = sum(len(r.mu) for r in log.records)
         assert local_solves > 0 and not direct
@@ -337,6 +344,22 @@ class TestLocalProblemLayer:
         assert [n for r in log.records for n in r.local_products] == [
             e["products"] for e in entries
         ]
+        return log
+
+    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_forced_iterative_runs(self, rng, monkeypatch, solve, symmetric):
+        build = random_spd_system if symmetric else _nonsymmetric_system
+        A, y = build(3, 4, rng)
+        self.check_forced_iterative(monkeypatch, solve, A, y, symmetric, max_sweeps=4)
+
+    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_forced_gmres_runs_at_larger_d(self, rng, monkeypatch, solve, d):
+        # the shift keeps the system dominant at every d, so these converge
+        A, y = _nonsymmetric_system(d, 4, rng)
+        log = self.check_forced_iterative(monkeypatch, solve, A, y, False, max_sweeps=12)
+        assert log.status == "converged"
 
     def test_dmrg_iterative_matches_direct(self, rng):
         A, y = random_spd_system(3, 4, rng)
@@ -411,6 +434,176 @@ class TestLocalProblemLayer:
         assert not _is_symmetric(_nonsymmetric_system(3, 4, rng)[0])
         assert not _is_symmetric(_qtt_cme_system())
         assert not _is_symmetric(ttmat_random([3, 3], [4, 4], 2, rng=rng))
+
+
+# ----------------------------------------------------------------------
+# The per-solve workspace of the L·A_k blocks
+# ----------------------------------------------------------------------
+
+def _local_matrix_ref(L, Ac, R):
+    """``_local_matrix`` as two tensordots, the route the workspace replaced."""
+    T = np.tensordot(L, Ac, axes=(1, 0))  # (a,b,i,j,Q)
+    T = np.tensordot(T, R, axes=(4, 1))  # (a,b,i,j,c,d)
+    N = L.shape[0] * Ac.shape[1] * R.shape[0]
+    return np.ascontiguousarray(T.transpose(4, 2, 0, 5, 3, 1)).reshape(N, N)
+
+
+def _merged_m1_ref(L, Ac):
+    """The merged ``_LocalOperator``'s ``M1`` as the einsum it was."""
+    a, _, b = L.shape
+    _, i, j, Q = Ac.shape
+    M1 = np.einsum("aPb,PijQ->aiQbj", L, Ac, optimize=True)
+    return np.ascontiguousarray(M1.reshape(a * i * Q, b * j))
+
+
+def _residual_first_block_ref(state, A, y, u_core, k0):
+    """``_residual_first_block`` with its own tensordot of ``L`` and ``A_k``."""
+    y_part = np.tensordot(state.left_rhs[k0], y.cores[k0], axes=(1, 0))  # (a,i,q)
+    T = np.tensordot(state.left_op[k0], A.cores[k0], axes=(1, 0))  # (a,b,i,j,Q)
+    a_part = np.tensordot(T, u_core, axes=([1, 3], [0, 1]))  # (a,i,Q,c)
+    r0, n = a_part.shape[0], a_part.shape[1]
+    return np.concatenate([y_part, -a_part.reshape(r0, n, -1)], axis=2)
+
+
+def _merged_pair(A, y, x, k0):
+    """The system with cores k0 and k0+1 merged: its one-site step at k0 is
+    the two-site step of the original."""
+
+    def merge(cores, fn):
+        return cores[:k0] + [fn(cores[k0], cores[k0 + 1])] + cores[k0 + 2 :]
+
+    return (
+        TTMatrix(merge(A.cores, _merge_op_cores)),
+        TTVector(merge(y.cores, _merge_vec_cores)),
+        TTVector(merge(x.cores, _merge_vec_cores)),
+    )
+
+
+def _workspace_case(case, rng):
+    """``(state, A, y, x, k0)`` at a step with one of the benchmark's shapes."""
+    if case == "poisson":  # core (7, 32, 7), operator ranks 2
+        A, _ = build_poisson(PoissonSpec(dimension=4, grid_points=32))
+        k0, rank = 1, 7
+    elif case == "qtt":  # QTT CME, core (8, 2, 8)
+        A, k0, rank = _qtt_cme_system(), 10, 8
+    else:  # two-site Poisson n = 8, merged core (4, 64, 4), as in DMRG
+        A, _ = build_poisson(PoissonSpec(dimension=6, grid_points=8))
+        k0, rank = 2, 4
+    y = tt_random(A.row_sizes, 2, rng=rng)
+    x = tt_random(A.col_sizes, rank, rng=rng)
+    if case == "two_site":
+        A, y, x = _merged_pair(A, y, x, k0)
+    state = build_environments(A, y, x)
+    for p in range(k0):
+        state.advance_left(p, A, y, x)
+    return state, A, y, x, k0
+
+
+def _block_size(state, A, k0):
+    (a, _, b), (_, i, j, Q) = state.left_op[k0].shape, A.cores[k0].shape
+    return a * b * i * j * Q
+
+
+class _RecordingWorkspace(_Workspace):
+    """``_Workspace`` that records its instances and the steps it builds."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+        self.built = []  # (L, Ac) of every block built, kept alive
+
+    def T(self, L, Ac):
+        step = self._step
+        out = super().T(L, Ac)
+        if self._step is not step:
+            self.built.append((L, Ac))
+        return out
+
+
+class TestWorkspace:
+    """Each step's ``L·A_k`` is built once, into buffers one solve reuses."""
+
+    CASES = ["poisson", "qtt", "two_site"]
+
+    @staticmethod
+    def check_step(workspace, case, rng):
+        """Every consumer of the step's block against its reference."""
+        state, A, y, x, k0 = case
+        L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
+        B = _local_matrix(L, Ac, R, workspace)
+        assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
+        loc = _LocalOperator(L, Ac, R, workspace)
+        if not loc.factored:
+            assert np.array_equal(loc._M1, _merged_m1_ref(L, Ac))
+        # the solver hands the head the Fortran view of the solved vector
+        u_core = unvec_core(rng.standard_normal(x.cores[k0].size), x.cores[k0].shape)
+        head = _residual_first_block(state, A, y, u_core, k0, workspace)
+        assert np.array_equal(head, _residual_first_block_ref(state, A, y, u_core, k0))
+        return loc
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_consumers_match_their_references(self, rng, case):
+        case_ = _workspace_case(case, rng)
+        # the Poisson n = 32 operator takes the factored order, the others M1
+        for workspace in (None, _Workspace()):
+            loc = self.check_step(workspace, case_, rng)
+            assert loc.factored is (case == "poisson")
+
+    def test_alternating_shapes_through_one_workspace(self, rng):
+        cases = {name: _workspace_case(name, rng) for name in self.CASES}
+        order = ["qtt", "poisson", "qtt", "two_site", "poisson", "two_site", "qtt"]
+        workspace = _Workspace()
+        largest, grows = 0, 0
+        for name in order:
+            self.check_step(workspace, cases[name], rng)
+            state, A, _, _, k0 = cases[name]
+            size = _block_size(state, A, k0)
+            largest, grows = max(largest, size), grows + (size > largest)
+        assert workspace.allocations == grows == 3
+
+    def test_public_results_share_no_memory(self, rng):
+        state, A, y, x, k0 = _workspace_case("poisson", rng)
+        B1, b1 = assemble_local(state, A, y, x, k0 + 1)
+        B2, b2 = assemble_local(state, A, y, x, k0 + 1)
+        assert np.array_equal(B1, B2) and not np.shares_memory(B1, B2)
+        workspace = _Workspace()
+        L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
+        B = _local_matrix(L, Ac, R, workspace)
+        assert not np.shares_memory(B, workspace.T(L, Ac))
+        assert not np.shares_memory(B, workspace.M(L, Ac))
+
+    def test_allocates_only_for_a_larger_block(self, monkeypatch):
+        monkeypatch.setattr(_RecordingWorkspace, "made", [])
+        monkeypatch.setattr(ttamen.amen, "_Workspace", _RecordingWorkspace)
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=32))
+        x, log = amen_solve(A, y, config=SolverConfig(tol=1e-6))
+        assert log.status == "converged"
+        # one workspace for the solve; no consumer made a block of its own
+        (workspace,) = _RecordingWorkspace.made
+        largest, grows = 0, 0
+        for L, Ac in workspace.built:
+            size = math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
+            largest, grows = max(largest, size), grows + (size > largest)
+        assert workspace.allocations == grows < len(workspace.built)
+        # each step's L·A_k was built once, shared by its solve and its head
+        steps = {(id(L), id(Ac)) for L, Ac in workspace.built}
+        assert len(steps) == len(workspace.built)
+
+    @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
+    def test_one_workspace_per_solve_dropped_with_it(self, rng, monkeypatch, solve):
+        monkeypatch.setattr(_RecordingWorkspace, "made", [])
+        monkeypatch.setattr(ttamen.amen, "_Workspace", _RecordingWorkspace)
+        A, y = random_spd_system(4, 8, rng)
+        x, log = solve(A, y, config=SolverConfig(tol=1e-8))
+        assert log.status == "converged" and len(log.records) > 1
+        (workspace,) = _RecordingWorkspace.made
+        assert workspace.built
+        ref = weakref.ref(workspace)
+        del workspace
+        _RecordingWorkspace.made.clear()
+        assert ref() is None  # no cycle keeps it, so it goes without the GC
 
 
 # ----------------------------------------------------------------------
@@ -822,6 +1015,18 @@ class TestSweep:
         amen_sweep(x, A, y, state, ens, config, recorder=Rec())
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
+
+    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    def test_tail_factors_released_as_used(self, rng, enrichment):
+        # the run builds the next sweep's factors while this list is alive
+        A, y = random_spd_system(4, 3, rng)
+        x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
+        state = build_environments(A, y, x)
+        ens = EnrichmentState(enrichment, 2, rng=rng)
+        ens.prepare_sweep(A, y, x)
+        assert all(isinstance(F, np.ndarray) for F in ens._factors[1 : x.d])
+        amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
+        assert not any(isinstance(F, np.ndarray) for F in ens._factors[1 : x.d])
 
     def test_no_enrichment_on_last_core(self, rng):
         A, y = random_spd_system(3, 3, rng)
