@@ -133,13 +133,24 @@ class SweepRecord:
 
 @dataclass
 class ConvergenceLog:
+    """The sweeps of a solve and how it ended.
+
+    A solve returns the iterate of ``best``, the record of the smallest
+    checked residual (the last one of a converged run); ``final_residual``
+    is its residual.
+    """
+
     records: list = field(default_factory=list)
     status: str = "running"  # "converged" | "stalled" | "max_sweeps" | "running"
     stop_reason: Optional[str] = None
 
     @property
+    def best(self) -> Optional[SweepRecord]:
+        return min(self.records, key=lambda r: r.rel_residual, default=None)
+
+    @property
     def final_residual(self) -> float:
-        return self.records[-1].rel_residual if self.records else np.inf
+        return self.best.rel_residual if self.records else np.inf
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +176,16 @@ def _unfold_first(block: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class SweepState:
-    """Left/right partial contractions of (x, A, x) and (x, y) per position.
+    """Left/right partial contractions of (w, A, x) and (w, y) per position.
 
-    ``left_op[k]`` contracts cores ``0..k-1``; ``right_op[k]`` contracts
-    cores ``k+1..d-1``.  Both boundary environments are 1x1x1 identities.
-    ``symmetric`` says whether the operator is symmetric, which makes every
-    local operator symmetric too (CG rather than GMRES).
+    ``w`` is the test vector: the iterate ``x`` itself for the solution's
+    environments, the ALS residual approximant ``z`` for its projections
+    ``<z, A x>`` and ``<z, y>`` (see :class:`EnrichmentState`).  Each
+    environment's first index is ``w``'s rank.  ``left_op[k]`` contracts
+    cores ``0..k-1``; ``right_op[k]`` contracts cores ``k+1..d-1``.  Both
+    boundary environments are 1x1x1 identities.  ``symmetric`` says whether
+    the operator is symmetric, which makes every local operator symmetric
+    too (CG rather than GMRES).
     """
 
     def __init__(self, d: int, symmetric: bool):
@@ -185,24 +200,29 @@ class SweepState:
         self.right_op[d - 1] = np.ones((1, 1, 1))
         self.right_rhs[d - 1] = np.ones((1, 1))
 
-    def advance_left(self, k: int, A: TTMatrix, y: TTVector, x: TTVector):
-        """Absorb core k into the left environments (valid once core k is final)."""
+    def advance_left(self, k: int, A: TTMatrix, y: TTVector, x: TTVector, w=None):
+        """Absorb core k into the left environments (valid once core k is final).
+
+        ``w`` is the test vector (``x`` when omitted).
+        """
+        wc = (x if w is None else w).cores[k]
         xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
         # (a,P,b),(a,i,c),(P,i,j,Q),(b,j,d) -> (c,Q,d) via BLAS-able pairings
-        T = np.tensordot(self.left_op[k], xc, axes=(0, 0))  # (P,b,i,c)
+        T = np.tensordot(self.left_op[k], wc, axes=(0, 0))  # (P,b,i,c)
         T = np.tensordot(T, ac, axes=([0, 2], [0, 1]))  # (b,c,j,Q)
         T = np.tensordot(xc, T, axes=([0, 1], [0, 2]))  # (d,c,Q)
         self.left_op[k + 1] = T.transpose(1, 2, 0)
-        T = np.tensordot(self.left_rhs[k], xc, axes=(0, 0))  # (p,i,c)
+        T = np.tensordot(self.left_rhs[k], wc, axes=(0, 0))  # (p,i,c)
         self.left_rhs[k + 1] = np.tensordot(T, yc, axes=([0, 1], [0, 1]))  # (c,q)
 
-    def advance_right(self, k: int, A: TTMatrix, y: TTVector, x: TTVector):
-        """Absorb core k into the right environments."""
+    def advance_right(self, k: int, A: TTMatrix, y: TTVector, x: TTVector, w=None):
+        """Absorb core k into the right environments; ``w`` as in :meth:`advance_left`."""
+        wc = (x if w is None else w).cores[k]
         xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
-        T = np.tensordot(xc, self.right_op[k], axes=(2, 0))  # (a,i,Q,d)
+        T = np.tensordot(wc, self.right_op[k], axes=(2, 0))  # (a,i,Q,d)
         T = np.tensordot(T, ac, axes=([1, 2], [1, 3]))  # (a,d,P,j)
         self.right_op[k - 1] = np.tensordot(T, xc, axes=([1, 3], [2, 1]))  # (a,P,b)
-        T = np.tensordot(xc, self.right_rhs[k], axes=(2, 0))  # (a,i,q)
+        T = np.tensordot(wc, self.right_rhs[k], axes=(2, 0))  # (a,i,q)
         self.right_rhs[k - 1] = np.tensordot(T, yc, axes=([1, 2], [1, 2]))
 
 
@@ -730,13 +750,13 @@ class EnrichmentState:
     For the SVD and Cholesky methods this holds the tail factors ``F`` of the
     residual chain of the sweep's start iterate (see :func:`_residual_sweep`),
     each dropped once its step has used it, and the sweep's enrichment
-    ``width``; for the ALS method it holds the
-    persistent rank-``kickrank`` residual approximant and the cross
-    environments needed for its one-core-per-step update.  ``_W[p]`` is the
-    product of the chain blocks ``p..d-1`` with the approximant's cores
-    ``p..d-1``; each block is contracted into it as it is formed, so no
-    residual block is kept.  The approximant's rank is fixed, so ALS
-    enrichment never takes a block wider than ``kickrank``.
+    ``width``; for the ALS method it holds the persistent rank-``kickrank``
+    residual approximant ``z`` and one :class:`SweepState` over
+    ``(z; A, y; x)``: the projections ``<z, A x>`` and ``<z, y>`` that its
+    one-core-per-step update and its enrichment block need, built by the
+    same contractions as the solution's own environments.  The
+    approximant's rank is fixed, so ALS enrichment never takes a block wider
+    than ``kickrank``.
     """
 
     def __init__(self, method: str, kickrank: int, rng=None):
@@ -749,11 +769,7 @@ class EnrichmentState:
         self.residual_tt: Optional[TTVector] = None
         self.notices: list[str] = []
         self._factors: list = []
-        self._W = None
-        self._Rzy = None
-        self._Rza = None
-        self._Lzy = None
-        self._Lza = None
+        self._env: Optional[SweepState] = None
 
     # -- sweep preparation -------------------------------------------------
 
@@ -765,41 +781,20 @@ class EnrichmentState:
         ``factors`` are the tail factors ``_residual_sweep(A, y, x)`` returned
         for this ``x``; svd/chol run that sweep here when they are not given.
         ``width`` is the sweep's svd/chol enrichment width (``kickrank`` when
-        not given); ALS ignores it.
+        not given).  ALS ignores both; it right-orthogonalizes and normalizes
+        ``z`` and builds the right environments of ``(z; A, y; x)``.
         """
-        d = x.d
         if self.method in ("svd", "chol"):
             self._factors = _residual_sweep(A, y, x)[0] if factors is None else factors
             self.width = self.kickrank if width is None else width
             return
-        # ALS: make sure the residual approximant exists and is right-orthogonal
         z = self.residual_tt
         if z is None or z.mode_sizes != y.mode_sizes:
             z = tt_random(y.mode_sizes, self.kickrank, rng=self.rng)
-        z = orthogonalize(z, "right", 1)
-        nrm = float(np.linalg.norm(z.cores[0]))
-        if nrm > 0:
-            z.cores[0] /= nrm
-        self.residual_tt = z
-        self._W = [None] * (d + 1)
-        self._W[d] = np.ones((1, 1))
-        for p in range(d - 1, 0, -1):
-            block = _residual_right_block(A, y, x, p)
-            T = np.tensordot(block, self._W[p + 1], axes=(2, 0))  # (a,i,h)
-            self._W[p] = np.tensordot(T, z.cores[p], axes=([1, 2], [1, 2]))  # (a,g)
-        self._Rzy = [None] * d
-        self._Rza = [None] * d
-        self._Rzy[d - 1] = np.ones((1, 1))
-        self._Rza[d - 1] = np.ones((1, 1, 1))
-        for p in range(d - 1, 0, -1):
-            zc, yc, ac, xc = z.cores[p], y.cores[p], A.cores[p], x.cores[p]
-            T = np.tensordot(zc, self._Rzy[p], axes=(2, 0))  # (g,i,q)
-            self._Rzy[p - 1] = np.tensordot(T, yc, axes=([1, 2], [1, 2]))  # (g,p)
-            T = np.tensordot(zc, self._Rza[p], axes=(2, 0))  # (g,i,Q,b)
-            T = np.tensordot(T, ac, axes=([1, 2], [1, 3]))  # (g,b,P,j)
-            self._Rza[p - 1] = np.tensordot(T, xc, axes=([1, 3], [2, 1]))  # (g,P,a)
-        self._Lzy = np.ones((1, 1))
-        self._Lza = np.ones((1, 1, 1))
+        self.residual_tt = z = _unit_right_orthogonal(z)
+        self._env = SweepState(x.d, False)
+        for p in range(x.d - 1, 0, -1):
+            self._env.advance_right(p, A, y, x, z)
 
     # -- per-step enrichment ----------------------------------------------
 
@@ -813,15 +808,17 @@ class EnrichmentState:
         """
         head = _residual_first_block(state, A, y, u_core, k0, workspace)
         if self.method == "als":
-            return self._enrich_als(state, A, y, x, u_core, k0, head)
+            return self._enrich_als(A, y, u_core, k0, head)
         F, self._factors[k0 + 1] = self._factors[k0 + 1], None
         back_end = enrich_svd if self.method == "svd" else enrich_chol
         return back_end(head, F, self.width)
 
-    def _enrich_als(self, state, A, y, x, u_core, k0, head):
-        M = _unfold_first(head)
-        W = self._W[k0 + 1]
-        proj = M @ W
+    def _enrich_als(self, A, y, u_core, k0, head):
+        # the residual chain's tail, projected on z's cores k0+1..d-1
+        env = self._env
+        g = env.right_rhs[k0].shape[0]
+        W = np.concatenate([env.right_rhs[k0].T, env.right_op[k0].reshape(g, -1).T])
+        proj = _unfold_first(head) @ W
         r0, n, _ = head.shape
         pnorm = np.linalg.norm(proj)
         Z = None
@@ -833,20 +830,20 @@ class EnrichmentState:
             if width > 0:
                 Z = unvec_core(U[:, :width].ravel(order="F"), (r0, n, width))
         info = {"width": width, "proj_norm": float(pnorm)}
-        self._update_residual_core(state, A, y, u_core, k0)
+        self._update_residual_core(A, y, u_core, k0)
         return Z, info
 
-    def _update_residual_core(self, state, A, y, u_core, k0):
+    def _update_residual_core(self, A, y, u_core, k0):
         """One ALS step for z-tilde: project the current global residual."""
-        z = self.residual_tt
+        z, env = self.residual_tt, self._env
         pos = np.tensordot(
-            np.tensordot(self._Lzy, y.cores[k0], axes=(1, 0)),
-            self._Rzy[k0],
+            np.tensordot(env.left_rhs[k0], y.cores[k0], axes=(1, 0)),
+            env.right_rhs[k0],
             axes=(2, 1),
         )  # (g,i,h)
-        T = np.tensordot(self._Lza, A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
+        T = np.tensordot(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
         T = np.tensordot(T, u_core, axes=([1, 3], [0, 1]))  # (g,i,Q,b)
-        neg = np.tensordot(T, self._Rza[k0], axes=([2, 3], [1, 2]))  # (g,i,h)
+        neg = np.tensordot(T, env.right_op[k0], axes=([2, 3], [1, 2]))  # (g,i,h)
         z_new = pos - neg
         nrm = np.linalg.norm(z_new)
         if nrm <= 1e-300:
@@ -859,18 +856,11 @@ class EnrichmentState:
         g0, n, g1 = z_new.shape
         Q, _ = np.linalg.qr(z_new.reshape(g0 * n, g1))
         z.cores[k0] = Q.reshape(g0, n, -1)
-        z.ortho = None
 
     def advance(self, A, y, x, k0: int):
-        """Advance the ALS cross environments past the finalized core k0."""
-        if self.method != "als":
-            return
-        z = self.residual_tt
-        T = np.tensordot(self._Lzy, z.cores[k0], axes=(0, 0))  # (p,i,h)
-        self._Lzy = np.tensordot(T, y.cores[k0], axes=([0, 1], [0, 1]))  # (h,q)
-        T = np.tensordot(self._Lza, z.cores[k0], axes=(0, 0))  # (P,a,i,h)
-        T = np.tensordot(T, A.cores[k0], axes=([0, 2], [0, 1]))  # (a,h,j,Q)
-        self._Lza = np.tensordot(T, x.cores[k0], axes=([0, 2], [0, 1]))  # (h,Q,b)
+        """Advance the ALS environments of ``(z; A, y; x)`` past the finalized core k0."""
+        if self.method == "als":
+            self._env.advance_left(k0, A, y, x, self.residual_tt)
 
 
 # ----------------------------------------------------------------------
@@ -887,7 +877,6 @@ def expand_and_orthogonalize(x: TTVector, k: int, Z: Optional[np.ndarray]) -> TT
         raise ValueError(f"expansion position {k} must be in [1, d-1]")
     out = x.copy()
     _expand(out.cores, k - 1, Z)
-    out.ortho = None
     return out
 
 
@@ -953,7 +942,6 @@ def amen_sweep(
         if recorder is not None:
             recorder.on_core_done(k0, x)
         stats.append(entry)
-    x.ortho = ("left_upto", d - 1)
     return x, stats
 
 
@@ -961,13 +949,17 @@ def amen_sweep(
 # Drivers
 # ----------------------------------------------------------------------
 
-def _default_guess(mode_sizes, rng) -> TTVector:
-    x = tt_random(mode_sizes, 1, rng=rng)
+def _unit_right_orthogonal(x: TTVector) -> TTVector:
+    """``x`` right-orthogonalized from core 2 and scaled to unit norm."""
     x = orthogonalize(x, "right", 1)
     nrm = float(np.linalg.norm(x.cores[0]))
     if nrm > 0:
         x.cores[0] /= nrm
     return x
+
+
+def _default_guess(mode_sizes, rng) -> TTVector:
+    return _unit_right_orthogonal(tt_random(mode_sizes, 1, rng=rng))
 
 
 # a sweep that leaves more than _WIDEN_ABOVE of the sweep before's residual
@@ -991,6 +983,11 @@ def _next_width(width: int, rel: float, prev_rel: Optional[float], kickrank: int
 
 
 def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
+    """Sweep until the check stops the run; return the iterate of ``log.best``.
+
+    One residual sweep over each start iterate gives both the check of the
+    sweep before and the svd/chol tail factors of the sweep after.
+    """
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
     ynorm = tt_norm(y)
@@ -998,13 +995,9 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     log = ConvergenceLog()
     ens = make_ens(rng)
     workspace = _Workspace()  # for every step of this solve, dropped with it
-    # svd/chol take their tail factors from the residual sweep of the next
-    # start iterate, so their check runs on that iterate; the others check
-    # the sweep's own iterate and orthogonalize only when the run goes on
-    with_factors = ens is not None and ens.method != "als"
     t0 = time.perf_counter()
     x_next = orthogonalize(x, "right", 1)
-    factors = _residual_sweep(A, y, x_next)[0] if with_factors else None
+    factors = _residual_sweep(A, y, x_next)[0]
     symmetric = _is_symmetric(A)
     width = config.kickrank
     for sweep in range(config.max_sweeps):
@@ -1012,11 +1005,8 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             ens.prepare_sweep(A, y, x_next, factors, width)
         state = build_environments(A, y, x_next, symmetric)
         x, stats = sweep_fn(x_next, A, y, state, ens, workspace)
-        if with_factors:
-            x_next = orthogonalize(x, "right", 1)
-            factors, res = _residual_sweep(A, y, x_next)
-        else:
-            res = _residual_sweep(A, y, x)[1]
+        x_next = orthogonalize(x, "right", 1)
+        factors, res = _residual_sweep(A, y, x_next)
         rel = res / yscale
         local_conv = all(s["local_res_before"] <= config.tol for s in stats)
         rec = SweepRecord(
@@ -1037,6 +1027,8 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             rec.notes.extend(ens.notices)
             ens.notices = []
         log.records.append(rec)
+        if log.best is rec:
+            x_best = x
         if rel <= config.tol:
             log.status = "converged"
             log.stop_reason = "residual"
@@ -1055,12 +1047,10 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             break
         prev_rel = log.records[-2].rel_residual if sweep else None
         width = _next_width(width, rel, prev_rel, config.kickrank)
-        if not with_factors and sweep + 1 < config.max_sweeps:
-            x_next = orthogonalize(x, "right", 1)
     else:
         log.status = "max_sweeps"
         log.stop_reason = "max_sweeps"
-    return x, log
+    return x_best, log
 
 
 def amen_solve(
@@ -1071,14 +1061,19 @@ def amen_solve(
 ):
     """Rank-adaptive AMEn solve of ``A x = y``.
 
-    Runs left-to-right sweeps (re-orthogonalizing in between) until the global
-    relative residual reaches ``config.tol``, stalls or ``max_sweeps`` is
-    exhausted.  With enrichment a run stalls when its global residual falls
-    by less than 10% over two sweeps; without it (``enrichment="none"``),
-    when every local system was already solved on entry to a sweep.  Never
-    raises on non-convergence; the status is in the returned log.  ``svd``
-    and ``chol`` enrichment widen from ``kickrank`` to ``2·kickrank`` after a
-    sweep that contracts the residual too little (see :func:`_next_width`).
+    Runs left-to-right sweeps until the global relative residual reaches
+    ``config.tol``, stalls or ``max_sweeps`` is exhausted.  Each sweep's
+    result is right-orthogonalized into the next sweep's start iterate, and
+    the residual is checked on that iterate, whatever the enrichment.  With
+    enrichment a run stalls when its global residual falls by less than 10%
+    over two sweeps; without it (``enrichment="none"``), when every local
+    system was already solved on entry to a sweep.  Never raises on
+    non-convergence; the status is in the returned log, and a run that does
+    not converge returns the iterate of its smallest checked residual
+    (``log.best``).  ``svd`` and ``chol`` enrichment widen from ``kickrank``
+    to ``2·kickrank`` after a sweep that contracts the residual too little
+    (see :func:`_next_width`); ``als`` projects onto a rank-``kickrank``
+    approximant ``z`` through a :class:`SweepState` over ``(z; A, y; x)``.
     """
     config = config or SolverConfig()
     method = config.enrichment
@@ -1143,7 +1138,6 @@ def _dmrg_sweep(x, A, y, state, config, workspace):
         )
         state.advance_left(k0, A, y, x)
         stats.append(entry)
-    x.ortho = ("left_upto", d - 1)
     return x, stats
 
 

@@ -197,7 +197,7 @@ def run_experiment(spec: ExperimentSpec):
 
     err = _reference_error(spec, A, y, x)
     if err is not None and log.records:
-        log.records[-1].a_norm_error = err
+        log.best.a_norm_error = err  # the record of the returned iterate
 
     _write_artifacts(spec, A, y, x, log, err)
     return x, log

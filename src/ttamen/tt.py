@@ -74,15 +74,9 @@ class TTVector:
     ----------
     cores : sequence of ndarray
         Core ``k`` has shape ``(r[k-1], n[k], r[k])``; ``r[0] = r[d] = 1``.
-    ortho : None or tuple
-        Orthogonality tag: ``None``, ``("left_upto", p)`` meaning cores
-        ``1..p`` (1-based) have orthonormal columns in their
-        ``(r[k-1]*n[k], r[k])`` unfolding, or ``("right_from", p)`` meaning
-        cores ``p..d`` have orthonormal rows in their ``(r[k-1], n[k]*r[k])``
-        unfolding.
     """
 
-    def __init__(self, cores: Sequence[np.ndarray], ortho=None):
+    def __init__(self, cores: Sequence[np.ndarray]):
         cores = [_as_core(c) for c in cores]
         if not cores:
             raise ValueError("a TT vector needs at least one core")
@@ -98,7 +92,6 @@ class TTVector:
                     f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
                 )
         self.cores = cores
-        self.ortho = ortho
 
     @property
     def d(self) -> int:
@@ -117,12 +110,12 @@ class TTVector:
         return int(np.prod([c.shape[1] for c in self.cores], dtype=np.int64))
 
     def copy(self) -> "TTVector":
-        return TTVector([c.copy() for c in self.cores], ortho=self.ortho)
+        return TTVector([c.copy() for c in self.cores])
 
     def __repr__(self):
         return (
             f"TTVector(d={self.d}, mode_sizes={self.mode_sizes}, "
-            f"ranks={self.ranks}, ortho={self.ortho})"
+            f"ranks={self.ranks})"
         )
 
 
@@ -379,14 +372,12 @@ def orthogonalize(x: TTVector, direction: str, pivot: int) -> TTVector:
     if direction == "left":
         for k in range(pivot - 1):
             _qr_push_right(cores, k)
-        ortho = ("left_upto", pivot - 1) if pivot > 1 else None
     elif direction == "right":
         for k in range(x.d - 1, pivot - 1, -1):
             _lq_push_left(cores, k)
-        ortho = ("right_from", pivot + 1) if pivot < x.d else None
     else:
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    return TTVector(cores, ortho=ortho)
+    return TTVector(cores)
 
 
 def _svd_trunc(M: np.ndarray, budget: float, max_rank: Optional[int]):
@@ -421,9 +412,7 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     cores = y.cores
     nrm = float(np.linalg.norm(cores[-1]))
     if nrm == 0.0:
-        return TTVector(
-            [np.zeros((1, n, 1)) for n in x.mode_sizes], ortho=("right_from", 2)
-        )
+        return TTVector([np.zeros((1, n, 1)) for n in x.mode_sizes])
     budget = tol * nrm / np.sqrt(d - 1)
     for k in range(d - 1, 0, -1):
         r, n, R = cores[k].shape
@@ -431,7 +420,7 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
         cores[k] = Vt.reshape(-1, n, R)
         carry = U * s
         cores[k - 1] = np.einsum("anb,bc->anc", cores[k - 1], carry)
-    return TTVector(cores, ortho=("right_from", 2))
+    return TTVector(cores)
 
 
 # ----------------------------------------------------------------------

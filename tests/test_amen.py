@@ -14,6 +14,7 @@ from ttamen import (
     EnrichmentState,
     PoissonSpec,
     SolverConfig,
+    SweepState,
     TTMatrix,
     TTVector,
     TimeSystemSpec,
@@ -64,7 +65,7 @@ from ttamen.amen import (
     vec_core,
 )
 from ttamen.diagnostics import dense_oracle_solve, subtrain_dense
-from ttamen.tt import _right_interface, ttmat_to_tt
+from ttamen.tt import _left_interface, _right_interface, ttmat_to_tt
 
 from conftest import random_spd_system, rel_err
 
@@ -126,6 +127,54 @@ class TestEnvironments:
         x = tt_random([2, 3], 1, rng=rng)
         with pytest.raises(ValueError):
             build_environments(A, y, x)
+
+    @staticmethod
+    def swept(A, y, x, w=None):
+        """A state advanced right over cores d-1..1, then left over 0..d-2;
+        ``w`` is passed on only when given."""
+        state = SweepState(x.d, False)
+        extra = () if w is None else (w,)
+        for k in range(x.d - 1, 0, -1):
+            state.advance_right(k, A, y, x, *extra)
+        for k in range(x.d - 1):
+            state.advance_left(k, A, y, x, *extra)
+        return state
+
+    @staticmethod
+    def cross_case(rng):
+        d, n = 4, 3
+        A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        y = tt_random([n] * d, 2, rng=rng)
+        x = tt_random([n] * d, 3, rng=rng)
+        return A, y, x, tt_random([n] * d, 2, rng=rng)
+
+    def test_test_vector_defaults_to_x(self, rng):
+        A, y, x, _ = self.cross_case(rng)
+        plain = self.swept(A, y, x)
+        given = self.swept(A, y, x, x)
+        for name in ("left_op", "right_op", "left_rhs", "right_rhs"):
+            for a, b in zip(getattr(plain, name), getattr(given, name)):
+                assert np.array_equal(a, b)
+
+    def test_cross_environments_match_dense(self, rng):
+        """With ``w = z`` the environments are the projections on z's interfaces."""
+        A, y, x, z = self.cross_case(rng)
+        d = x.d
+        state = self.swept(A, y, x, z)
+        for k in range(1, d):  # left: cores 0..k-1
+            Lz, Lx = _left_interface(z.cores[:k]), _left_interface(x.cores[:k])
+            assert rel_err(state.left_rhs[k], Lz.T @ _left_interface(y.cores[:k])) < 1e-12
+            *head, last = A.cores[:k]
+            for P in range(last.shape[3]):
+                ref = Lz.T @ to_dense(TTMatrix(head + [last[..., P : P + 1]])) @ Lx
+                assert rel_err(state.left_op[k][:, P, :], ref) < 1e-12
+        for k in range(d - 1):  # right: cores k+1..d-1
+            Rz, Rx = _right_interface(z.cores[k + 1 :]), _right_interface(x.cores[k + 1 :])
+            assert rel_err(state.right_rhs[k], Rz @ _right_interface(y.cores[k + 1 :]).T) < 1e-12
+            first, *tail = A.cores[k + 1 :]
+            for Q in range(first.shape[0]):
+                ref = Rz @ to_dense(TTMatrix([first[Q : Q + 1]] + tail)) @ Rx.T
+                assert rel_err(state.right_op[k][:, Q, :], ref) < 1e-12
 
     def test_matrix_free_apply_matches_dense(self, rng):
         d, n = 3, 3
@@ -656,7 +705,8 @@ class TestResidualBlocks:
             assert rel_err(F @ F.T, R @ R.T) < 1e-12
 
     def test_als_cross_environment_matches_chain(self, rng):
-        """``W[p]`` pairs chain blocks p..d-1 with approximant cores p..d-1."""
+        """The stacked ``[right_rhs; right_op]`` at p-1 pairs chain blocks
+        p..d-1 with approximant cores p..d-1."""
         d, n = 4, 3
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
@@ -664,10 +714,12 @@ class TestResidualBlocks:
         ens = EnrichmentState("als", 2, rng=rng)
         ens.prepare_sweep(A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
-        z = ens.residual_tt
+        z, env = ens.residual_tt, ens._env
         for p in range(1, d):
             ref = _right_interface(chain.cores[p:]) @ _right_interface(z.cores[p:]).T
-            assert rel_err(ens._W[p], ref) < 1e-12
+            g = ref.shape[1]
+            W = np.concatenate([env.right_rhs[p - 1].T, env.right_op[p - 1].reshape(g, -1).T])
+            assert rel_err(W, ref) < 1e-12
 
 
 def _chain_sweep(A, y, x):
@@ -1245,6 +1297,44 @@ class TestStopRule:
         rel = [r.rel_residual for r in log.records]
         assert rel[-1] > 0.9 * rel[-3]
 
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
+    def test_returns_the_iterate_of_the_best_check(self, rng, monkeypatch, solve, enrichment):
+        self.script(monkeypatch, [0.5, 0.1, 0.3])
+        results = []
+        for name in ("amen_sweep", "_dmrg_sweep"):
+            real = getattr(ttamen.amen, name)
+
+            def sweep(*args, _real=real, **kwargs):
+                out = _real(*args, **kwargs)
+                results.append(out[0])
+                return out
+
+            monkeypatch.setattr(ttamen.amen, name, sweep)
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-6, max_sweeps=3, enrichment=enrichment)
+        x, log = solve(A, y, config=config)
+        assert log.status != "converged" and len(log.records) >= 2
+        assert x is results[1]
+        assert log.best is log.records[1] and log.final_residual == 0.1
+
+    @pytest.mark.parametrize("solve, d", [(amen_solve, 4), (dmrg_solve, 5)])
+    def test_a_wandering_run_returns_its_best_iterate(self, solve, d):
+        # a shift of 8 does not dominate the rank-2 noise at d >= 4, so these
+        # runs end far above their best check (42, 6.3, 12, 36 for amen)
+        n, rng = 4, np.random.default_rng(1234)
+        noise = ttmat_random([n] * d, [n] * d, 2, rng=rng)
+        A = ttmat_add(ttmat_identity([n] * d), noise, 8.0, 1.0)
+        y = tt_random([n] * d, 2, rng=rng)
+        x, log = solve(A, y, config=SolverConfig(tol=1e-10, kickrank=2))
+        residuals = [r.rel_residual for r in log.records]
+        best = int(np.argmin(residuals))
+        assert log.status != "converged" and residuals[-1] > 2 * residuals[best]
+        assert log.best is log.records[best] and log.final_residual == residuals[best]
+        Ad, yd = to_dense(A), to_dense(y)
+        dense = np.linalg.norm(yd - Ad @ to_dense(x)) / np.linalg.norm(yd)
+        assert abs(dense - residuals[best]) <= 1e-10 * dense
+        assert list(x.ranks) == log.best.ranks
+
 
 def _small_cme_time_system():
     """A QTT CME time system on 14 binary cores, with its right-hand side.
@@ -1355,8 +1445,8 @@ class TestGlobalResidual:
 
 
 class TestSweepPreparation:
-    """One residual sweep per sweep and one symmetry probe per solve; no set-up
-    after the last sweep."""
+    """One residual sweep per start iterate and one symmetry probe per solve;
+    no set-up after the last sweep."""
 
     @staticmethod
     def count_calls(monkeypatch, owner, name):
@@ -1370,24 +1460,25 @@ class TestSweepPreparation:
         monkeypatch.setattr(owner, name, spy)
         return calls
 
-    @pytest.mark.parametrize(
-        "solve, enrichment",
-        [(amen_solve, "als"), (amen_solve, "none"), (als_solve, "svd"), (dmrg_solve, "svd")],
-    )
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
     def test_no_set_up_after_the_last_sweep(self, rng, monkeypatch, solve, enrichment):
         A, y = random_spd_system(3, 4, rng)
         x0 = tt_random(A.col_sizes, 4, rng=rng)  # full rank: ALS converges too
         orth = self.count_calls(monkeypatch, ttamen.amen, "orthogonalize")
+        checks = self.count_calls(monkeypatch, ttamen.amen, "_residual_sweep")
+        envs = self.count_calls(monkeypatch, ttamen.amen, "build_environments")
         prep = self.count_calls(monkeypatch, EnrichmentState, "prepare_sweep")
         config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
         x, log = solve(A, y, x0=x0, config=config)
         assert log.status == "converged"
         sweeps = len(log.records)
         als = solve is amen_solve and enrichment == "als"
-        # one orthogonalization of x per sweep; ALS set-up also
-        # orthogonalizes its residual approximant
-        assert len(orth) == (2 * sweeps if als else sweeps)
-        assert len(prep) == (sweeps if als else 0)
+        # every method orthogonalizes and checks the start iterate and each
+        # sweep's result; the ALS set-up also orthogonalizes its approximant
+        assert len(orth) == sweeps + 1 + (sweeps if als else 0)
+        assert len(checks) == sweeps + 1
+        assert len(envs) == sweeps
+        assert len(prep) == (sweeps if _enriches(solve, enrichment) else 0)
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol", "als", "none"])
     def test_residual_chain_once_per_sweep(self, rng, monkeypatch, enrichment):
@@ -1399,9 +1490,8 @@ class TestSweepPreparation:
         config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
         x, log = amen_solve(A, y, x0=x0, config=config)
         assert len(log.records) > 1
-        # svd/chol also sweep the start iterate for the first sweep's factors
-        first = 1 if enrichment in ("svd", "chol") else 0
-        assert len(sweeps) == len(log.records) + first
+        # one sweep of the start iterate, then one per sweep's result
+        assert len(sweeps) == len(log.records) + 1
         # the sweep contracts the cores of A and x; y - A x is never built
         assert not adds and not products
 

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import ttamen.amen
-from ttamen import ConvergenceLog, tt_io_read, tt_io_write, tt_random, ttmat_identity
+from ttamen import (
+    ConvergenceLog,
+    tt_io_read,
+    tt_io_write,
+    tt_random,
+    ttmat_add,
+    ttmat_identity,
+    ttmat_random,
+)
 from ttamen.cli import (
     CSV_HEADER,
     EXIT_INVALID,
@@ -96,6 +104,33 @@ class TestRunExperiment:
         )
         x, log = run_experiment(spec)
         assert log.status == "converged"
+
+    def test_error_goes_to_the_returned_iterate(self, tmp_path):
+        # a shift of 8 does not dominate this rank-2 noise: the run stalls
+        # far above its best check, whose iterate it returns
+        rng = np.random.default_rng(1234)
+        noise = ttmat_random([4] * 4, [4] * 4, 2, rng=rng)
+        tt_io_write(ttmat_add(ttmat_identity([4] * 4), noise, 8.0, 1.0), tmp_path / "A.tt")
+        tt_io_write(tt_random([4] * 4, 2, rng=rng), tmp_path / "y.tt")
+        spec = ExperimentSpec(
+            problem="custom",
+            matrix=str(tmp_path / "A.tt"),
+            rhs=str(tmp_path / "y.tt"),
+            kickrank=2,
+            tol=1e-10,
+            out=str(tmp_path / "run"),
+        )
+        x, log = run_experiment(spec)
+        assert log.status == "stalled" and log.best is not log.records[-1]
+        assert [r.a_norm_error is not None for r in log.records] == [
+            r is log.best for r in log.records
+        ]
+        rows = read_csv(tmp_path / "run.csv")
+        assert [row[3] != "" for row in rows[1:]] == [r is log.best for r in log.records]
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["final_residual"] == log.best.rel_residual
+        assert summary["final_error"] == log.best.a_norm_error
+        assert summary["ranks"] == log.best.ranks
 
     def test_custom_rejects_swapped_files(self, tmp_path, rng):
         y = tt_random([3, 3], 2, rng=rng)
