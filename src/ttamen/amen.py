@@ -319,71 +319,146 @@ def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
 
 
+# a panel of L·Ac rows, in bytes: a few ``a`` per panel on QTT cores, one on
+# Poisson n = 32 (an ``a`` is 15 x 32 x 32 x 2 doubles, 240 KiB, at rank 15)
+_PANEL_BYTES = 256 * 1024
+
+
 class _Workspace:
     """The step's ``L·Ac`` block, built once into a buffer that a solve reuses.
 
     ``T(L, Ac)`` is the (a,b,i,j,Q) contraction over ``P``: the GEMM that
     ``np.tensordot(L, Ac, axes=(1, 0))`` runs, on the same operands, so the
-    bits are the same.  ``M(L, Ac)`` is its (a i Q, b j) copy, made only when
-    a consumer asks for it: the merged :class:`_LocalOperator` and the
-    enrichment head.  Both are built at most once per step: the workspace
-    keeps the step's ``L`` and ``Ac`` and hands out what it built while it is
-    asked for these very arrays (it holds them, so the test by identity is
-    sound).  So the enrichment takes the block the local solve built.  A
-    block is valid until the workspace is asked for another one.
+    bits are the same.  ``M(L, Ac)`` is its (a i Q, b j) reordering: the
+    merged :class:`_LocalOperator` and the enrichment head take it.  Where
+    the step's ``T`` exists (the direct path's :func:`_local_matrix` asked
+    for it), ``M`` is copied from it.  Otherwise ``M`` is built straight
+    from row panels of ``L·Ac``: each panel is the GEMM of the rows of a few
+    ``a`` with the same ``Ac`` and K = P, so its bits are those of ``T``'s
+    rows, and it is copied into ``M`` before the next one is formed.  Each
+    is built at most once per step: the workspace keeps the step's ``L`` and
+    ``Ac`` and hands out what it built while it is asked for these very
+    arrays (it holds them, so the test by identity is sound).  So the
+    enrichment takes the block the local solve built.  A block is valid
+    until the workspace is asked for another one.
 
-    A step's block is several MB on large modes (15 x 15 x 32 x 32 x 2 on
-    Poisson n = 32).  Made afresh at every step, glibc hands it back to the
-    kernel and faults it in again at the next: 10.6k minor faults per
-    ``poisson-amen`` solve, 4.8k per ``poisson-dmrg`` solve.  One buffer
-    holds ``T`` and then ``M``.  It grows when a step needs a larger block
-    and never shrinks; ``allocations`` counts the grows.  One buffer rather
-    than two: the old one is freed before its successor is made, and glibc
-    can hand its pages on only while nothing was allocated after it (with
-    two buffers, 3.3k faults per ``poisson-amen`` solve remain, not 1.3k).
-    ``_run_alternating`` makes one workspace per solve, so nothing is kept
-    once the solve returns.  A fresh workspace gives fresh arrays.
+    One buffer holds a direct step's ``T`` and then its ``M``, and in
+    between the direct matrix where it fits (:meth:`room`); an iterative
+    step's ``M`` and one panel of at most ``_PANEL_BYTES`` (one ``a`` where
+    a single one is larger), not ``T`` and ``M``.  Both took the traced
+    peak of a ``poisson-amen`` solve from 11.4 to 6.3 MiB.  A step's block
+    is several MB on large modes (15 x 15 x 32 x 32 x 2 on Poisson n = 32).
+    Made
+    afresh at every step, glibc hands it back to the kernel and faults it in
+    again at the next: 10.6k minor faults per ``poisson-amen`` solve, 4.8k
+    per ``poisson-dmrg`` solve.  The buffer grows when a step needs more
+    room and never shrinks; ``allocations`` counts the grows.  One buffer
+    rather than two: the old one is freed before its successor is made, and
+    glibc can hand its pages on only while nothing was allocated after it
+    (with two buffers, 3.3k faults per ``poisson-amen`` solve remain, not
+    1.3k).  ``_run_alternating`` makes one workspace per solve, so nothing
+    is kept once the solve returns.  A fresh workspace gives fresh arrays.
     """
 
     def __init__(self):
-        self._buffer = None  # T, then M, in one array
+        self._buffer = None  # T, the direct matrix, then M; or M and one panel
         self._step = None  # the (L, Ac) that _T and _M were built from
         self._T = self._M = None
         self.allocations = 0
 
-    def T(self, L, Ac) -> np.ndarray:
+    def _begin(self, L, Ac) -> int:
+        """Make ``(L, Ac)`` the current step; return the size of its block."""
         step = self._step
         if step is None or step[0] is not L or step[1] is not Ac:
-            self._step = self._T = self._M = None
+            self._step, self._T, self._M = (L, Ac), None, None
+        return L.shape[0] * L.shape[2] * math.prod(Ac.shape[1:])
+
+    def _reserve(self, n: int, dtype) -> np.ndarray:
+        """The buffer, with room for ``n`` items; growing it drops the step's blocks."""
+        buf = self._buffer
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            self._T = self._M = None
+            # freed first, so that its successor can take its pages
+            self._buffer = buf = None
+            self._buffer = buf = np.empty(n, dtype)
+            self.allocations += 1
+        return buf
+
+    @staticmethod
+    def panel_rows(a: int, row_items: int, itemsize: int) -> int:
+        """How many ``a`` one panel of ``row_items`` items per ``a`` takes."""
+        return max(1, min(a, _PANEL_BYTES // (row_items * itemsize)))
+
+    def T(self, L, Ac) -> np.ndarray:
+        size = self._begin(L, Ac)
+        if self._T is None:
             a, P, b = L.shape
             _, i, j, Q = Ac.shape
-            size, dtype = a * b * i * j * Q, np.result_type(L, Ac)
-            buf = self._buffer
-            if buf is None or buf.size < 2 * size or buf.dtype != dtype:
-                # freed first, so that its successor can take its pages
-                self._buffer = buf = None
-                self._buffer = buf = np.empty(2 * size, dtype)
-                self.allocations += 1
+            if self._M is not None:
+                # the step's M was built from panels where T goes: it keeps
+                # the old buffer, T takes a new one
+                self._buffer = None
+            buf = self._reserve(2 * size, np.result_type(L, Ac))
             T = buf[:size].reshape(a * b, i * j * Q)
             np.dot(L.transpose(0, 2, 1).reshape(a * b, P), Ac.reshape(P, i * j * Q), out=T)
-            self._step, self._T = (L, Ac), T.reshape(a, b, i, j, Q)
+            self._T = T.reshape(a, b, i, j, Q)
         return self._T
 
+    def room(self, n: int, dtype) -> Optional[np.ndarray]:
+        """``n`` items of the buffer after the step's ``T``, or None.
+
+        They exist only between ``T`` and ``M`` (which is copied over them)
+        and only where the buffer is large enough already; the workspace
+        never grows for them.  Every direct matrix of the Poisson workloads
+        fits, up to 480 x 480 on ``poisson-amen``, in the room the larger
+        iterative steps left; those of QTT cores do not.
+        """
+        T, buf = self._T, self._buffer
+        if T is None or self._M is not None or buf.dtype != dtype or buf.size < T.size + n:
+            return None
+        return buf[T.size : T.size + n]
+
     def M(self, L, Ac) -> np.ndarray:
-        T = self.T(L, Ac)
+        size = self._begin(L, Ac)
         if self._M is None:
-            a, b, i, j, Q = T.shape
-            M = self._buffer[T.size : 2 * T.size].reshape(a * i * Q, b * j)
-            np.copyto(M.reshape(a, i, Q, b, j), T.transpose(0, 2, 4, 1, 3))
-            self._M = M
+            a, P, b = L.shape
+            _, i, j, Q = Ac.shape
+            if self._T is not None:
+                M = self._buffer[size : 2 * size].reshape(a, i, Q, b, j)
+                np.copyto(M, self._T.transpose(0, 2, 4, 1, 3))
+            else:
+                dtype, row = np.result_type(L, Ac), b * i * j * Q
+                rows = self.panel_rows(a, row, dtype.itemsize)
+                buf = self._reserve(size + rows * row, dtype)
+                M = buf[:size].reshape(a, i, Q, b, j)
+                Lt = L.transpose(0, 2, 1).reshape(a * b, P)
+                Af = Ac.reshape(P, i * j * Q)
+                for a0 in range(0, a, rows):
+                    a1 = min(a0 + rows, a)
+                    panel = buf[size : size + (a1 - a0) * row].reshape((a1 - a0) * b, -1)
+                    np.dot(Lt[a0 * b : a1 * b], Af, out=panel)
+                    panel = panel.reshape(a1 - a0, b, i, j, Q)
+                    np.copyto(M[a0:a1], panel.transpose(0, 2, 4, 1, 3))
+            self._M = M.reshape(a * i * Q, b * j)
         return self._M
 
 
 def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarray:
+    """The dense local matrix: ``T(L, Ac)`` times ``R`` in one GEMM, reordered.
+
+    With a workspace the matrix goes into its :meth:`_Workspace.room` where
+    it fits, and is valid until the step's ``M`` is asked for; otherwise,
+    and always without a workspace, it is a fresh array.
+    """
     T = (workspace or _Workspace()).T(L, Ac)  # (a,b,i,j,Q)
     T = np.tensordot(T, R, axes=(4, 1))  # (a,b,i,j,c,d)
-    N = L.shape[0] * Ac.shape[1] * R.shape[0]
-    return np.ascontiguousarray(T.transpose(4, 2, 0, 5, 3, 1)).reshape(N, N)
+    a, b, i, j, c, d = T.shape
+    N = a * i * c
+    B = None if workspace is None else workspace.room(N * N, T.dtype)
+    if B is None:
+        return np.ascontiguousarray(T.transpose(4, 2, 0, 5, 3, 1)).reshape(N, N)
+    np.copyto(B.reshape(c, i, a, d, j, b), T.transpose(4, 2, 0, 5, 3, 1))
+    return B.reshape(N, N)
 
 
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
@@ -531,7 +606,8 @@ def _solve_local_problem(
     solve fell back to least squares, the ``path`` taken (``direct``,
     ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``) and the local operator's
     ``products`` (0 on the direct path; the initial residual's counts).
-    The step's ``L·Ac`` block goes into ``workspace`` (see :class:`_Workspace`).
+    The step's ``L·Ac`` block, and the direct matrix where it fits, go into
+    ``workspace`` (see :class:`_Workspace`).
     """
     L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
     guess = vec_core(core)
@@ -936,8 +1012,9 @@ def amen_sweep(
                     elif Z.shape[2] > room:
                         Z = Z[:, :, :room]
             _expand(x.cores, k0, Z)
-            state.advance_left(k0, A, y, x)
-            if ens is not None:
+            state.advance_left(k0, A, y, x)  # the last core reads left_op[d-1]
+            if ens is not None and k0 < d - 2:
+                # z's update runs only below d-1, so nothing reads its last one
                 ens.advance(A, y, x, k0)
         if recorder is not None:
             recorder.on_core_done(k0, x)
@@ -1039,9 +1116,10 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
             log.status = "stalled"
             log.stop_reason = "local_criterion"
             break
-        if ens is not None and sweep >= 2 and rel > 0.9 * log.records[-3].rel_residual:
+        if sweep >= 2 and rel > 0.9 * log.records[-3].rel_residual:
             # enrichment widens the basis even where every local system was
-            # already solved, so only the global residual tells a stall
+            # already solved, so only the global residual tells its stall;
+            # a run without it can also level off short of the local test
             log.status = "stalled"
             log.stop_reason = "residual_stagnation"
             break
@@ -1066,8 +1144,8 @@ def amen_solve(
     result is right-orthogonalized into the next sweep's start iterate, and
     the residual is checked on that iterate, whatever the enrichment.  With
     enrichment a run stalls when its global residual falls by less than 10%
-    over two sweeps; without it (``enrichment="none"``), when every local
-    system was already solved on entry to a sweep.  Never raises on
+    over two sweeps; without it (``enrichment="none"``), also when every
+    local system was already solved on entry to a sweep.  Never raises on
     non-convergence; the status is in the returned log, and a run that does
     not converge returns the iterate of its smallest checked residual
     (``log.best``).  ``svd`` and ``chol`` enrichment widen from ``kickrank``
@@ -1136,7 +1214,8 @@ def _dmrg_sweep(x, A, y, state, config, workspace):
         x.cores[k0 + 1] = (s[:keep, None] * Vt[:keep]).reshape(
             keep, n2, r2, order="F"
         )
-        state.advance_left(k0, A, y, x)
+        if k0 < d - 2:  # the next sweep builds a new state, so none reads left_op[d-1]
+            state.advance_left(k0, A, y, x)
         stats.append(entry)
     return x, stats
 

@@ -55,9 +55,9 @@ def cg(op, b, x0=None, *, rtol, maxiter, r0=None):
     x, r = _start(op, b, x0, r0)
     rho_prev = p = None
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
         rho_cur = np.dot(r, r)
+        if math.sqrt(rho_cur) < atol:  # the bits of np.linalg.norm(r)
+            return x, 0
         if iteration > 0:
             p *= rho_cur / rho_prev
             p += r

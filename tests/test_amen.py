@@ -553,21 +553,48 @@ def _block_size(state, A, k0):
     return a * b * i * j * Q
 
 
+def _buffer_need(L, Ac, kind):
+    """Items the buffer needs for a step's ``T`` (with ``M`` copied after it)
+    or for its panel-built ``M``."""
+    size = math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
+    if kind == "T":
+        return 2 * size
+    row = L.shape[2] * math.prod(Ac.shape[1:])
+    return size + _Workspace.panel_rows(L.shape[0], row, 8) * row
+
+
+def _grows(needs):
+    """The grows of a buffer that takes each need in turn and never shrinks."""
+    largest, grows = 0, 0
+    for need in needs:
+        largest, grows = max(largest, need), grows + (need > largest)
+    return grows
+
+
 class _RecordingWorkspace(_Workspace):
-    """``_Workspace`` that records its instances and the steps it builds."""
+    """``_Workspace`` that records its instances and the blocks it builds:
+    ``(L, Ac, kind)`` with kind ``"T"``, or ``"M"`` for an ``M`` built from
+    panels (an ``M`` copied from the step's ``T`` builds nothing)."""
 
     made = []
 
     def __init__(self):
         super().__init__()
         self.made.append(self)
-        self.built = []  # (L, Ac) of every block built, kept alive
+        self.built = []  # (L, Ac, kind) of every block built, kept alive
 
     def T(self, L, Ac):
-        step = self._step
+        old = self._T
         out = super().T(L, Ac)
-        if self._step is not step:
-            self.built.append((L, Ac))
+        if out is not old:
+            self.built.append((L, Ac, "T"))
+        return out
+
+    def M(self, L, Ac):
+        old = self._M
+        out = super().M(L, Ac)
+        if out is not old and self._T is None:
+            self.built.append((L, Ac, "M"))
         return out
 
 
@@ -577,12 +604,14 @@ class TestWorkspace:
     CASES = ["poisson", "qtt", "two_site"]
 
     @staticmethod
-    def check_step(workspace, case, rng):
-        """Every consumer of the step's block against its reference."""
+    def check_step(workspace, case, rng, direct=True):
+        """Every consumer of the step's block against its reference, in the
+        order a direct step asks for them, or an iterative one (no ``T``)."""
         state, A, y, x, k0 = case
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
-        B = _local_matrix(L, Ac, R, workspace)
-        assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
+        if direct:
+            B = _local_matrix(L, Ac, R, workspace)
+            assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
         loc = _LocalOperator(L, Ac, R, workspace)
         if not loc.factored:
             assert np.array_equal(loc._M1, _merged_m1_ref(L, Ac))
@@ -596,21 +625,92 @@ class TestWorkspace:
     def test_consumers_match_their_references(self, rng, case):
         case_ = _workspace_case(case, rng)
         # the Poisson n = 32 operator takes the factored order, the others M1
-        for workspace in (None, _Workspace()):
-            loc = self.check_step(workspace, case_, rng)
-            assert loc.factored is (case == "poisson")
+        for direct in (True, False):
+            for workspace in (None, _Workspace()):
+                loc = self.check_step(workspace, case_, rng, direct)
+                assert loc.factored is (case == "poisson")
+
+    @pytest.mark.parametrize("a", [1, 7])
+    def test_panels_give_the_bits_of_one_gemm(self, rng, monkeypatch, a):
+        # panels of 3 left indices: at a = 7 the last one takes a single index
+        P, b, i, j, Q = 5, 3, 4, 4, 6
+        monkeypatch.setattr(ttamen.amen, "_PANEL_BYTES", 3 * b * i * j * Q * 8 + 100)
+        assert _Workspace.panel_rows(a, b * i * j * Q, 8) == min(a, 3)
+        L = rng.standard_normal((a, P, b))
+        Ac = rng.standard_normal((P, i, j, Q))
+        workspace = _Workspace()
+        M = workspace.M(L, Ac)
+        assert np.array_equal(M, _merged_m1_ref(L, Ac))
+        assert workspace._T is None  # no full L·Ac was formed
+        # the same bits as the M a direct step copies from its T
+        T_first = _Workspace()
+        T_first.T(L, Ac)
+        assert np.array_equal(M, T_first.M(L, Ac))
+
+    @pytest.mark.parametrize("Q, fits", [(1, True), (2, False)])
+    def test_direct_matrix_in_the_room_after_t(self, rng, Q, fits):
+        # a last core (Q = c = d = 1) has N^2 = size: its matrix fits after T
+        r, P, n = 5, 2, 6
+        L = rng.standard_normal((r, P, r))
+        Ac = rng.standard_normal((P, n, n, Q))
+        R = rng.standard_normal((Q, Q, Q))
+        workspace = _Workspace()
+        B = _local_matrix(L, Ac, R, workspace)
+        assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
+        assert np.shares_memory(B, workspace._buffer) is fits
+        assert not np.shares_memory(B, workspace.T(L, Ac))
+        fresh = _local_matrix(L, Ac, R)  # without a workspace: an array of its own
+        assert np.array_equal(fresh, B) and not np.shares_memory(fresh, B)
+        # the step's M is copied over the room once the solve is done with it
+        assert np.array_equal(workspace.M(L, Ac), _merged_m1_ref(L, Ac))
+        assert np.shares_memory(B, workspace.M(L, Ac)) is fits
+        assert workspace.allocations == 1
+
+    def test_t_after_panels_keeps_m(self, rng):
+        L = rng.standard_normal((7, 3, 5))
+        Ac = rng.standard_normal((3, 4, 4, 2))
+        workspace = _Workspace()
+        M = workspace.M(L, Ac)
+        assert np.array_equal(workspace.T(L, Ac), np.tensordot(L, Ac, axes=(1, 0)))
+        assert not np.shares_memory(M, workspace.T(L, Ac))
+        assert np.array_equal(M, _merged_m1_ref(L, Ac))
+        assert np.array_equal(workspace.M(L, Ac), M)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_iterative_step_holds_m_and_one_panel(self, rng, case):
+        state, A, y, x, k0 = case_ = _workspace_case(case, rng)
+        L, Ac = state.left_op[k0], A.cores[k0]
+        workspace = _Workspace()
+        self.check_step(workspace, case_, rng, direct=False)
+        size = _block_size(state, A, k0)
+        row = size // L.shape[0]
+        assert workspace._buffer.size == _buffer_need(L, Ac, "M")
+        assert workspace._buffer.size <= size + max(row, ttamen.amen._PANEL_BYTES // 8)
+        if size * 8 > 2 * ttamen.amen._PANEL_BYTES:  # more than one panel
+            assert workspace._buffer.size < 2 * size  # no room for T next to M
+        assert workspace.allocations == 1
 
     def test_alternating_shapes_through_one_workspace(self, rng):
         cases = {name: _workspace_case(name, rng) for name in self.CASES}
-        order = ["qtt", "poisson", "qtt", "two_site", "poisson", "two_site", "qtt"]
+        # (case, direct): a step needs room for T and M, or for M and a panel
+        order = [
+            ("qtt", True),
+            ("poisson", False),
+            ("qtt", False),
+            ("poisson", True),
+            ("two_site", False),
+            ("two_site", True),
+            ("qtt", True),
+        ]
         workspace = _Workspace()
-        largest, grows = 0, 0
-        for name in order:
-            self.check_step(workspace, cases[name], rng)
+        needs = []
+        for name, direct in order:
+            self.check_step(workspace, cases[name], rng, direct)
             state, A, _, _, k0 = cases[name]
-            size = _block_size(state, A, k0)
-            largest, grows = max(largest, size), grows + (size > largest)
-        assert workspace.allocations == grows == 3
+            L, Ac = state.left_op[k0], A.cores[k0]
+            needs.append(_buffer_need(L, Ac, "T" if direct else "M"))
+        # Poisson's and the two-site pair's T steps each outgrow their M step
+        assert workspace.allocations == _grows(needs) == 4
 
     def test_public_results_share_no_memory(self, rng):
         state, A, y, x, k0 = _workspace_case("poisson", rng)
@@ -631,13 +731,17 @@ class TestWorkspace:
         assert log.status == "converged"
         # one workspace for the solve; no consumer made a block of its own
         (workspace,) = _RecordingWorkspace.made
-        largest, grows = 0, 0
-        for L, Ac in workspace.built:
-            size = math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
-            largest, grows = max(largest, size), grows + (size > largest)
-        assert workspace.allocations == grows < len(workspace.built)
+        needs = [_buffer_need(*built) for built in workspace.built]
+        assert workspace.allocations == _grows(needs) < len(workspace.built)
+        # both kinds of step ran: direct ones (T) and iterative ones (M)
+        assert {kind for _, _, kind in workspace.built} == {"T", "M"}
+        # the largest block is an iterative step's, held as M plus one panel
+        assert workspace._buffer.size == max(needs) < max(
+            2 * math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
+            for L, Ac, _ in workspace.built
+        )
         # each step's L·A_k was built once, shared by its solve and its head
-        steps = {(id(L), id(Ac)) for L, Ac in workspace.built}
+        steps = {(id(L), id(Ac)) for L, Ac, _ in workspace.built}
         assert len(steps) == len(workspace.built)
 
     @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
@@ -1090,6 +1194,33 @@ class TestSweep:
         assert "enrich_width" in stats[0]
         assert "enrich_width" not in stats[-1]
 
+    @pytest.mark.parametrize(
+        "solve, enrichment, solution, approximant",
+        [(amen_solve, "none", 4, 0), (amen_solve, "als", 4, 3), (dmrg_solve, "svd", 3, 0)],
+    )
+    def test_left_environments_only_where_read(
+        self, rng, monkeypatch, solve, enrichment, solution, approximant
+    ):
+        # d = 5: a one-site sweep reads left_op[4] at its last core, the ALS
+        # approximant's update stops at core 4, DMRG's last pair reads left_op[3]
+        calls = {}
+        real = SweepState.advance_left
+
+        def advance_left(self, k, A, y, x, w=None):
+            calls.setdefault(id(self), [self, w is None, 0])[2] += 1
+            return real(self, k, A, y, x, w)
+
+        monkeypatch.setattr(SweepState, "advance_left", advance_left)
+        A, y = random_spd_system(5, 3, rng)
+        config = SolverConfig(tol=1e-12, max_sweeps=3, enrichment=enrichment)
+        x, log = solve(A, y, config=config)
+        # every sweep makes its own states, so each count is one sweep's
+        sweeps = len(log.records)
+        assert sweeps > 1
+        per_state = sorted((own, count) for _, own, count in calls.values())
+        expected = [(False, approximant)] * sweeps * (approximant > 0)
+        assert per_state == expected + [(True, solution)] * sweeps
+
 
 class TestSolvers:
     @pytest.mark.parametrize("enrichment", ["svd", "chol", "als"])
@@ -1208,9 +1339,9 @@ def _enriches(solve, enrichment):
 
 
 class TestStopRule:
-    """Converged at ``rel <= tol``.  Without enrichment a run stalls once every
-    local system was solved on entry; with it, once the global residual falls
-    by less than 10% over two sweeps."""
+    """Converged at ``rel <= tol``.  A run stalls once the global residual
+    falls by less than 10% over two sweeps; without enrichment, also once
+    every local system was solved on entry."""
 
     @staticmethod
     def script(monkeypatch, residuals):
@@ -1255,12 +1386,19 @@ class TestStopRule:
         A, y = random_spd_system(3, 4, rng)
         config = SolverConfig(tol=1e-300, max_sweeps=4, enrichment=enrichment)
         x, log = solve(A, y, config=config)
-        if _enriches(solve, enrichment):
-            assert len(log.records) == (3 if stalls else 4)
-            expected = ("stalled", "residual_stagnation") if stalls else ("max_sweeps",) * 2
-            assert (log.status, log.stop_reason) == expected
-        else:
-            assert log.stop_reason != "residual_stagnation"
+        # every solver, enriching or not: no local system here is solved on entry
+        assert len(log.records) == (3 if stalls else 4)
+        expected = ("stalled", "residual_stagnation") if stalls else ("max_sweeps",) * 2
+        assert (log.status, log.stop_reason) == expected
+
+    def test_dmrg_stalls_on_a_flat_residual(self):
+        # DMRG's local criterion never fires here: it held 2.530e-9 from sweep
+        # 3 to sweep 20 when only enriching runs stalled on the residual
+        A, y = build_poisson(PoissonSpec(dimension=5, grid_points=8))
+        x, log = dmrg_solve(A, y, config=SolverConfig(tol=1e-9, max_sweeps=20))
+        rel = [r.rel_residual for r in log.records]
+        assert (log.status, log.stop_reason) == ("stalled", "residual_stagnation")
+        assert len(rel) == 4 and rel[-1] > 0.9 * rel[-3] and min(rel) > 1e-9
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol", "als"])
     def test_enrichment_helps_where_every_local_system_is_solved(
