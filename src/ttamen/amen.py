@@ -15,7 +15,6 @@ each local assembly O(1) in the dimension.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -28,6 +27,7 @@ from .tt import (
     TTVector,
     _matvec_core,
     _qr_push_right,
+    _svd_trunc,
     orthogonalize,
     tt_add,  # unused here, but bench/tracing.py wraps it by this name
     tt_matvec,
@@ -327,57 +327,45 @@ _PANEL_BYTES = 256 * 1024
 class _Workspace:
     """The step's ``L·Ac`` block, built once into a buffer that a solve reuses.
 
-    ``T(L, Ac)`` is the (a,b,i,j,Q) contraction over ``P``: the GEMM that
-    ``np.tensordot(L, Ac, axes=(1, 0))`` runs, on the same operands, so the
-    bits are the same.  ``M(L, Ac)`` is its (a i Q, b j) reordering: the
-    merged :class:`_LocalOperator` and the enrichment head take it.  Where
-    the step's ``T`` exists (the direct path's :func:`_local_matrix` asked
-    for it), ``M`` is copied from it.  Otherwise ``M`` is built straight
-    from row panels of ``L·Ac``: each panel is the GEMM of the rows of a few
-    ``a`` with the same ``Ac`` and K = P, so its bits are those of ``T``'s
-    rows, and it is copied into ``M`` before the next one is formed.  Each
-    is built at most once per step: the workspace keeps the step's ``L`` and
-    ``Ac`` and hands out what it built while it is asked for these very
-    arrays (it holds them, so the test by identity is sound).  So the
-    enrichment takes the block the local solve built.  A block is valid
-    until the workspace is asked for another one.
+    ``M(L, Ac)`` is the (a i Q, b j) reordering of ``L·Ac``, the contraction
+    over ``P``: the merged :class:`_LocalOperator` and the enrichment head
+    take it.  ``build(L, Ac, R)`` also returns the step's dense local
+    matrix (see :func:`_local_matrix`).  Both come from one loop over row
+    panels of ``L·Ac``.  Each panel is the GEMM of the rows of a few ``a``
+    with ``Ac`` and K = P, the rows ``np.tensordot(L, Ac, axes=(1, 0))``
+    gives them, so its bits are those of one GEMM.  It is copied into ``M``
+    and, on a direct step, contracted with ``R`` over ``Q`` into the direct
+    matrix (the K = Q GEMM of ``L·Ac`` and ``R``, on the panel's rows),
+    before the next panel is formed.  The workspace keeps the step's
+    ``L`` and ``Ac`` and hands out the ``M`` it built while it is asked for
+    these very arrays (it holds them, so the test by identity is sound): the
+    enrichment takes the block the local solve built, and every step forms
+    ``L·A_k`` once.  What it hands out is valid until it builds another step.
 
-    One buffer holds a direct step's ``T`` and then its ``M``, and in
-    between the direct matrix where it fits (:meth:`room`); an iterative
-    step's ``M`` and one panel of at most ``_PANEL_BYTES`` (one ``a`` where
-    a single one is larger), not ``T`` and ``M``.  Both took the traced
-    peak of a ``poisson-amen`` solve from 11.4 to 6.3 MiB.  A step's block
-    is several MB on large modes (15 x 15 x 32 x 32 x 2 on Poisson n = 32).
-    Made
-    afresh at every step, glibc hands it back to the kernel and faults it in
-    again at the next: 10.6k minor faults per ``poisson-amen`` solve, 4.8k
-    per ``poisson-dmrg`` solve.  The buffer grows when a step needs more
-    room and never shrinks; ``allocations`` counts the grows.  One buffer
-    rather than two: the old one is freed before its successor is made, and
-    glibc can hand its pages on only while nothing was allocated after it
-    (with two buffers, 3.3k faults per ``poisson-amen`` solve remain, not
-    1.3k).  ``_run_alternating`` makes one workspace per solve, so nothing
-    is kept once the solve returns.  A fresh workspace gives fresh arrays.
+    One buffer holds ``M``, one panel of at most ``_PANEL_BYTES`` (one ``a``
+    where a single one is larger) and, on a direct step, the direct matrix.
+    A step's block is several MB on large modes (15 x 15 x 32 x 32 x 2 on
+    Poisson n = 32).  Made afresh at every step, glibc hands it back to the
+    kernel and faults it in again at the next: 10.6k minor faults per
+    ``poisson-amen`` solve, 4.8k per ``poisson-dmrg`` solve.  The buffer
+    grows when a step needs more room and never shrinks; ``allocations``
+    counts the grows.  One buffer rather than several: the old one is freed
+    before its successor is made, and glibc can hand its pages on only
+    while nothing was allocated after it.  ``_run_alternating`` makes one
+    workspace per solve, so nothing is kept once the solve returns.  A
+    fresh workspace gives fresh arrays.
     """
 
     def __init__(self):
-        self._buffer = None  # T, the direct matrix, then M; or M and one panel
-        self._step = None  # the (L, Ac) that _T and _M were built from
-        self._T = self._M = None
+        self._buffer = None  # M, one panel, then the direct matrix
+        self._step = None  # the (L, Ac) that _M was built from
+        self._M = None
         self.allocations = 0
 
-    def _begin(self, L, Ac) -> int:
-        """Make ``(L, Ac)`` the current step; return the size of its block."""
-        step = self._step
-        if step is None or step[0] is not L or step[1] is not Ac:
-            self._step, self._T, self._M = (L, Ac), None, None
-        return L.shape[0] * L.shape[2] * math.prod(Ac.shape[1:])
-
     def _reserve(self, n: int, dtype) -> np.ndarray:
-        """The buffer, with room for ``n`` items; growing it drops the step's blocks."""
+        """The buffer, with room for ``n`` items."""
         buf = self._buffer
         if buf is None or buf.size < n or buf.dtype != dtype:
-            self._T = self._M = None
             # freed first, so that its successor can take its pages
             self._buffer = buf = None
             self._buffer = buf = np.empty(n, dtype)
@@ -389,76 +377,43 @@ class _Workspace:
         """How many ``a`` one panel of ``row_items`` items per ``a`` takes."""
         return max(1, min(a, _PANEL_BYTES // (row_items * itemsize)))
 
-    def T(self, L, Ac) -> np.ndarray:
-        size = self._begin(L, Ac)
-        if self._T is None:
-            a, P, b = L.shape
-            _, i, j, Q = Ac.shape
-            if self._M is not None:
-                # the step's M was built from panels where T goes: it keeps
-                # the old buffer, T takes a new one
-                self._buffer = None
-            buf = self._reserve(2 * size, np.result_type(L, Ac))
-            T = buf[:size].reshape(a * b, i * j * Q)
-            np.dot(L.transpose(0, 2, 1).reshape(a * b, P), Ac.reshape(P, i * j * Q), out=T)
-            self._T = T.reshape(a, b, i, j, Q)
-        return self._T
-
-    def room(self, n: int, dtype) -> Optional[np.ndarray]:
-        """``n`` items of the buffer after the step's ``T``, or None.
-
-        They exist only between ``T`` and ``M`` (which is copied over them)
-        and only where the buffer is large enough already; the workspace
-        never grows for them.  Every direct matrix of the Poisson workloads
-        fits, up to 480 x 480 on ``poisson-amen``, in the room the larger
-        iterative steps left; those of QTT cores do not.
-        """
-        T, buf = self._T, self._buffer
-        if T is None or self._M is not None or buf.dtype != dtype or buf.size < T.size + n:
-            return None
-        return buf[T.size : T.size + n]
-
     def M(self, L, Ac) -> np.ndarray:
-        size = self._begin(L, Ac)
-        if self._M is None:
-            a, P, b = L.shape
-            _, i, j, Q = Ac.shape
-            if self._T is not None:
-                M = self._buffer[size : 2 * size].reshape(a, i, Q, b, j)
-                np.copyto(M, self._T.transpose(0, 2, 4, 1, 3))
-            else:
-                dtype, row = np.result_type(L, Ac), b * i * j * Q
-                rows = self.panel_rows(a, row, dtype.itemsize)
-                buf = self._reserve(size + rows * row, dtype)
-                M = buf[:size].reshape(a, i, Q, b, j)
-                Lt = L.transpose(0, 2, 1).reshape(a * b, P)
-                Af = Ac.reshape(P, i * j * Q)
-                for a0 in range(0, a, rows):
-                    a1 = min(a0 + rows, a)
-                    panel = buf[size : size + (a1 - a0) * row].reshape((a1 - a0) * b, -1)
-                    np.dot(Lt[a0 * b : a1 * b], Af, out=panel)
-                    panel = panel.reshape(a1 - a0, b, i, j, Q)
-                    np.copyto(M[a0:a1], panel.transpose(0, 2, 4, 1, 3))
-            self._M = M.reshape(a * i * Q, b * j)
+        step = self._step
+        if step is None or step[0] is not L or step[1] is not Ac:
+            self.build(L, Ac)
         return self._M
+
+    def build(self, L, Ac, R=None) -> Optional[np.ndarray]:
+        """Build the step's ``M`` and, given ``R``, return its direct matrix."""
+        a, P, b = L.shape
+        _, i, j, Q = Ac.shape
+        c, d = (0, 0) if R is None else (R.shape[0], R.shape[2])  # N = 0: no matrix
+        dtype, row = np.result_type(L, Ac), b * i * j * Q
+        size, rows, N = a * row, self.panel_rows(a, row, dtype.itemsize), a * i * c
+        # until M is whole; and a grown buffer frees the old one's pages
+        self._step = self._M = None
+        buf = self._reserve(size + rows * row + N * N, dtype)
+        M = buf[:size].reshape(a, i, Q, b, j)
+        B = buf[size + rows * row : size + rows * row + N * N].reshape(c, i, a, d, j, b)
+        Lt = L.transpose(0, 2, 1).reshape(a * b, P)
+        Af = Ac.reshape(P, i * j * Q)
+        for a0 in range(0, a, rows):
+            a1 = min(a0 + rows, a)
+            panel = buf[size : size + (a1 - a0) * row].reshape((a1 - a0) * b, -1)
+            np.dot(Lt[a0 * b : a1 * b], Af, out=panel)
+            panel = panel.reshape(a1 - a0, b, i, j, Q)
+            np.copyto(M[a0:a1], panel.transpose(0, 2, 4, 1, 3))
+            if R is not None:
+                TR = np.tensordot(panel, R, axes=(4, 1))  # (a,b,i,j,c,d) of the panel
+                np.copyto(B[:, :, a0:a1], TR.transpose(4, 2, 0, 5, 3, 1))
+        self._step, self._M = (L, Ac), M.reshape(a * i * Q, b * j)
+        return None if R is None else B.reshape(N, N)
 
 
 def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarray:
-    """The dense local matrix: ``T(L, Ac)`` times ``R`` in one GEMM, reordered.
-
-    With a workspace the matrix goes into its :meth:`_Workspace.room` where
-    it fits, and is valid until the step's ``M`` is asked for; otherwise,
-    and always without a workspace, it is a fresh array.
-    """
-    T = (workspace or _Workspace()).T(L, Ac)  # (a,b,i,j,Q)
-    T = np.tensordot(T, R, axes=(4, 1))  # (a,b,i,j,c,d)
-    a, b, i, j, c, d = T.shape
-    N = a * i * c
-    B = None if workspace is None else workspace.room(N * N, T.dtype)
-    if B is None:
-        return np.ascontiguousarray(T.transpose(4, 2, 0, 5, 3, 1)).reshape(N, N)
-    np.copyto(B.reshape(c, i, a, d, j, b), T.transpose(4, 2, 0, 5, 3, 1))
-    return B.reshape(N, N)
+    """The dense local matrix ``L·Ac·R``, in ``workspace`` (see
+    :meth:`_Workspace.build`) or, without one, in an array of its own."""
+    return (workspace or _Workspace()).build(L, Ac, R)
 
 
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
@@ -606,8 +561,8 @@ def _solve_local_problem(
     solve fell back to least squares, the ``path`` taken (``direct``,
     ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``) and the local operator's
     ``products`` (0 on the direct path; the initial residual's counts).
-    The step's ``L·Ac`` block, and the direct matrix where it fits, go into
-    ``workspace`` (see :class:`_Workspace`).
+    The step's ``L·Ac`` block and the direct matrix go into ``workspace``
+    (see :class:`_Workspace`).
     """
     L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
     guess = vec_core(core)
@@ -1202,18 +1157,11 @@ def _dmrg_sweep(x, A, y, state, config, workspace):
         W, entry = _solve_local_problem(state, A, y, x, k0, 2, config, workspace)
         r0, n1, _ = x.cores[k0].shape
         _, n2, r2 = x.cores[k0 + 1].shape
-        M = W.reshape(r0 * n1, n2 * r2, order="F")
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        snorm = np.linalg.norm(s)
-        budget = config.tol * snorm / np.sqrt(max(d - 1, 1))
-        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-        keep = max(int(np.searchsorted(-tail, -budget)), 1)
-        if config.max_rank is not None:
-            keep = min(keep, config.max_rank)
-        x.cores[k0] = U[:, :keep].reshape(r0, n1, keep, order="F")
-        x.cores[k0 + 1] = (s[:keep, None] * Vt[:keep]).reshape(
-            keep, n2, r2, order="F"
-        )
+        budget = config.tol * np.linalg.norm(W) / np.sqrt(max(d - 1, 1))
+        U, s, Vt = _svd_trunc(W.reshape(r0 * n1, n2 * r2, order="F"), budget, config.max_rank)
+        keep = s.size
+        x.cores[k0] = U.reshape(r0, n1, keep, order="F")
+        x.cores[k0 + 1] = (s[:, None] * Vt).reshape(keep, n2, r2, order="F")
         if k0 < d - 2:  # the next sweep builds a new state, so none reads left_op[d-1]
             state.advance_left(k0, A, y, x)
         stats.append(entry)

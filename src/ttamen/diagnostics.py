@@ -8,6 +8,7 @@ bounds for Galerkin projection on nonsymmetric systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -341,7 +342,7 @@ class _RateRecorder:
         from .tt import _left_interface
 
         d = x.d
-        rest = int(np.prod(x.mode_sizes[k0:], dtype=np.int64))
+        rest = math.prod(x.mode_sizes[k0:])
         L = _left_interface(x.cores[:k0])
         Ak, yk, X = reduced_system(self.A, self.y, L, rest)
         t_sub = subtrain_dense(x.cores[k0:])
@@ -353,7 +354,7 @@ class _RateRecorder:
             "x_star_k": dense_oracle_solve(Ak, yk),
             "t_sub": t_sub,
             "tail": list(x.cores[k0 + 1 :]),
-            "rest_after": int(np.prod(x.mode_sizes[k0 + 1 :], dtype=np.int64)),
+            "rest_after": math.prod(x.mode_sizes[k0 + 1 :]),
         }
 
     def on_core_solved(self, k0: int, u_core: np.ndarray):

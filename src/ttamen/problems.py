@@ -19,6 +19,8 @@ from .tt import (
     tt_ones,
     tt_round,
     tt_unit,
+    ttmat_add,
+    ttmat_identity,
     ttmat_round,
 )
 
@@ -182,65 +184,20 @@ def build_time_system(
         raise ValueError("operator and initial state sizes differ")
     tau, nt = tspec.tau, tspec.n_steps
     half = 0.5 * tau if tspec.scheme == "crank_nicolson" else tau
-    eye_cores = [np.eye(n)[None, :, :, None] for n in A.row_sizes]
+    eye = ttmat_identity(A.row_sizes)
+    P = ttmat_add(eye, A, 1.0, -half)  # diagonal-in-time blocks
+    Q = ttmat_add(eye, A, 1.0, half if tspec.scheme == "crank_nicolson" else 0.0)
+    # M = P (x) I_t  -  Q (x) S_t, with the sign on the time core
+    time_eye = np.eye(nt)[None, :, :, None]
+    time_sub = np.eye(nt, k=-1)[None, :, :, None]
+    M = ttmat_add(TTMatrix(P.cores + [time_eye]), TTMatrix(Q.cores + [-time_sub]))
+    M = ttmat_round(M, round_tol)
 
-    def _shifted(scale):
-        # I + scale*A with ranks R+1 (boundary concatenation)
-        out = []
-        for k, (ec, ac) in enumerate(zip(eye_cores, A.cores)):
-            if A.d == 1:
-                out.append(ec + scale * ac)
-            elif k == 0:
-                out.append(np.concatenate([ec, scale * ac], axis=3))
-            elif k == A.d - 1:
-                out.append(np.concatenate([ec, ac], axis=0))
-            else:
-                r0, n, m, r1 = ac.shape
-                c = np.zeros((1 + r0, n, m, 1 + r1))
-                c[0, :, :, 0] = ec[0, :, :, 0]
-                c[1:, :, :, 1:] = ac
-                out.append(c)
-        return out
-
-    p_cores = _shifted(-half)  # diagonal-in-time blocks
-    q_scale = half if tspec.scheme == "crank_nicolson" else 0.0
-    q_cores = _shifted(q_scale)  # sub-diagonal blocks (I for implicit Euler)
-
-    time_eye = np.eye(nt)
-    time_sub = np.eye(nt, k=-1)
-
-    # M = P (x) I_t  -  Q (x) S_t, assembled by rank concatenation
-    cores = []
-    for k in range(A.d):
-        pc, qc = p_cores[k], q_cores[k]
-        rp0, n, m, rp1 = pc.shape
-        rq0, _, _, rq1 = qc.shape
-        if k == 0:
-            c = np.concatenate([pc, qc], axis=3)
-        else:
-            c = np.zeros((rp0 + rq0, n, m, rp1 + rq1))
-            c[:rp0, :, :, :rp1] = pc
-            c[rp0:, :, :, rp1:] = qc
-        cores.append(c)
-    rp1 = p_cores[-1].shape[3]
-    rq1 = q_cores[-1].shape[3]
-    tcore = np.zeros((rp1 + rq1, nt, nt, 1))
-    for b in range(rp1):
-        tcore[b, :, :, 0] = time_eye
-    for b in range(rq1):
-        tcore[rp1 + b, :, :, 0] = -time_sub
-    cores.append(tcore)
-    M = ttmat_round(TTMatrix(cores), round_tol)
-
-    rhs_space = tt_matvec(_q_matrix(q_cores), psi0)
+    rhs_space = tt_matvec(Q, psi0)  # Q x_0 feeds the first step
     e0 = np.zeros((rhs_space.ranks[-1], nt, 1))
     e0[:, 0, 0] = 1.0
     b = TTVector(rhs_space.cores + [e0])
     return M, tt_round(b, round_tol)
-
-
-def _q_matrix(q_cores) -> TTMatrix:
-    return TTMatrix(q_cores)
 
 
 def build_initial_state(spec: CascadeCMESpec) -> TTVector:

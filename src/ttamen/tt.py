@@ -15,6 +15,7 @@ fastest, which corresponds to Fortran-order reshapes of the core arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -107,7 +108,7 @@ class TTVector:
 
     @property
     def size(self) -> int:
-        return int(np.prod([c.shape[1] for c in self.cores], dtype=np.int64))
+        return math.prod(c.shape[1] for c in self.cores)
 
     def copy(self) -> "TTVector":
         return TTVector([c.copy() for c in self.cores])
@@ -212,7 +213,7 @@ def flat_index(mi, sizes) -> int:
 def multi_index(f: int, sizes, endianness: str = "little") -> MultiIndex:
     """Inverse of :func:`flat_index` (both sides 1-based)."""
     sizes = tuple(int(n) for n in sizes)
-    total = int(np.prod(sizes, dtype=np.int64))
+    total = math.prod(sizes)
     if not 1 <= f <= total:
         raise IndexError(f"flat index {f} out of range [1, {total}]")
     rem = f - 1
@@ -254,9 +255,7 @@ def to_dense(x, max_entries: Optional[int] = None) -> np.ndarray:
         _check_dense_cap(x.size, max_entries)
         return _left_interface(x.cores)[:, 0]
     if isinstance(x, TTMatrix):
-        nrow = int(np.prod(x.row_sizes, dtype=np.int64))
-        ncol = int(np.prod(x.col_sizes, dtype=np.int64))
-        _check_dense_cap(nrow * ncol, max_entries)
+        _check_dense_cap(math.prod(x.row_sizes) * math.prod(x.col_sizes), max_entries)
         out = np.ones((1, 1, 1))
         for core in x.cores:
             out = np.einsum("abx,xijy->iajby", out, core, optimize=True)
@@ -301,11 +300,11 @@ def interface_matrix(x: TTVector, k: int, side: str, max_entries=None) -> np.nda
     if not 1 <= k <= x.d:
         raise ValueError(f"position {k} out of range [1, {x.d}]")
     if side == "leq":
-        size = int(np.prod(x.mode_sizes[:k], dtype=np.int64)) * x.ranks[k]
+        size = math.prod(x.mode_sizes[:k]) * x.ranks[k]
         _check_dense_cap(size, max_entries)
         return _left_interface(x.cores[:k])
     if side == "gt":
-        size = int(np.prod(x.mode_sizes[k:], dtype=np.int64)) * x.ranks[k]
+        size = math.prod(x.mode_sizes[k:]) * x.ranks[k]
         _check_dense_cap(size, max_entries)
         return _right_interface(x.cores[k:])
     raise ValueError(f"side must be 'leq' or 'gt', got {side!r}")
@@ -580,14 +579,10 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
 
 def _clip_ranks(mode_sizes, ranks):
     """Clip interior ranks to the maximum feasible value at each bond."""
-    d = len(mode_sizes)
-    left = np.cumprod([1] + list(mode_sizes))
-    right = np.cumprod([1] + list(mode_sizes[::-1]))[::-1]
-    out = [1]
-    for k in range(1, d):
-        out.append(int(min(ranks[k], left[k], right[k])))
-    out.append(1)
-    return out
+    sizes = [int(n) for n in mode_sizes]  # Python integers: exact at any d
+    bonds = range(1, len(sizes))
+    inner = [min(ranks[k], math.prod(sizes[:k]), math.prod(sizes[k:])) for k in bonds]
+    return [1] + [int(r) for r in inner] + [1]
 
 
 def tt_random(mode_sizes, ranks, rng=None) -> TTVector:

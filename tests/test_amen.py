@@ -553,14 +553,14 @@ def _block_size(state, A, k0):
     return a * b * i * j * Q
 
 
-def _buffer_need(L, Ac, kind):
-    """Items the buffer needs for a step's ``T`` (with ``M`` copied after it)
-    or for its panel-built ``M``."""
-    size = math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
-    if kind == "T":
-        return 2 * size
+def _buffer_need(L, Ac, R=None):
+    """Items the buffer needs for a step's ``M`` and one panel, and with
+    ``R`` for its direct matrix after them."""
     row = L.shape[2] * math.prod(Ac.shape[1:])
-    return size + _Workspace.panel_rows(L.shape[0], row, 8) * row
+    need = (L.shape[0] + _Workspace.panel_rows(L.shape[0], row, 8)) * row
+    if R is not None:
+        need += (L.shape[0] * Ac.shape[1] * R.shape[0]) ** 2
+    return need
 
 
 def _grows(needs):
@@ -573,29 +573,18 @@ def _grows(needs):
 
 class _RecordingWorkspace(_Workspace):
     """``_Workspace`` that records its instances and the blocks it builds:
-    ``(L, Ac, kind)`` with kind ``"T"``, or ``"M"`` for an ``M`` built from
-    panels (an ``M`` copied from the step's ``T`` builds nothing)."""
+    ``(L, Ac, R)``, with ``R`` None where only ``M`` was built."""
 
     made = []
 
     def __init__(self):
         super().__init__()
         self.made.append(self)
-        self.built = []  # (L, Ac, kind) of every block built, kept alive
+        self.built = []  # (L, Ac, R) of every block built, kept alive
 
-    def T(self, L, Ac):
-        old = self._T
-        out = super().T(L, Ac)
-        if out is not old:
-            self.built.append((L, Ac, "T"))
-        return out
-
-    def M(self, L, Ac):
-        old = self._M
-        out = super().M(L, Ac)
-        if out is not old and self._T is None:
-            self.built.append((L, Ac, "M"))
-        return out
+    def build(self, L, Ac, R=None):
+        self.built.append((L, Ac, R))
+        return super().build(L, Ac, R)
 
 
 class TestWorkspace:
@@ -606,7 +595,8 @@ class TestWorkspace:
     @staticmethod
     def check_step(workspace, case, rng, direct=True):
         """Every consumer of the step's block against its reference, in the
-        order a direct step asks for them, or an iterative one (no ``T``)."""
+        order a direct step asks for them, or an iterative one (no direct
+        matrix)."""
         state, A, y, x, k0 = case
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
         if direct:
@@ -633,48 +623,40 @@ class TestWorkspace:
     @pytest.mark.parametrize("a", [1, 7])
     def test_panels_give_the_bits_of_one_gemm(self, rng, monkeypatch, a):
         # panels of 3 left indices: at a = 7 the last one takes a single index
-        P, b, i, j, Q = 5, 3, 4, 4, 6
-        monkeypatch.setattr(ttamen.amen, "_PANEL_BYTES", 3 * b * i * j * Q * 8 + 100)
-        assert _Workspace.panel_rows(a, b * i * j * Q, 8) == min(a, 3)
-        L = rng.standard_normal((a, P, b))
-        Ac = rng.standard_normal((P, i, j, Q))
+        P, i, Q = 5, 4, 6
+        monkeypatch.setattr(ttamen.amen, "_PANEL_BYTES", 3 * a * i * i * Q * 8 + 100)
+        assert _Workspace.panel_rows(a, a * i * i * Q, 8) == min(a, 3)
+        L = rng.standard_normal((a, P, a))
+        Ac = rng.standard_normal((P, i, i, Q))
+        R = rng.standard_normal((2, Q, 2))
         workspace = _Workspace()
         M = workspace.M(L, Ac)
         assert np.array_equal(M, _merged_m1_ref(L, Ac))
-        assert workspace._T is None  # no full L·Ac was formed
-        # the same bits as the M a direct step copies from its T
-        T_first = _Workspace()
-        T_first.T(L, Ac)
-        assert np.array_equal(M, T_first.M(L, Ac))
+        assert workspace._buffer.size == _buffer_need(L, Ac)  # no full L·Ac was formed
+        # the direct matrix and its step's M: the bits of one GEMM each
+        direct = _Workspace()
+        assert np.array_equal(_local_matrix(L, Ac, R, direct), _local_matrix_ref(L, Ac, R))
+        assert np.array_equal(M, direct.M(L, Ac))
+        assert direct._buffer.size == _buffer_need(L, Ac, R)
 
-    @pytest.mark.parametrize("Q, fits", [(1, True), (2, False)])
-    def test_direct_matrix_in_the_room_after_t(self, rng, Q, fits):
-        # a last core (Q = c = d = 1) has N^2 = size: its matrix fits after T
-        r, P, n = 5, 2, 6
-        L = rng.standard_normal((r, P, r))
-        Ac = rng.standard_normal((P, n, n, Q))
+    @pytest.mark.parametrize("Q", [1, 2])
+    def test_direct_after_m_keeps_m(self, rng, Q):
+        # Q = c = d = 1 is a last core; the solver asks for the direct matrix
+        # first, but a later request must not touch the M handed out before it
+        L = rng.standard_normal((7, 3, 7))
+        Ac = rng.standard_normal((3, 4, 4, Q))
         R = rng.standard_normal((Q, Q, Q))
         workspace = _Workspace()
+        M = workspace.M(L, Ac)
+        held = M.copy()
         B = _local_matrix(L, Ac, R, workspace)
         assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
-        assert np.shares_memory(B, workspace._buffer) is fits
-        assert not np.shares_memory(B, workspace.T(L, Ac))
-        fresh = _local_matrix(L, Ac, R)  # without a workspace: an array of its own
-        assert np.array_equal(fresh, B) and not np.shares_memory(fresh, B)
-        # the step's M is copied over the room once the solve is done with it
-        assert np.array_equal(workspace.M(L, Ac), _merged_m1_ref(L, Ac))
-        assert np.shares_memory(B, workspace.M(L, Ac)) is fits
-        assert workspace.allocations == 1
-
-    def test_t_after_panels_keeps_m(self, rng):
-        L = rng.standard_normal((7, 3, 5))
-        Ac = rng.standard_normal((3, 4, 4, 2))
-        workspace = _Workspace()
-        M = workspace.M(L, Ac)
-        assert np.array_equal(workspace.T(L, Ac), np.tensordot(L, Ac, axes=(1, 0)))
-        assert not np.shares_memory(M, workspace.T(L, Ac))
-        assert np.array_equal(M, _merged_m1_ref(L, Ac))
-        assert np.array_equal(workspace.M(L, Ac), M)
+        assert np.array_equal(M, held) and np.array_equal(M, _merged_m1_ref(L, Ac))
+        assert np.array_equal(workspace.M(L, Ac), held)
+        assert not np.shares_memory(B, workspace.M(L, Ac))
+        # another R on the same step gives its own matrix
+        R2 = R + 1.0
+        assert np.array_equal(_local_matrix(L, Ac, R2, workspace), _local_matrix_ref(L, Ac, R2))
 
     @pytest.mark.parametrize("case", CASES)
     def test_iterative_step_holds_m_and_one_panel(self, rng, case):
@@ -684,15 +666,16 @@ class TestWorkspace:
         self.check_step(workspace, case_, rng, direct=False)
         size = _block_size(state, A, k0)
         row = size // L.shape[0]
-        assert workspace._buffer.size == _buffer_need(L, Ac, "M")
+        assert workspace._buffer.size == _buffer_need(L, Ac)
         assert workspace._buffer.size <= size + max(row, ttamen.amen._PANEL_BYTES // 8)
         if size * 8 > 2 * ttamen.amen._PANEL_BYTES:  # more than one panel
-            assert workspace._buffer.size < 2 * size  # no room for T next to M
+            assert workspace._buffer.size < 2 * size  # not a full L·Ac next to M
         assert workspace.allocations == 1
 
     def test_alternating_shapes_through_one_workspace(self, rng):
         cases = {name: _workspace_case(name, rng) for name in self.CASES}
-        # (case, direct): a step needs room for T and M, or for M and a panel
+        # (case, direct): a step needs room for M and a panel, and a direct
+        # step also for its matrix
         order = [
             ("qtt", True),
             ("poisson", False),
@@ -708,9 +691,9 @@ class TestWorkspace:
             self.check_step(workspace, cases[name], rng, direct)
             state, A, _, _, k0 = cases[name]
             L, Ac = state.left_op[k0], A.cores[k0]
-            needs.append(_buffer_need(L, Ac, "T" if direct else "M"))
-        # Poisson's and the two-site pair's T steps each outgrow their M step
-        assert workspace.allocations == _grows(needs) == 4
+            needs.append(_buffer_need(L, Ac, state.right_op[k0] if direct else None))
+        # Poisson's direct step outgrows its M step; every step after it fits
+        assert workspace.allocations == _grows(needs) == 3
 
     def test_public_results_share_no_memory(self, rng):
         state, A, y, x, k0 = _workspace_case("poisson", rng)
@@ -720,8 +703,9 @@ class TestWorkspace:
         workspace = _Workspace()
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
         B = _local_matrix(L, Ac, R, workspace)
-        assert not np.shares_memory(B, workspace.T(L, Ac))
         assert not np.shares_memory(B, workspace.M(L, Ac))
+        fresh = _local_matrix(L, Ac, R)  # without a workspace: an array of its own
+        assert np.array_equal(fresh, B) and not np.shares_memory(fresh, workspace._buffer)
 
     def test_allocates_only_for_a_larger_block(self, monkeypatch):
         monkeypatch.setattr(_RecordingWorkspace, "made", [])
@@ -733,9 +717,10 @@ class TestWorkspace:
         (workspace,) = _RecordingWorkspace.made
         needs = [_buffer_need(*built) for built in workspace.built]
         assert workspace.allocations == _grows(needs) < len(workspace.built)
-        # both kinds of step ran: direct ones (T) and iterative ones (M)
-        assert {kind for _, _, kind in workspace.built} == {"T", "M"}
-        # the largest block is an iterative step's, held as M plus one panel
+        # both kinds of step ran: direct ones (with R) and iterative ones
+        assert {R is None for _, _, R in workspace.built} == {True, False}
+        # the largest block is an iterative step's, held as M plus one panel,
+        # less than a full L·Ac next to M
         assert workspace._buffer.size == max(needs) < max(
             2 * math.prod(L.shape[::2]) * math.prod(Ac.shape[1:])
             for L, Ac, _ in workspace.built
@@ -1235,6 +1220,14 @@ class TestSolvers:
         err = a_norm(Ad, to_dense(x) - xs) / a_norm(Ad, xs)
         assert err <= 1e-8
         assert log.status == "converged"
+
+    @pytest.mark.parametrize("d, n", [(17, 16), (64, 2)])
+    def test_default_start_past_int64_sizes(self, d, n):
+        # 16**17 and 2**64 unknowns: the random start clips its ranks exactly
+        A, y = build_poisson(PoissonSpec(dimension=d, grid_points=n))
+        x, log = amen_solve(A, y, config=SolverConfig())
+        assert log.status == "converged" and log.final_residual <= 1e-5
+        assert x.mode_sizes == (n,) * d
 
     def test_nonsymmetric_solve(self, rng):
         d, n = 3, 4

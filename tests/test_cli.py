@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ttamen.amen
+import ttamen.cli
+import ttamen.tt
 from ttamen import (
     ConvergenceLog,
     tt_io_read,
@@ -131,6 +133,24 @@ class TestRunExperiment:
         assert summary["final_residual"] == log.best.rel_residual
         assert summary["final_error"] == log.best.a_norm_error
         assert summary["ranks"] == log.best.ranks
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_dense_reference_above_the_cap_takes_the_tight_one(
+        self, tmp_path, monkeypatch, above
+    ):
+        # the dense A of d = 3, n = 4 has 4096 entries; the cap is to_dense's
+        monkeypatch.setattr(ttamen.tt, "DEFAULT_DENSE_CAP", 4096 - above)
+        tight_calls, tight = [], ttamen.cli._tight_reference_error
+
+        def counted(*args):
+            tight_calls.append(args)
+            return tight(*args)
+
+        monkeypatch.setattr(ttamen.cli, "_tight_reference_error", counted)
+        spec = ExperimentSpec(d=3, n=4, tol=1e-7, out=str(tmp_path / "run"))
+        x, log = run_experiment(spec)
+        assert log.best.a_norm_error is not None and log.best.a_norm_error < 1e-6
+        assert len(tight_calls) == above
 
     def test_custom_rejects_swapped_files(self, tmp_path, rng):
         y = tt_random([3, 3], 2, rng=rng)

@@ -143,6 +143,26 @@ class TestEvalAndDense:
             to_dense(tt_ones([2] * 10), max_entries=100)
 
 
+class TestExactSizes:
+    """Sizes are exact Python integers past int64 (2**64 entries, 16**17)."""
+
+    def test_size_then_dense_cap(self):
+        x = tt_ones([2] * 64)
+        # checked first: a wrapped size would pass the cap and exhaust memory
+        assert x.size == 2**64
+        with pytest.raises(DenseSizeError):
+            to_dense(x, max_entries=2**20)
+        with pytest.raises(DenseSizeError):
+            to_dense(x)
+
+    def test_random_ranks(self):
+        assert tt_random([16] * 17, 3).ranks == (1,) + (3,) * 16 + (1,)
+        assert tt_random([2] * 64, 5).ranks == (1, 2, 4) + (5,) * 59 + (4, 2, 1)
+
+    def test_multi_index(self):
+        assert multi_index(2**64, [2] * 64).indices == (2,) * 64
+
+
 # ----------------------------------------------------------------------
 # Interfaces and frames
 # ----------------------------------------------------------------------
