@@ -658,6 +658,19 @@ class TestWorkspace:
         R2 = R + 1.0
         assert np.array_equal(_local_matrix(L, Ac, R2, workspace), _local_matrix_ref(L, Ac, R2))
 
+    def test_later_request_keeps_m(self, rng):
+        # a rectangular left environment (a != b): M only, no direct matrix
+        L = rng.standard_normal((7, 3, 5))
+        Ac = rng.standard_normal((3, 4, 4, 2))
+        workspace = _Workspace()
+        M = workspace.M(L, Ac)
+        held = M.copy()
+        assert workspace.M(L, Ac) is M  # the same step: handed out, not rebuilt
+        assert workspace.build(L, Ac) is None
+        assert np.array_equal(M, held) and np.array_equal(M, _merged_m1_ref(L, Ac))
+        assert np.array_equal(workspace.M(L, Ac), held)
+        assert workspace.allocations == 1
+
     @pytest.mark.parametrize("case", CASES)
     def test_iterative_step_holds_m_and_one_panel(self, rng, case):
         state, A, y, x, k0 = case_ = _workspace_case(case, rng)
