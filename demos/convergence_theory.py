@@ -4,9 +4,12 @@ Three experiments, each comparing a measured quantity against the bound
 or identity that predicts it:
 
 1. Per-sweep energy-error contraction of the rank-adaptive solver equals
-   the product over cores of sqrt(1 - mu_k^2 (1 - omega_k^2)), where
-   mu_k measures how well the enriched basis captures the residual and
-   omega_k the angle introduced by the Galerkin projection.
+   phi_d^2 = sum_{k<d} omega_k^2 prod_{j<k} (1 - omega_j^2) prod_{j<=k} mu_j^2
+   (``diagnostics.phi_d``), where mu_k is the local A-norm progress factor
+   (the A-norm error of the solved core k over that of the core it
+   replaced) and omega_k the projector angle of the finalized core k (the
+   share of the remaining error, in the A-norm, that its basis cannot
+   represent).
 2. A steepest-descent iteration on an SPD system contracts the energy
    error at least as fast as the Kantorovich ratio
    (kappa - 1)/(kappa + 1) predicted from the extreme eigenvalues.

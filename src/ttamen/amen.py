@@ -930,15 +930,16 @@ def amen_sweep(
     state: SweepState,
     ens: Optional[EnrichmentState],
     config: SolverConfig,
-    recorder=None,
     workspace: Optional[_Workspace] = None,
+    recorder=None,
 ):
     """One left-to-right AMEn pass; returns (x, per-core stats).
 
     Expects ``x`` right-orthogonal from position 2 with fresh environments
     and, when ``ens`` is given, ``ens.prepare_sweep`` already called.  Each
     step's ``L·A_k`` block is built once, into ``workspace`` (a solve passes
-    its own; without one the sweep makes one for itself).
+    its own; without one the sweep makes one for itself).  A ``recorder``
+    (see ``diagnostics._RateRecorder``) is told of each step.
     """
     if workspace is None:
         workspace = _Workspace()
@@ -1014,9 +1015,14 @@ def _next_width(width: int, rel: float, prev_rel: Optional[float], kickrank: int
     return min(_WIDEN_FACTOR * width, _WIDEN_FACTOR * kickrank)
 
 
-def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
+def _run_alternating(A, y, x0, config, sweep_fn):
     """Sweep until the check stops the run; return the iterate of ``log.best``.
 
+    The package's one sweep loop: every solver runs through it, and so does
+    the dense rate check (``diagnostics.instrumented_amen_run``), whose
+    ``sweep_fn`` is :func:`amen_sweep` plus a recorder.  ``sweep_fn`` is
+    called as ``(x, A, y, state, ens, config, workspace)``; ``ens`` is the
+    run's :class:`EnrichmentState` (None for ``enrichment="none"``).
     One residual sweep over each start iterate gives both the check of the
     sweep before and the svd/chol tail factors of the sweep after.
     """
@@ -1025,7 +1031,9 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
-    ens = make_ens(rng)
+    ens = None
+    if config.enrichment != "none":
+        ens = EnrichmentState(config.enrichment, config.kickrank, rng=rng)
     workspace = _Workspace()  # for every step of this solve, dropped with it
     t0 = time.perf_counter()
     x_next = orthogonalize(x, "right", 1)
@@ -1036,7 +1044,7 @@ def _run_alternating(A, y, x0, config, make_ens, sweep_fn):
         if ens is not None:
             ens.prepare_sweep(A, y, x_next, factors, width)
         state = build_environments(A, y, x_next, symmetric)
-        x, stats = sweep_fn(x_next, A, y, state, ens, workspace)
+        x, stats = sweep_fn(x_next, A, y, state, ens, config, workspace)
         x_next = orthogonalize(x, "right", 1)
         factors, res = _residual_sweep(A, y, x_next)
         rel = res / yscale
@@ -1108,18 +1116,7 @@ def amen_solve(
     (see :func:`_next_width`); ``als`` projects onto a rank-``kickrank``
     approximant ``z`` through a :class:`SweepState` over ``(z; A, y; x)``.
     """
-    config = config or SolverConfig()
-    method = config.enrichment
-
-    def make_ens(rng):
-        if method == "none":
-            return None
-        return EnrichmentState(method, config.kickrank, rng=rng)
-
-    def sweep_fn(x, A_, y_, state, ens, workspace):
-        return amen_sweep(x, A_, y_, state, ens, config, workspace=workspace)
-
-    return _run_alternating(A, y, x0, config, make_ens, sweep_fn)
+    return _run_alternating(A, y, x0, config or SolverConfig(), amen_sweep)
 
 
 def als_solve(
@@ -1142,14 +1139,11 @@ def dmrg_solve(
     config = config or SolverConfig()
     if A.d < 2:
         return amen_solve(A, y, x0, config)
-
-    def sweep_fn(x, A_, y_, state, ens, workspace):
-        return _dmrg_sweep(x, A_, y_, state, config, workspace)
-
-    return _run_alternating(A, y, x0, config, lambda rng: None, sweep_fn)
+    return _run_alternating(A, y, x0, replace(config, enrichment="none"), _dmrg_sweep)
 
 
-def _dmrg_sweep(x, A, y, state, config, workspace):
+def _dmrg_sweep(x, A, y, state, ens, config, workspace):
+    """One left-to-right two-site pass; ``ens`` is None (DMRG does not enrich)."""
     x = x.copy()
     d = x.d
     stats = []

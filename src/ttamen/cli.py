@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amen import SolverConfig, als_solve, amen_solve, dmrg_solve, symmetrize
+from .amen import SolverConfig, amen_solve, dmrg_solve, symmetrize
 from .diagnostics import (
     dense_oracle_solve,
     run_fom_check,
@@ -61,7 +61,14 @@ EXIT_NUMERICAL = 5
 
 CSV_HEADER = ["sweep", "wall_time_s", "rel_residual", "a_norm_error", "max_rank", "local_converged"]
 
-SOLVERS = ("amen_svd", "amen_chol", "amen_als", "als", "dmrg", "amen_sym")
+# name -> (driver, enrichment); --symmetrize runs any of them on the normal equations
+SOLVERS = {
+    "amen_svd": (amen_solve, "svd"),
+    "amen_chol": (amen_solve, "chol"),
+    "amen_als": (amen_solve, "als"),
+    "als": (amen_solve, "none"),
+    "dmrg": (dmrg_solve, "none"),
+}
 PROBLEMS = ("poisson", "cme", "cme_time", "custom")
 
 class SpecError(ValueError):
@@ -97,7 +104,7 @@ class ExperimentSpec:
         if self.problem not in PROBLEMS:
             bad.append(f"problem={self.problem!r} (one of {PROBLEMS})")
         if self.solver not in SOLVERS:
-            bad.append(f"solver={self.solver!r} (one of {SOLVERS})")
+            bad.append(f"solver={self.solver!r} (one of {tuple(SOLVERS)})")
         if self.d < 1:
             bad.append(f"d={self.d} (must be >= 1)")
         if self.n < 2:
@@ -128,21 +135,15 @@ def build_problem(spec: ExperimentSpec):
     """Return (A, y) for the requested problem."""
     if spec.problem == "poisson":
         return build_poisson(PoissonSpec(dimension=spec.d, grid_points=spec.n))
-    if spec.problem == "cme":
-        cspec = CascadeCMESpec(species=spec.d, states=spec.n)
-        A = build_cme_operator(cspec)
-        y = build_initial_state(cspec)
-        if spec.qtt and _is_power_of_two(spec.n):
-            A = qtt_quantize(A, tol=1e-13)
-            y = qtt_quantize(y, tol=1e-13)
-        return A, y
-    if spec.problem == "cme_time":
+    if spec.problem in ("cme", "cme_time"):
         cspec = CascadeCMESpec(species=spec.d, states=spec.n)
         A = build_cme_operator(cspec)
         psi0 = build_initial_state(cspec)
         if spec.qtt and _is_power_of_two(spec.n):
             A = qtt_quantize(A, tol=1e-13)
             psi0 = qtt_quantize(psi0, tol=1e-13)
+        if spec.problem == "cme":
+            return A, psi0
         tspec = TimeSystemSpec(
             tau=spec.t_final / spec.n_steps, n_steps=spec.n_steps, scheme=spec.scheme
         )
@@ -167,30 +168,19 @@ def run_experiment(spec: ExperimentSpec):
     """Build, solve, attach reference error, and write all artifacts."""
     spec.validate()
     A, y = build_problem(spec)
+    driver, enrichment = SOLVERS[spec.solver]
     config = SolverConfig(
         tol=spec.tol,
         max_sweeps=spec.max_sweeps,
         kickrank=spec.kickrank,
         max_rank=spec.max_rank,
         seed=spec.seed,
-        enrichment={
-            "amen_svd": "svd",
-            "amen_chol": "chol",
-            "amen_als": "als",
-            "amen_sym": "svd",
-            "als": "none",
-            "dmrg": "none",
-        }[spec.solver],
+        enrichment=enrichment,
     )
     A_solve, y_solve = A, y
-    if spec.symmetrize or spec.solver == "amen_sym":
+    if spec.symmetrize:
         A_solve, y_solve = symmetrize(A, y, round_tol=min(spec.tol / 100, 1e-10))
-    if spec.solver == "als":
-        x, log = als_solve(A_solve, y_solve, config=config)
-    elif spec.solver == "dmrg":
-        x, log = dmrg_solve(A_solve, y_solve, config=config)
-    else:
-        x, log = amen_solve(A_solve, y_solve, config=config)
+    x, log = driver(A_solve, y_solve, config=config)
 
     err = _reference_error(spec, A, y, x)
     if err is not None and log.records:
@@ -283,22 +273,27 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="ttamen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="build and solve a TT linear system")
-    ps.add_argument("--problem", choices=PROBLEMS, default="poisson")
-    ps.add_argument("--d", type=int, default=4, help="number of modes / species")
-    ps.add_argument("--n", type=int, default=8, help="points or states per mode")
-    ps.add_argument("--solver", choices=SOLVERS, default="amen_svd")
-    ps.add_argument("--tol", type=float, default=1e-5)
-    ps.add_argument("--kickrank", type=int, default=4)
-    ps.add_argument("--max-sweeps", type=int, default=20)
-    ps.add_argument("--max-rank", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", default="experiment", help="artifact path prefix")
-    ps.add_argument("--matrix", default=None, help="TT operator file (custom)")
-    ps.add_argument("--rhs", default=None, help="TT right-hand side file (custom)")
-    ps.add_argument("--reference", choices=("dense", "tight", "none"), default="dense")
+    # a flag not given is absent from the namespace: ExperimentSpec holds the defaults
+    ps = sub.add_parser(
+        "solve",
+        help="build and solve a TT linear system",
+        argument_default=argparse.SUPPRESS,
+    )
+    ps.add_argument("--problem", choices=PROBLEMS)
+    ps.add_argument("--d", type=int, help="number of modes / species")
+    ps.add_argument("--n", type=int, help="points or states per mode")
+    ps.add_argument("--solver", choices=SOLVERS)
+    ps.add_argument("--tol", type=float)
+    ps.add_argument("--kickrank", type=int)
+    ps.add_argument("--max-sweeps", type=int)
+    ps.add_argument("--max-rank", type=int)
+    ps.add_argument("--seed", type=int)
+    ps.add_argument("--out", help="artifact path prefix")
+    ps.add_argument("--matrix", help="TT operator file (custom)")
+    ps.add_argument("--rhs", help="TT right-hand side file (custom)")
+    ps.add_argument("--reference", choices=("dense", "tight", "none"))
     ps.add_argument("--symmetrize", action="store_true")
-    ps.add_argument("--spec", default=None, help="JSON experiment file overriding flags")
+    ps.add_argument("--spec", help="JSON experiment file overriding flags")
 
     pd = sub.add_parser("diag", help="randomized convergence-theory checks")
     pd.add_argument("--check", choices=("kantorovich", "rate", "fom"), required=True)
@@ -312,23 +307,8 @@ _SPEC_KEYS = {f for f in ExperimentSpec.__dataclass_fields__}
 
 
 def _spec_from_args(args) -> list[ExperimentSpec]:
-    base = {
-        "problem": args.problem,
-        "solver": args.solver,
-        "d": args.d,
-        "n": args.n,
-        "tol": args.tol,
-        "kickrank": args.kickrank,
-        "max_sweeps": args.max_sweeps,
-        "max_rank": args.max_rank,
-        "seed": args.seed,
-        "out": args.out,
-        "matrix": args.matrix,
-        "rhs": args.rhs,
-        "reference": args.reference,
-        "symmetrize": args.symmetrize,
-    }
-    if args.spec is None:
+    base = {key: value for key, value in vars(args).items() if key in _SPEC_KEYS}
+    if "spec" not in vars(args):
         return [ExperimentSpec(**base)]
     with open(args.spec) as fh:
         data = json.load(fh)
@@ -343,7 +323,7 @@ def _spec_from_args(args) -> list[ExperimentSpec]:
         merged = dict(base)
         merged.update(entry)
         if len(entries) > 1 and "out" not in entry:
-            merged["out"] = f"{base['out']}_{i}"
+            merged["out"] = f"{base.get('out', ExperimentSpec.out)}_{i}"
         specs.append(ExperimentSpec(**merged))
     return specs
 

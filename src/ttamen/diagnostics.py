@@ -19,7 +19,6 @@ from .tt import (
     TTMatrix,
     TTVector,
     interface_matrix,
-    orthogonalize,
     to_dense,
     tt_matvec,
     tt_norm,
@@ -401,12 +400,15 @@ def instrumented_amen_run(
 ) -> RateReport:
     """Dense-instrumented sweeps measuring the per-core progress factors.
 
-    Runs the standard sweep with exact (direct) local solves on a problem
-    small enough to materialize, recording the energy after every local
-    update, the measured progress ``mu_k``, and the projector angle
-    ``omega_k`` of each finalized core.  With these definitions the measured
-    per-sweep energy ratio matches the predicted rate exactly, up to
-    round-off from the final core's direct solve.
+    The run is ``amen_solve``'s own loop (``amen._run_alternating``) with
+    exact (direct) local solves and a dense recorder attached to each
+    :func:`~ttamen.amen.amen_sweep`, on a problem small enough to
+    materialize.  It records the energy after every local update, the
+    measured progress ``mu_k`` and the projector angle ``omega_k`` of each
+    finalized core.  With these definitions the measured per-sweep energy
+    ratio matches the predicted rate exactly, up to round-off from the final
+    core's direct solve.  It stops where ``amen_solve`` with the same settings
+    stops: at a relative residual of 1e-14, on a stall or after ``sweeps``.
     """
     A_dense = to_dense(A)
     y_dense = to_dense(y)
@@ -419,25 +421,17 @@ def instrumented_amen_run(
         max_direct_size=1 << 16,
         seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    x = x0.copy() if x0 is not None else _amen._default_guess(A.col_sizes, rng)
     rec = _RateRecorder(A_dense, y_dense)
     report = RateReport(
         lambda_min=lam_min,
         lambda_max=lam_max,
         omega_bound=(lam_max - lam_min) / (lam_max + lam_min),
     )
-    for _ in range(sweeps):
-        x = orthogonalize(x, "right", 1)
-        state = _amen.build_environments(A, y, x)
-        ens = None
-        if enrichment != "none":
-            ens = _amen.EnrichmentState(enrichment, kickrank, rng=rng)
-            ens.prepare_sweep(A, y, x)
-        x, _ = _amen.amen_sweep(x, A, y, state, ens, config, recorder=rec)
+
+    def recorded_sweep(x, A, y, state, ens, config, workspace):
+        out = _amen.amen_sweep(x, A, y, state, ens, config, workspace, recorder=rec)
         j_start = rec.sweep_start_j
-        j_end = rec.j_trace[-1]
-        ratio = j_end / j_start if j_start > 0 else 0.0
+        ratio = rec.j_trace[-1] / j_start if j_start > 0 else 0.0
         # the last core's progress is absorbed by its exact solve
         phi = phi_d(np.clip(rec.mu[:-1], 0, 1), np.clip(rec.omega, 0, 1))
         report.sweeps.append(
@@ -449,8 +443,9 @@ def instrumented_amen_run(
                 "identity_gap": abs(ratio - phi**2),
             }
         )
-        if j_end <= 1e-24 * max(j_start, 1.0):
-            break
+        return out
+
+    _amen._run_alternating(A, y, x0, config, recorded_sweep)
     report.j_trace = list(rec.j_trace)
     diffs = np.diff(report.j_trace)
     scale = max(report.j_trace) if report.j_trace else 1.0

@@ -32,6 +32,7 @@ from ttamen import (
     enrich_svd,
     expand_and_orthogonalize,
     frame_matrix,
+    instrumented_amen_run,
     orthogonalize,
     pivoted_cholesky,
     qtt_quantize,
@@ -1169,6 +1170,23 @@ class TestSweep:
         amen_sweep(x, A, y, state, ens, config, recorder=Rec())
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
+
+    @pytest.mark.parametrize("enrichment", ["svd", "als"])
+    def test_rate_check_follows_the_solver(self, enrichment):
+        # the dense rate check runs the solver's own loop: the width doubling
+        # and the persistent ALS approximant reach it
+        A, _ = build_poisson(PoissonSpec(dimension=5, grid_points=4))
+        A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, 0.1)
+        y = tt_random(A.row_sizes, 3, rng=np.random.default_rng(3))
+        rep = instrumented_amen_run(A, y, sweeps=5, kickrank=1, enrichment=enrichment)
+        config = SolverConfig(
+            tol=1e-14, max_sweeps=5, kickrank=1, enrichment=enrichment,
+            max_direct_size=1 << 16, seed=0,
+        )
+        x, _ = amen_solve(A, y, config=config)
+        Ad = to_dense(A)
+        e = np.linalg.solve(Ad, to_dense(y)) - to_dense(x)
+        assert rep.j_trace[-1] == pytest.approx(e @ (Ad @ e), rel=1e-10)
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol"])
     def test_tail_factors_released_as_used(self, rng, enrichment):

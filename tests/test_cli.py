@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,12 @@ from ttamen.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ExperimentSpec,
+    SOLVERS,
     SpecError,
+    _spec_from_args,
     build_problem,
     main,
+    make_parser,
     run_experiment,
     write_log,
 )
@@ -300,6 +305,42 @@ class TestMain:
         out = tmp_path / "fom.json"
         code = main(["diag", "--check", "fom", "--trials", "50", "--out", str(out)])
         assert code == EXIT_OK
+
+
+class TestParser:
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Command line:\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("ttamen ")]
+        assert len(lines) == 3
+        for line in lines:
+            make_parser().parse_args(shlex.split(line)[1:])
+
+    def test_solve_without_flags_is_the_default_spec(self):
+        assert _spec_from_args(make_parser().parse_args(["solve"])) == [ExperimentSpec()]
+
+    def test_removed_solver_lists_the_table(self, capsys):
+        assert main(["solve", "--solver", "amen_sym"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert all(name in err for name in SOLVERS)
+
+    def test_symmetrize_runs_the_normal_equations(self, tmp_path, monkeypatch):
+        calls = []
+        real = ttamen.cli.symmetrize
+
+        def spy(A, y, **kwargs):
+            calls.append(A)
+            return real(A, y, **kwargs)
+
+        monkeypatch.setattr(ttamen.cli, "symmetrize", spy)
+        args = ["solve", "--problem", "poisson", "--d", "2", "--n", "4", "--tol", "1e-7"]
+        assert main(args + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert not calls
+        out = tmp_path / "sym"
+        assert main(args + ["--symmetrize", "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["config"]["symmetrize"] is True
 
 
 class TestDeterminism:
