@@ -25,6 +25,7 @@ from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
     TTMatrix,
     TTVector,
+    _contract,
     _matvec_core,
     _qr_push_right,
     _svd_trunc,
@@ -208,22 +209,22 @@ class SweepState:
         wc = (x if w is None else w).cores[k]
         xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
         # (a,P,b),(a,i,c),(P,i,j,Q),(b,j,d) -> (c,Q,d) via BLAS-able pairings
-        T = np.tensordot(self.left_op[k], wc, axes=(0, 0))  # (P,b,i,c)
-        T = np.tensordot(T, ac, axes=([0, 2], [0, 1]))  # (b,c,j,Q)
-        T = np.tensordot(xc, T, axes=([0, 1], [0, 2]))  # (d,c,Q)
+        T = _contract(self.left_op[k], wc, axes=(0, 0))  # (P,b,i,c)
+        T = _contract(T, ac, axes=((0, 2), (0, 1)))  # (b,c,j,Q)
+        T = _contract(xc, T, axes=((0, 1), (0, 2)))  # (d,c,Q)
         self.left_op[k + 1] = T.transpose(1, 2, 0)
-        T = np.tensordot(self.left_rhs[k], wc, axes=(0, 0))  # (p,i,c)
-        self.left_rhs[k + 1] = np.tensordot(T, yc, axes=([0, 1], [0, 1]))  # (c,q)
+        T = _contract(self.left_rhs[k], wc, axes=(0, 0))  # (p,i,c)
+        self.left_rhs[k + 1] = _contract(T, yc, axes=((0, 1), (0, 1)))  # (c,q)
 
     def advance_right(self, k: int, A: TTMatrix, y: TTVector, x: TTVector, w=None):
         """Absorb core k into the right environments; ``w`` as in :meth:`advance_left`."""
         wc = (x if w is None else w).cores[k]
         xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
-        T = np.tensordot(wc, self.right_op[k], axes=(2, 0))  # (a,i,Q,d)
-        T = np.tensordot(T, ac, axes=([1, 2], [1, 3]))  # (a,d,P,j)
-        self.right_op[k - 1] = np.tensordot(T, xc, axes=([1, 3], [2, 1]))  # (a,P,b)
-        T = np.tensordot(wc, self.right_rhs[k], axes=(2, 0))  # (a,i,q)
-        self.right_rhs[k - 1] = np.tensordot(T, yc, axes=([1, 2], [1, 2]))
+        T = _contract(wc, self.right_op[k], axes=(2, 0))  # (a,i,Q,d)
+        T = _contract(T, ac, axes=((1, 2), (1, 3)))  # (a,d,P,j)
+        self.right_op[k - 1] = _contract(T, xc, axes=((1, 3), (2, 1)))  # (a,P,b)
+        T = _contract(wc, self.right_rhs[k], axes=(2, 0))  # (a,i,q)
+        self.right_rhs[k - 1] = _contract(T, yc, axes=((1, 2), (1, 2)))
 
 
 def build_environments(
@@ -307,7 +308,7 @@ def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """
     RP, n1, m1, _ = A1.shape
     _, n2, m2, RS = A2.shape
-    T = np.tensordot(A1, A2, axes=(3, 0))  # (P,i,j,k,l,S)
+    T = _contract(A1, A2, axes=(3, 0))  # (P,i,j,k,l,S)
     T = T.transpose(0, 3, 1, 4, 2, 5)  # (P,k,i,l,j,S)
     return np.ascontiguousarray(T).reshape(RP, n1 * n2, m1 * m2, RS)
 
@@ -315,7 +316,7 @@ def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
 def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     p, n1, _ = y1.shape
     _, n2, q = y2.shape
-    T = np.tensordot(y1, y2, axes=(2, 0))  # (p,i,k,q)
+    T = _contract(y1, y2, axes=(2, 0))  # (p,i,k,q)
     return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
 
 
@@ -404,7 +405,7 @@ class _Workspace:
             panel = panel.reshape(a1 - a0, b, i, j, Q)
             np.copyto(M[a0:a1], panel.transpose(0, 2, 4, 1, 3))
             if R is not None:
-                TR = np.tensordot(panel, R, axes=(4, 1))  # (a,b,i,j,c,d) of the panel
+                TR = _contract(panel, R, axes=(4, 1))  # (a,b,i,j,c,d) of the panel
                 np.copyto(B[:, :, a0:a1], TR.transpose(4, 2, 0, 5, 3, 1))
         self._step, self._M = (L, Ac), M.reshape(a * i * Q, b * j)
         return None if R is None else B.reshape(N, N)
@@ -417,7 +418,7 @@ def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarra
 
 
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
-    t = np.tensordot(np.tensordot(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
+    t = _contract(_contract(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
     return vec_core(t)
 
 
@@ -622,7 +623,7 @@ def _residual_first_block(
     the ``M`` the local solve built is not formed again.
     """
     yc = y.cores[k0]
-    y_part = np.tensordot(state.left_rhs[k0], yc, axes=(1, 0))  # (a,i,q)
+    y_part = _contract(state.left_rhs[k0], yc, axes=(1, 0))  # (a,i,q)
     M = (workspace or _Workspace()).M(state.left_op[k0], A.cores[k0])  # (a i Q, b j)
     b, j, c = u_core.shape
     a_part = np.dot(M, u_core.reshape(b * j, c))  # (a i Q, c)
@@ -655,15 +656,15 @@ def _residual_block_product(A: TTMatrix, y: TTVector, x: TTVector, p: int, F_nex
     yc, ac, xc = y.cores[p], A.cores[p], x.cores[p]
     if not _residual_factored(ac, xc):
         block = _residual_right_block(A, y, x, p)
-        return np.tensordot(block, F_next, axes=(2, 0))
+        return _contract(block, F_next, axes=(2, 0))
     R0, n, _, R1 = ac.shape
     r0, _, r1 = xc.shape
     ry0, _, ry1 = yc.shape
     w = F_next.shape[1]
     out = np.empty((ry0 + R0 * r0, n, w))
-    out[:ry0] = np.tensordot(yc, F_next[:ry1], axes=(2, 0))
-    T = np.tensordot(xc, F_next[ry1:].reshape(R1, r1, w), axes=(2, 1))  # (b,j,Q,w)
-    T = np.tensordot(ac, T, axes=([2, 3], [1, 2]))  # (P,i,b,w)
+    out[:ry0] = _contract(yc, F_next[:ry1], axes=(2, 0))
+    T = _contract(xc, F_next[ry1:].reshape(R1, r1, w), axes=(2, 1))  # (b,j,Q,w)
+    T = _contract(ac, T, axes=((2, 3), (1, 2)))  # (P,i,b,w)
     out[ry0:].reshape(R0, r0, n, w)[...] = T.transpose(0, 2, 1, 3)
     return out
 
@@ -867,14 +868,14 @@ class EnrichmentState:
     def _update_residual_core(self, A, y, u_core, k0):
         """One ALS step for z-tilde: project the current global residual."""
         z, env = self.residual_tt, self._env
-        pos = np.tensordot(
-            np.tensordot(env.left_rhs[k0], y.cores[k0], axes=(1, 0)),
+        pos = _contract(
+            _contract(env.left_rhs[k0], y.cores[k0], axes=(1, 0)),
             env.right_rhs[k0],
             axes=(2, 1),
         )  # (g,i,h)
-        T = np.tensordot(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
-        T = np.tensordot(T, u_core, axes=([1, 3], [0, 1]))  # (g,i,Q,b)
-        neg = np.tensordot(T, env.right_op[k0], axes=([2, 3], [1, 2]))  # (g,i,h)
+        T = _contract(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
+        T = _contract(T, u_core, axes=((1, 3), (0, 1)))  # (g,i,Q,b)
+        neg = _contract(T, env.right_op[k0], axes=((2, 3), (1, 2)))  # (g,i,h)
         z_new = pos - neg
         nrm = np.linalg.norm(z_new)
         if nrm <= 1e-300:

@@ -15,6 +15,7 @@ fastest, which corresponds to Fortran-order reshapes of the core arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -450,6 +451,52 @@ def tt_add(x: TTVector, y: TTVector, alpha: float = 1.0, beta: float = 1.0) -> T
     return TTVector(cores)
 
 
+@functools.cache
+def _contract_plan(nda: int, ndb: int, axes) -> tuple:
+    """Permutations of :func:`_contract` for one ``(a.ndim, b.ndim, axes)``.
+
+    The cache holds small ints only, one entry per signature in the calling
+    code (about twenty in the package).
+    """
+    if isinstance(axes, int):
+        sum_a, sum_b = tuple(range(nda - axes, nda)), tuple(range(axes))
+    else:
+        sum_a, sum_b = (ax if isinstance(ax, tuple) else (ax,) for ax in axes)
+    if len(sum_a) != len(sum_b):
+        raise ValueError("shape-mismatch for sum")
+    planned = []
+    for nd, summed in ((nda, sum_a), (ndb, sum_b)):
+        if not all(-nd <= ax < nd for ax in summed):
+            raise ValueError(f"axes {axes} out of range for ndim {nda} and {ndb}")
+        summed = tuple(ax % nd for ax in summed)
+        if len(set(summed)) != len(summed):
+            raise ValueError("duplicate axes are not allowed in tensordot")
+        planned.append((tuple(k for k in range(nd) if k not in summed), summed))
+    (free_a, sum_a), (free_b, sum_b) = planned
+    return free_a + sum_a, sum_b + free_b, len(free_a), len(sum_b)
+
+
+def _contract(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+    """``np.tensordot(a, b, axes)`` with the permutations planned once.
+
+    The same transposes, reshapes and one ``np.dot`` as ``np.tensordot``,
+    so the operands reach the GEMM in the same layout and the result has
+    the same bits.  The permutations are computed once per
+    ``(a.ndim, b.ndim, axes)`` and hold no shapes; this skips the argument
+    handling that is most of ``np.tensordot``'s cost on small QTT cores.
+    ``axes`` is an int or a pair of ints or int tuples (hashable; no lists).
+    """
+    perm_a, perm_b, n_free_a, n_sum = _contract_plan(a.ndim, b.ndim, axes)
+    at, bt = a.transpose(perm_a), b.transpose(perm_b)
+    free_a, summed = at.shape[:n_free_a], at.shape[n_free_a:]
+    free_b = bt.shape[n_sum:]
+    if summed != bt.shape[:n_sum]:
+        raise ValueError("shape-mismatch for sum")
+    k = math.prod(summed)
+    out = np.dot(at.reshape(math.prod(free_a), k), bt.reshape(k, math.prod(free_b)))
+    return out.reshape(free_a + free_b)
+
+
 def tt_matvec(A: TTMatrix, x: TTVector) -> TTVector:
     """Exact TT representation of ``A @ x``; output ranks are products."""
     if A.col_sizes != x.mode_sizes:
@@ -463,7 +510,7 @@ def _matvec_core(Ac: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """Core ``(R0*r0, n, R1*r1)`` of ``A x`` at one position."""
     R0, n, _, R1 = Ac.shape
     r0, _, r1 = xc.shape
-    c = np.tensordot(Ac, xc, axes=(2, 1))  # (a,i,b,c,d)
+    c = _contract(Ac, xc, axes=(2, 1))  # (a,i,b,c,d)
     c = np.ascontiguousarray(c.transpose(0, 3, 1, 2, 4))
     return c.reshape(R0 * r0, n, R1 * r1)
 
@@ -474,8 +521,8 @@ def tt_dot(x: TTVector, y: TTVector) -> float:
         raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
     v = np.ones((1, 1))
     for xc, yc in zip(x.cores, y.cores):
-        T = np.tensordot(v, xc, axes=(0, 0))  # (b,i,c)
-        v = np.tensordot(T, yc, axes=([0, 1], [0, 1]))  # (c,d)
+        T = _contract(v, xc, axes=(0, 0))  # (b,i,c)
+        v = _contract(T, yc, axes=((0, 1), (0, 1)))  # (c,d)
     return float(v[0, 0])
 
 
@@ -672,7 +719,7 @@ def ttmat_matmul(A: TTMatrix, B: TTMatrix) -> TTMatrix:
     for ac, bc in zip(A.cores, B.cores):
         Ra0, n, m, Ra1 = ac.shape
         Rb0, _, p, Rb1 = bc.shape
-        c = np.tensordot(ac, bc, axes=(2, 1))  # (a,i,b,c,k,d)
+        c = _contract(ac, bc, axes=(2, 1))  # (a,i,b,c,k,d)
         c = np.ascontiguousarray(c.transpose(0, 3, 1, 4, 2, 5))
         cores.append(c.reshape(Ra0 * Rb0, n, p, Ra1 * Rb1))
     return TTMatrix(cores)

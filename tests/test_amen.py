@@ -1362,6 +1362,54 @@ def _enriches(solve, enrichment):
     return solve is amen_solve and enrichment != "none"
 
 
+class TestContractBits:
+    """Every solver keeps its bits with ``np.tensordot`` in ``_contract``'s place.
+
+    ``poisson`` takes direct steps (and the workspace's direct matrix),
+    ``poisson-iterative`` CG; ``qtt-iterative`` takes GMRES and both routes
+    of ``_residual_block_product`` (ALS from a rank-12 start reaches the
+    factored one too).
+    """
+
+    @staticmethod
+    def case(name, enrichment):
+        config = SolverConfig(tol=1e-6, max_sweeps=3, enrichment=enrichment)
+        if name == "qtt-iterative":
+            A = _qtt_cme_system()
+            y = tt_random(A.row_sizes, 2, rng=np.random.default_rng(0))
+        else:
+            A, y = build_poisson(PoissonSpec(dimension=4, grid_points=8))
+        if name != "poisson":
+            config = replace(config, max_direct_size=0)
+        return A, y, config
+
+    @pytest.mark.parametrize("name", ["poisson", "poisson-iterative", "qtt-iterative"])
+    @pytest.mark.parametrize(
+        "solve, enrichment", [s for s in ALL_SOLVERS if s != (amen_solve, "none")]
+    )
+    def test_same_bits_as_tensordot(self, monkeypatch, name, solve, enrichment):
+        A, y, config = self.case(name, enrichment)
+        x0 = None
+        if solve is als_solve:
+            x0 = tt_random(A.col_sizes, 12, rng=np.random.default_rng(1))
+
+        def run():
+            x, log = solve(A, y, x0, config)
+            return [c.tobytes() for c in x.cores], [r.rel_residual for r in log.records]
+
+        planned = run()
+        calls = []
+
+        def tensordot(a, b, axes):
+            calls.append(axes)
+            return np.tensordot(a, b, axes)
+
+        monkeypatch.setattr(ttamen.tt, "_contract", tensordot)
+        monkeypatch.setattr(ttamen.amen, "_contract", tensordot)
+        assert run() == planned
+        assert calls
+
+
 class TestStopRule:
     """Converged at ``rel <= tol``.  A run stalls once the global residual
     falls by less than 10% over two sweeps; without enrichment, also once

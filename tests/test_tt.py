@@ -33,6 +33,7 @@ from ttamen import (
     ttmat_transpose,
 )
 from ttamen.amen import vec_core
+from ttamen.tt import _contract, _contract_plan
 
 from conftest import rel_err, slow_dense_matrix, slow_dense_vector
 
@@ -490,3 +491,131 @@ class TestNorm:
             x = tt_random(sizes, int(rng.integers(1, 5)), rng=rng)
             dense = np.linalg.norm(slow_dense_vector(x))
             assert abs(tt_norm(x) - dense) <= 1e-13 * dense
+
+
+# ----------------------------------------------------------------------
+# The planned contraction that replaces np.tensordot on the hot path
+# ----------------------------------------------------------------------
+
+# every (a.ndim, b.ndim, axes) the package passes to _contract
+PACKAGE_SIGNATURES = [
+    (3, 3, (0, 0)),  # SweepState.advance_left
+    (4, 4, ((0, 2), (0, 1))),
+    (3, 4, ((0, 1), (0, 2))),
+    (2, 3, (0, 0)),  # advance_left (rhs), tt_dot
+    (3, 3, ((0, 1), (0, 1))),
+    (3, 3, (2, 0)),  # advance_right, _merge_vec_cores, the residual blocks
+    (3, 2, (2, 0)),
+    (4, 4, ((1, 2), (1, 3))),
+    (4, 3, ((1, 3), (2, 1))),
+    (3, 3, ((1, 2), (1, 2))),
+    (4, 4, (3, 0)),  # _merge_op_cores
+    (5, 3, (4, 1)),  # _Workspace.build
+    (2, 3, (1, 0)),  # _local_rhs, _residual_first_block, the ALS residual core
+    (3, 2, (2, 1)),
+    (3, 3, (2, 1)),  # _residual_block_product, factored
+    (4, 4, ((2, 3), (1, 2))),
+    (3, 4, (1, 0)),  # EnrichmentState._update_residual_core
+    (5, 3, ((1, 3), (0, 1))),
+    (4, 3, ((2, 3), (1, 2))),
+    (4, 3, (2, 1)),  # _matvec_core
+    (4, 4, (2, 1)),  # ttmat_matmul
+]
+
+
+def _summed_axes(nda, axes):
+    if isinstance(axes, int):
+        return list(range(nda - axes, nda)), list(range(axes))
+    return [list(ax) if isinstance(ax, tuple) else [ax] for ax in axes]
+
+
+def _operands(rng, nda, ndb, axes, dtype=np.float64):
+    """Random operands whose summed axes agree; every size from 1 to 4."""
+    shape_a = [int(n) for n in rng.integers(1, 5, nda)]
+    shape_b = [int(n) for n in rng.integers(1, 5, ndb)]
+    for i, j in zip(*_summed_axes(nda, axes)):
+        shape_b[j] = shape_a[i]
+    a = rng.standard_normal(shape_a) * 10
+    b = rng.standard_normal(shape_b) * 10
+    return a.astype(dtype), b.astype(dtype)
+
+
+def _assert_same(a, b, axes):
+    got, want = _contract(a, b, axes), np.tensordot(a, b, axes)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestContract:
+    """``_contract`` gives ``np.tensordot``'s shape, dtype and bytes."""
+
+    @pytest.mark.parametrize("nda, ndb, axes", PACKAGE_SIGNATURES)
+    def test_package_signatures(self, rng, nda, ndb, axes):
+        for _ in range(3):
+            _assert_same(*_operands(rng, nda, ndb, axes), axes)
+
+    @pytest.mark.parametrize(
+        "nda, ndb, axes",
+        [
+            (3, 3, 1),  # an int: the last axes of a with the first of b
+            (4, 3, 2),
+            (2, 2, 0),  # outer product
+            (3, 3, ((2,), (0,))),  # one-axis tuples
+            (3, 3, (-1, 0)),  # negative axes
+            (4, 4, ((-1, 1), (0, -2))),
+        ],
+    )
+    def test_int_tuple_and_negative_axes(self, rng, nda, ndb, axes):
+        _assert_same(*_operands(rng, nda, ndb, axes), axes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128])
+    def test_dtype(self, rng, dtype):
+        _assert_same(*_operands(rng, 4, 3, ((1, 3), (2, 1)), dtype), ((1, 3), (2, 1)))
+
+    def test_non_contiguous_operands(self, rng):
+        a = rng.standard_normal((5, 3, 4))
+        b = rng.standard_normal((4, 3, 2))
+        _assert_same(a.transpose(2, 1, 0), b, ((0, 1), (0, 1)))  # a transposed view
+        _assert_same(a[:, :, ::2], b[::2], (2, 0))  # strided slices
+        _assert_same(np.asfortranarray(a), b, (2, 0))
+        # a row slice reshaped, as _residual_block_product takes F_next
+        ry1, R1, r1, w = 3, 2, 4, 5
+        F = rng.standard_normal((ry1 + R1 * r1, w))
+        xc = rng.standard_normal((2, 3, r1))
+        _assert_same(xc, F[ry1:].reshape(R1, r1, w), (2, 1))
+        _assert_same(xc, F[ry1:].reshape(R1, r1, w).transpose(1, 0, 2), (2, 0))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, axes",
+        [
+            ((0, 2, 3), (3, 4), (2, 0)),  # a zero-size free axis
+            ((2, 3, 0), (0, 4), (2, 0)),  # a zero-size summed axis: zeros
+            ((2, 0, 3), (3, 0, 2), ((0, 2), (2, 0))),  # free zero in both
+            ((3, 2), (2, 0), (1, 0)),
+        ],
+    )
+    def test_zero_size_operand(self, rng, shape_a, shape_b, axes):
+        _assert_same(rng.standard_normal(shape_a), rng.standard_normal(shape_b), axes)
+
+    def test_plan_holds_no_shapes(self, rng):
+        axes = ((1, 3), (2, 1))
+        a, b = _operands(rng, 4, 3, axes)
+        _assert_same(a, b, axes)
+        hits = _contract_plan.cache_info().hits
+        c = rng.standard_normal((6, 2, 5, 3))
+        d = rng.standard_normal((4, 3, 2))
+        _assert_same(c, d, axes)  # same signature, other shapes
+        assert _contract_plan.cache_info().hits == hits + 1
+
+    def test_shape_mismatch_raises_as_tensordot(self, rng):
+        # the summed sizes multiply to the same K, but the axes differ
+        a, b = rng.standard_normal((5, 2, 3)), rng.standard_normal((3, 2, 4))
+        axes = ((1, 2), (0, 1))
+        with pytest.raises(ValueError):
+            np.tensordot(a, b, axes)
+        with pytest.raises(ValueError):
+            _contract(a, b, axes)
+        with pytest.raises(ValueError):
+            _contract(a, b, ((1, 1), (0, 1)))  # duplicate axes
+        with pytest.raises(ValueError):
+            _contract(a, b, ((3,), (0,)))  # out of range
