@@ -22,7 +22,6 @@ from .amen import (
     enrich_chol,
     enrich_svd,
     expand_and_orthogonalize,
-    pivoted_cholesky,
     solve_local,
     symmetrize,
 )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
@@ -28,6 +29,7 @@ from .tt import (
     _contract,
     _matvec_core,
     _qr_push_right,
+    _sum_core,
     _svd_trunc,
     orthogonalize,
     tt_add,  # unused here, but bench/tracing.py wraps it by this name
@@ -57,7 +59,6 @@ __all__ = [
     "als_solve",
     "dmrg_solve",
     "symmetrize",
-    "pivoted_cholesky",
     "vec_core",
     "unvec_core",
 ]
@@ -529,7 +530,6 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
     info = {"fallback": False, "residual_before": np.linalg.norm(r0)}
     if symmetric:
         u, code = spla.cg(loc, b, x0=guess, r0=r0, rtol=rtol, maxiter=_LOCAL_MAXITER)
-        info["cg_info"] = int(code)
         if code == 0:
             info["path"] = "cg"
             info["residual"] = np.linalg.norm(b - loc.matvec(u))
@@ -603,15 +603,8 @@ def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int):
     Block-diagonal pairing of the rhs core with the operator-times-iterate
     core; at the last position the two column blocks collapse to rank 1.
     """
-    yc = y.cores[p]
     ax = _matvec_core(A.cores[p], x.cores[p])
-    if p == x.d - 1:
-        return np.concatenate([yc, ax], axis=0)
-    ry0, n, ry1 = yc.shape
-    block = np.zeros((ry0 + ax.shape[0], n, ry1 + ax.shape[2]))
-    block[:ry0, :, :ry1] = yc
-    block[ry0:, :, ry1:] = ax
-    return block
+    return _sum_core(y.cores[p], ax, p, x.d)
 
 
 def _residual_first_block(
@@ -689,34 +682,8 @@ def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
         T = _residual_block_product(A, y, x, p, F[p + 1])
         F[p] = np.linalg.qr(T.reshape(T.shape[0], -1).T, mode="r").T
     ax = _matvec_core(A.cores[0], x.cores[0])
-    head = y.cores[0] - ax if d == 1 else np.concatenate([y.cores[0], -ax], axis=2)
+    head = _sum_core(y.cores[0], ax, 0, d, 1.0, -1.0)
     return F, float(np.linalg.norm(_unfold_first(head) @ F[1]))
-
-
-def pivoted_cholesky(G: np.ndarray, max_rank: int):
-    """Rank-truncated pivoted Cholesky of a (near) PSD Gram matrix.
-
-    Pivots on the largest remaining diagonal entry (ties -> lowest index) and
-    stops at ``max_rank`` columns or once the largest remaining pivot is at
-    most ``1e-12 * trace`` (numerical rank exhaustion, or a negative pivot).
-    Returns the factor ``L`` with ``L @ L.T ~= G`` (on the achieved width).
-    """
-    n = G.shape[0]
-    diag = np.diag(G).astype(float).copy()
-    trace0 = max(float(np.sum(np.clip(diag, 0, None))), 0.0)
-    L = np.zeros((n, min(max_rank, n)))
-    width = 0
-    for j in range(min(max_rank, n)):
-        i = int(np.argmax(diag))
-        dmax = diag[i]
-        if dmax <= 1e-12 * max(trace0, 1e-300):
-            break
-        col = G[:, i] - L[:, :j] @ L[i, :j]
-        L[:, j] = col / np.sqrt(dmax)
-        diag -= L[:, j] ** 2
-        diag[i] = 0.0
-        width += 1
-    return L[:, :width]
 
 
 def _omega(captured: float, total: float) -> float:
@@ -754,22 +721,28 @@ def enrich_svd(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
 
 
 def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
-    """Approximate dominant subspace via pivoted Cholesky of the Gram matrix.
+    """Pivoted-Cholesky subspace of the local residual, without its Gram matrix.
 
-    The Gram matrix of the local residual is ``(M F)(M F)^T`` with ``M`` the
-    first unfolding of ``head`` and ``F = tail_factor``.  ``info`` holds the
-    width taken and its ``omega`` (see :func:`_omega`).
+    The Gram matrix of the local residual is ``G = (M F)(M F)^T`` with ``M``
+    the first unfolding of ``head`` and ``F = tail_factor``.  The
+    column-pivoted QR ``(M F)^T P = Q R`` (LAPACK ``geqp3``) takes the
+    pivots of a pivoted Cholesky of ``G`` (largest remaining diagonal, ties
+    to the lowest index), and ``L[piv] = R[:width].T`` is its factor.
+    Pivots are taken up to ``kickrank`` while ``R_jj**2 > 1e-12 trace(G)``.
+    ``info`` holds the width taken and its ``omega`` (see :func:`_omega`).
     """
     MF = _unfold_first(head) @ tail_factor
-    G = MF @ MF.T
-    L = pivoted_cholesky(G, kickrank)
-    total = float(np.trace(G))
-    if L.shape[1] == 0:
+    total = float(np.sum(MF**2))  # trace(G)
+    R, piv = scipy.linalg.qr(MF.T, mode="r", pivoting=True)
+    width = min(kickrank, int(np.sum(np.diag(R) ** 2 > 1e-12 * total)))
+    if width == 0:
         return None, {"width": 0, "omega": _omega(0.0, total)}
+    L = np.empty((MF.shape[0], width))
+    L[piv] = R[:width].T
     Q, _ = np.linalg.qr(L)
     r0, n, _ = head.shape
-    Z = unvec_core(Q.ravel(order="F"), (r0, n, Q.shape[1]))
-    return Z, {"width": Q.shape[1], "omega": _omega(float(np.sum(L**2)), total)}
+    Z = unvec_core(Q.ravel(order="F"), (r0, n, width))
+    return Z, {"width": width, "omega": _omega(float(np.sum(L**2)), total)}
 
 
 # ----------------------------------------------------------------------
@@ -852,18 +825,16 @@ class EnrichmentState:
         W = np.concatenate([env.right_rhs[k0].T, env.right_op[k0].reshape(g, -1).T])
         proj = _unfold_first(head) @ W
         r0, n, _ = head.shape
-        pnorm = np.linalg.norm(proj)
         Z = None
         width = 0
-        if pnorm > 0:
+        if np.linalg.norm(proj) > 0:
             # drop numerically null directions so ranks do not grow idly
             U, s, _ = np.linalg.svd(proj, full_matrices=False)
             width = int(np.sum(s > 1e-14 * s[0]))
             if width > 0:
                 Z = unvec_core(U[:, :width].ravel(order="F"), (r0, n, width))
-        info = {"width": width, "proj_norm": float(pnorm)}
         self._update_residual_core(A, y, u_core, k0)
-        return Z, info
+        return Z, {"width": width}
 
     def _update_residual_core(self, A, y, u_core, k0):
         """One ALS step for z-tilde: project the current global residual."""

@@ -18,6 +18,7 @@ from . import amen as _amen
 from .tt import (
     TTMatrix,
     TTVector,
+    _check_dense_cap,
     interface_matrix,
     to_dense,
     tt_matvec,
@@ -267,10 +268,12 @@ def angle_quantities(A: np.ndarray, V: np.ndarray, z: np.ndarray) -> AngleReport
     return AngleReport(eps, mu, omega, realized, float(bound), applicable)
 
 
-def dense_oracle_solve(A: np.ndarray, y: np.ndarray, max_size: int = 1 << 14) -> np.ndarray:
-    """Direct reference solve with a residual check (1e-12 relative)."""
-    if A.shape[0] > max_size:
-        raise ValueError(f"system of size {A.shape[0]} exceeds the dense cap {max_size}")
+def dense_oracle_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Direct reference solve with a residual check (1e-12 relative).
+
+    ``A`` must fit the dense cap ``tt.DEFAULT_DENSE_CAP`` (``DenseSizeError``).
+    """
+    _check_dense_cap(A.size, None)
     x = np.linalg.solve(A, y)
     ynorm = np.linalg.norm(y)
     res = np.linalg.norm(y - A @ x)

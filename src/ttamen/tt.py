@@ -431,24 +431,29 @@ def tt_add(x: TTVector, y: TTVector, alpha: float = 1.0, beta: float = 1.0) -> T
     """Exact representation of ``alpha*x + beta*y``; ranks add."""
     if x.mode_sizes != y.mode_sizes:
         raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
-    d = x.d
+    pairs = enumerate(zip(x.cores, y.cores))
+    return TTVector([_sum_core(xc, yc, k, x.d, alpha, beta) for k, (xc, yc) in pairs])
+
+
+def _sum_core(xc: np.ndarray, yc: np.ndarray, k: int, d: int, alpha=1.0, beta=1.0):
+    """Core k of the exact sum ``alpha*x + beta*y`` of two d-core trains.
+
+    The rank axes are the first and the last, so vector and operator cores
+    both fit.  The scales go on the first core, which joins the two cores
+    along the right rank; the last core stacks them along the left rank,
+    and the cores between are block diagonal.
+    """
     if d == 1:
-        return TTVector([alpha * x.cores[0] + beta * y.cores[0]])
-    cores = []
-    for k in range(d):
-        xc, yc = x.cores[k], y.cores[k]
-        if k == 0:
-            c = np.concatenate([alpha * xc, beta * yc], axis=2)
-        elif k == d - 1:
-            c = np.concatenate([xc, yc], axis=0)
-        else:
-            rx0, n, rx1 = xc.shape
-            ry0, _, ry1 = yc.shape
-            c = np.zeros((rx0 + ry0, n, rx1 + ry1))
-            c[:rx0, :, :rx1] = xc
-            c[rx0:, :, rx1:] = yc
-        cores.append(c)
-    return TTVector(cores)
+        return alpha * xc + beta * yc
+    if k == 0:
+        return np.concatenate([alpha * xc, beta * yc], axis=-1)
+    if k == d - 1:
+        return np.concatenate([xc, yc], axis=0)
+    rx0, rx1 = xc.shape[0], xc.shape[-1]
+    c = np.zeros((rx0 + yc.shape[0],) + xc.shape[1:-1] + (rx1 + yc.shape[-1],))
+    c[:rx0, ..., :rx1] = xc
+    c[rx0:, ..., rx1:] = yc
+    return c
 
 
 @functools.cache
@@ -687,24 +692,8 @@ def ttmat_from_factors(factors) -> TTMatrix:
 def ttmat_add(A: TTMatrix, B: TTMatrix, alpha: float = 1.0, beta: float = 1.0) -> TTMatrix:
     if A.row_sizes != B.row_sizes or A.col_sizes != B.col_sizes:
         raise ValueError("operator shapes differ")
-    d = A.d
-    if d == 1:
-        return TTMatrix([alpha * A.cores[0] + beta * B.cores[0]])
-    cores = []
-    for k in range(d):
-        ac, bc = A.cores[k], B.cores[k]
-        if k == 0:
-            c = np.concatenate([alpha * ac, beta * bc], axis=3)
-        elif k == d - 1:
-            c = np.concatenate([ac, bc], axis=0)
-        else:
-            ra0, n, m, ra1 = ac.shape
-            rb0, _, _, rb1 = bc.shape
-            c = np.zeros((ra0 + rb0, n, m, ra1 + rb1))
-            c[:ra0, :, :, :ra1] = ac
-            c[ra0:, :, :, ra1:] = bc
-        cores.append(c)
-    return TTMatrix(cores)
+    pairs = enumerate(zip(A.cores, B.cores))
+    return TTMatrix([_sum_core(ac, bc, k, A.d, alpha, beta) for k, (ac, bc) in pairs])
 
 
 def ttmat_transpose(A: TTMatrix) -> TTMatrix:

@@ -34,7 +34,6 @@ from ttamen import (
     frame_matrix,
     instrumented_amen_run,
     orthogonalize,
-    pivoted_cholesky,
     qtt_quantize,
     solve_local,
     symmetrize,
@@ -263,6 +262,15 @@ class TestLocalSolvers:
         u, info = solve_local(B, b)
         assert info.get("fallback", False)
         assert rel_err(B @ u, b) < 1e-10
+
+    def test_non_finite_direct_solve_falls_back_to_lstsq(self):
+        # LU overflows on the subnormal pivot; lstsq drops that direction
+        B = np.diag([1.0, 1e-310])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.all(np.isfinite(np.linalg.solve(B, np.ones(2))))
+            u, info = solve_local(B, np.ones(2))
+        assert info["fallback"] is True
+        assert np.array_equal(u, [1.0, 0.0]) and info["residual"] == 1.0
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_reports_its_residual(self, rng, singular):
@@ -970,36 +978,51 @@ class TestResidualSweep:
 # Enrichment back-ends
 # ----------------------------------------------------------------------
 
-class TestGramAndCholesky:
-    def test_pivoted_cholesky_full_rank(self, rng):
-        M = rng.standard_normal((6, 6))
-        G = M @ M.T
-        L = pivoted_cholesky(G, 6)
-        assert rel_err(L @ L.T, G) < 1e-10
+def _chol_columns(MF, kickrank):
+    """enrich_chol's block for a residual whose ``M F`` is ``MF`` (F = I)."""
+    head = unvec_core(MF.ravel(order="F"), (1, MF.shape[0], MF.shape[1]))
+    Z, info = enrich_chol(head, np.eye(MF.shape[1]), kickrank)
+    return (None if Z is None else Z.reshape(MF.shape[0], -1)), info
 
-    def test_pivoted_cholesky_rank_deficient(self, rng):
-        M = rng.standard_normal((6, 2))
-        G = M @ M.T
-        L = pivoted_cholesky(G, 5)
-        assert L.shape[1] == 2
-        assert rel_err(L @ L.T, G) < 1e-10
 
-    def test_pivoted_cholesky_pivot_order(self):
-        G = np.diag([1.0, 3.0, 2.0])
-        L = pivoted_cholesky(G, 2)
-        # largest diagonal first, then the runner-up
-        assert abs(L[1, 0] - np.sqrt(3.0)) < 1e-14
-        assert abs(L[2, 1] - np.sqrt(2.0)) < 1e-14
+class TestCholeskyPivots:
+    def test_pivot_order(self):
+        # rows of squared norm 1, 3, 2: the largest first, then the runner-up
+        Z, info = _chol_columns(np.diag(np.sqrt([1.0, 3.0, 2.0])), 2)
+        assert info["width"] == 2
+        assert np.array_equal(np.abs(Z), np.eye(3)[:, [1, 2]])
 
-    def test_pivoted_cholesky_tie_break_lowest_index(self):
-        G = np.eye(3)
-        L = pivoted_cholesky(G, 1)
-        assert L[0, 0] == 1.0 and L[1, 0] == 0.0
+    def test_tie_break_lowest_index(self):
+        Z, info = _chol_columns(np.eye(3), 1)
+        assert info["width"] == 1 and np.array_equal(np.abs(Z), np.eye(3)[:, :1])
 
-    def test_pivoted_cholesky_stops_at_a_negative_pivot(self):
-        L = pivoted_cholesky(np.diag([2.0, -1.0]), 2)
-        assert L.shape == (2, 1)
-        assert abs(L[0, 0] - np.sqrt(2.0)) < 1e-14 and L[1, 0] == 0.0
+    def test_width_stops_at_the_numerical_rank(self, rng):
+        MF = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        Z, info = _chol_columns(MF, 5)
+        assert info["width"] == 2 and Z.shape == (6, 2)
+        assert info["omega"] < 1e-6
+        # the block spans the residual's columns
+        assert rel_err(Z @ (Z.T @ MF), MF) < 1e-12
+
+    def test_zero_head(self):
+        Z, info = enrich_chol(np.zeros((2, 3, 2)), np.eye(2), 3)
+        assert Z is None and info["width"] == 0 and info["omega"] == 0.0
+
+    def test_subspace_of_a_graded_residual(self):
+        # singular values 1, 1e-4, 1e-5: a Gram matrix resolves the last
+        # direction only to about eps / 1e-10 (3e-7 here); the QR of M F
+        # keeps it to about eps / 1e-5
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            U, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+            V, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+            head = unvec_core((U * [1.0, 1e-4, 1e-5]).ravel(order="F"), (2, 3, 3))
+            Z, info = enrich_chol(head, V.T, 3)
+            assert info["width"] == 3
+            Zm = Z.reshape(6, 3, order="F")
+            worst = max(worst, np.linalg.norm(U - Zm @ (Zm.T @ U), 2))
+        assert worst <= 1e-9
 
 
 class TestEnrichmentSubspaces:
@@ -1345,6 +1368,30 @@ class TestSolvers:
             SolverConfig(enrichment="bogus")
         with pytest.raises(ValueError):
             SolverConfig(kickrank=0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_sweeps=0)
+        with pytest.raises(ValueError):
+            EnrichmentState("bogus", 2)
+
+    def test_als_enrichment_on_a_zero_rhs(self):
+        # every projection of the zero residual vanishes: each core of the
+        # residual approximant is redrawn, and the run says so
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=4))
+        y = TTVector([np.zeros_like(c) for c in y.cores])
+        x, log = amen_solve(A, y, config=SolverConfig(enrichment="als", kickrank=2))
+        assert log.status == "converged" and len(log.records) == 1
+        assert log.records[0].notes == [
+            f"residual approximant core {k} degenerated; reinitialized" for k in (1, 2, 3)
+        ]
+        assert tt_norm(x) == 0.0
+
+    def test_dmrg_on_one_core_runs_amen(self):
+        A, y = build_poisson(PoissonSpec(dimension=1, grid_points=8))
+        config = SolverConfig(tol=1e-10)
+        x, log = dmrg_solve(A, y, config=config)
+        x_ref, _ = amen_solve(A, y, config=config)
+        assert log.status == "converged" and len(log.records) == 1
+        assert x.cores[0].tobytes() == x_ref.cores[0].tobytes()
 
 
 # (solver, enrichment) pairs: AMEn with each enrichment, ALS and DMRG

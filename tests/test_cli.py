@@ -13,6 +13,9 @@ import ttamen.cli
 import ttamen.tt
 from ttamen import (
     ConvergenceLog,
+    PoissonSpec,
+    TTVector,
+    build_poisson,
     tt_io_read,
     tt_io_write,
     tt_random,
@@ -191,6 +194,24 @@ class TestMain:
             ]
         )
         assert code == EXIT_OK
+
+    def test_solver_notes_reach_the_json(self, tmp_path):
+        # ALS enrichment redraws its residual approximant on a zero rhs
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=4))
+        tt_io_write(A, tmp_path / "A.tt")
+        tt_io_write(TTVector([np.zeros_like(c) for c in y.cores]), tmp_path / "y.tt")
+        code = main(
+            [
+                "solve", "--problem", "custom", "--matrix", str(tmp_path / "A.tt"),
+                "--rhs", str(tmp_path / "y.tt"), "--solver", "amen_als",
+                "--kickrank", "2", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["notes"] == [
+            f"residual approximant core {k} degenerated; reinitialized" for k in (1, 2, 3)
+        ]
 
     def test_not_converged_exit_two(self, tmp_path):
         code = main(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ttamen
 from ttamen import (
     PoissonSpec,
     angle_quantities,
@@ -154,9 +155,11 @@ class TestDenseOracle:
         x = dense_oracle_solve(A, y)
         assert rel_err(A @ x, y) < 1e-10
 
-    def test_size_cap(self, rng):
+    def test_size_cap(self, monkeypatch):
+        # the cap is to_dense's, counted in entries of A
+        monkeypatch.setattr(ttamen.tt, "DEFAULT_DENSE_CAP", 15)
         with pytest.raises(ValueError):
-            dense_oracle_solve(np.eye(4), np.ones(4), max_size=2)
+            dense_oracle_solve(np.eye(4), np.ones(4))
 
     def test_singular_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):

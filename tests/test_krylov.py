@@ -110,6 +110,20 @@ class TestEdgeCases:
         assert np.array_equal(out[0], x0) and out[1] == 0
         assert out[0] is not x0  # the guess is copied, not updated in place
 
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_gmres_breakdown(self, rng, rank):
+        # the Krylov space closes within the first cycle: a zero operator
+        # leaves a zero triangle, a rank-2 one a (near) singular one
+        n = 6
+        M = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+        b = rng.standard_normal(n)
+        kwargs = dict(rtol=1e-10, restart=6, maxiter=2)
+        x, code, rnorm = krylov.gmres(Counted(M), b, **kwargs)
+        x_ref, code_ref = spla.gmres(M, b, atol=0.0, **kwargs)
+        assert code == code_ref == 2
+        assert_same(x, x_ref)
+        assert rnorm == np.linalg.norm(b - M @ x)
+
     def test_given_r0_replaces_the_first_product(self, rng):
         M = nonsymmetric(rng, 30)
         b, x0 = rng.standard_normal(30), rng.standard_normal(30)
