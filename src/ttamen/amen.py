@@ -560,8 +560,11 @@ def _solve_local_problem(
     merged one for two sites) and its stats entry: the local residuals before
     and after, scaled by ``norm(b)``, their ratio ``mu``, whether the direct
     solve fell back to least squares, the ``path`` taken (``direct``,
-    ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``) and the local operator's
-    ``products`` (0 on the direct path; the initial residual's counts).
+    ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``), the local operator's
+    ``products`` (0 on the direct path; the initial residual's counts) and
+    ``kept_guess``: whether the iterative path kept the current core because
+    the Krylov result's residual was larger than the guess's (GMRES can break
+    down on a singular local operator and return a huge iterate).
     The step's ``L·Ac`` block and the direct matrix go into ``workspace``
     (see :class:`_Workspace`).
     """
@@ -569,6 +572,7 @@ def _solve_local_problem(
     guess = vec_core(core)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
+    kept_guess = False
     if b.size <= config.max_direct_size:
         B = _local_matrix(L, Ac, R, workspace)
         res_before = np.linalg.norm(b - B @ guess) / scale
@@ -577,6 +581,9 @@ def _solve_local_problem(
     else:
         loc = _LocalOperator(L, Ac, R, workspace)
         u, info = _solve_local_iterative(loc, b, guess, config.tol / 100, state.symmetric)
+        kept_guess = bool(info["residual"] > info["residual_before"])
+        if kept_guess:
+            u, info["residual"] = guess, info["residual_before"]
         res_before = info["residual_before"] / scale
         path, products = info["path"], loc.products
     res_after = info["residual"] / scale
@@ -589,6 +596,7 @@ def _solve_local_problem(
         "fallback": info["fallback"],
         "path": path,
         "products": products,
+        "kept_guess": kept_guess,
     }
     return unvec_core(u, core.shape), entry
 

@@ -560,7 +560,13 @@ def _split_mode_axes(n: int, base: int) -> int:
 
 
 def _split_chain(t: np.ndarray, mode_sizes: list[int]) -> list[np.ndarray]:
-    """Exactly split t of shape (r, n1, ..., nL, R) into a TT chain via QR."""
+    """Split t of shape (r, n1, ..., nL, R) into a TT chain at numerical rank.
+
+    The chain is t unchanged up to round-off.  Each unfolding is cut by
+    :func:`_svd_trunc` with a zero budget (singular values <= 1e-14 *
+    sigma_max go), the rule of ``tt_round`` at tol 0, so bond k keeps the
+    rank the data has, not the min(n^k, n^(L-k)) columns of a QR split.
+    """
     r = t.shape[0]
     R = t.shape[-1]
     cur = t.reshape(r, -1)
@@ -571,19 +577,20 @@ def _split_chain(t: np.ndarray, mode_sizes: list[int]) -> list[np.ndarray]:
             cores.append(cur.reshape(left, n, R))
             break
         cur = cur.reshape(left * n, -1)
-        Q, Rf = np.linalg.qr(cur)
-        cores.append(Q.reshape(left, n, -1))
-        left = Q.shape[1]
-        cur = Rf
+        U, s, Vt = _svd_trunc(cur, 0.0, None)
+        cores.append(U.reshape(left, n, -1))
+        left = U.shape[1]
+        cur = s[:, None] * Vt
     return cores
 
 
 def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """Split every mode of size ``base**L`` into L modes of size ``base``.
 
-    Bit order within a mode is little-endian (lowest bit first), so the
-    represented dense vector/matrix is unchanged.  If ``tol > 0`` the result
-    is compressed with :func:`tt_round` at that tolerance.
+    Bit order within a mode is little-endian (lowest bit first), and each
+    mode is split at the numerical rank of its unfoldings, so the represented
+    dense vector/matrix is unchanged up to round-off.  If ``tol > 0`` the
+    result is compressed with :func:`tt_round` at that tolerance.
     """
     if isinstance(x, TTVector):
         new_cores = []

@@ -439,9 +439,30 @@ class TestLocalProblemLayer:
         assert two.shape == (1, 16, x.cores[1].shape[2])
         assert entry1.keys() == entry2.keys()
         keys = {"k", "local_res_before", "local_res_after", "mu", "fallback"}
-        assert set(entry1) == keys | {"path", "products"}
+        assert set(entry1) == keys | {"path", "products", "kept_guess"}
         assert entry1["path"] == ("cg" if cap == 0 else "direct")
         assert (entry1["products"] > 0) == (cap == 0)
+        assert entry1["kept_guess"] is entry2["kept_guess"] is False
+
+    def test_gmres_breakdown_keeps_the_guess(self):
+        # a rank-2 operator: GMRES breaks down on a near-singular triangle
+        # and returns entries up to 4.6e15 with a residual above the guess's
+        n, rng = 6, np.random.default_rng(7)
+        M = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
+        b = rng.standard_normal(n)
+        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-10, symmetric=False)
+        assert np.abs(u).max() > 1e15 and info["residual"] > info["residual_before"]
+        # the local-problem layer keeps the guess and says so
+        A = TTMatrix([M.reshape(1, n, n, 1)])
+        y, x = TTVector([b.reshape(1, n, 1)]), TTVector([np.zeros((1, n, 1))])
+        state = build_environments(A, y, x)
+        config = SolverConfig(tol=1e-8, max_direct_size=0)  # rtol 1e-10 locally
+        core, entry = _solve_local_problem(state, A, y, x, 0, 1, config)
+        assert np.array_equal(core, x.cores[0])
+        assert entry["path"] == "gmres" and entry["kept_guess"] is True
+        assert entry["local_res_after"] == entry["local_res_before"] == 1.0
+        assert entry["mu"] == 1.0
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_krylov_stops_within_the_product_cap(self, rng, monkeypatch, symmetric):

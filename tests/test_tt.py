@@ -422,6 +422,25 @@ class TestQTT:
         with pytest.raises(ValueError):
             qtt_quantize(tt_random([6], 1, rng=rng))
 
+    def test_identity_splits_at_rank_one(self):
+        # a split that keeps every column reaches rank 1024 at the middle bond
+        q = qtt_quantize(ttmat_identity([1024]))
+        assert q.ranks == (1,) * 11
+        assert np.abs(to_dense(q) - np.eye(1024)).max() <= 1e-13
+
+    def test_time_shift_splits_at_rank_two(self):
+        # the subdiagonal time core of the Crank-Nicolson system
+        S = np.eye(256, k=-1)
+        q = qtt_quantize(TTMatrix([S[None, :, :, None]]))
+        assert q.row_sizes == (2,) * 8 and max(q.ranks) <= 2
+        assert np.linalg.norm(to_dense(q) - S) <= 1e-14 * np.linalg.norm(S)
+
+    def test_full_rank_vector_keeps_every_direction(self, rng):
+        v = rng.standard_normal(4096)
+        q = qtt_quantize(TTVector([v[None, :, None]]))
+        assert q.ranks == (1, 2, 4, 8, 16, 32, 64, 32, 16, 8, 4, 2, 1)
+        assert rel_err(to_dense(q), v) <= 1e-13
+
 
 # ----------------------------------------------------------------------
 # Structural invariants
