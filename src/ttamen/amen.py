@@ -287,9 +287,9 @@ def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
     """The local system on cores ``k0 .. k0+sites-1``: ``(L, Ac, R, b, core)``.
 
     ``L``, ``Ac`` and ``R`` make up the operator, ``b`` is the vectorized
-    right-hand side and ``core`` the current iterate (the guess).  For two
-    sites the operator, right-hand side and iterate cores are merged into
-    one core with a fused mode.
+    right-hand side (see :func:`_local_rhs`) and ``core`` the current
+    iterate (the guess).  For two sites the operator, right-hand side and
+    iterate cores are merged into one core with a fused mode.
     """
     k1 = k0 + sites - 1
     Ac, yc, core = A.cores[k0], y.cores[k0], x.cores[k0]
@@ -297,7 +297,7 @@ def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
         Ac = _merge_op_cores(Ac, A.cores[k1])
         yc = _merge_vec_cores(yc, y.cores[k1])
         core = _merge_vec_cores(core, x.cores[k1])
-    b = _local_rhs(state.left_rhs[k0], yc, state.right_rhs[k1])
+    b = vec_core(_local_rhs(state.left_rhs[k0], yc, state.right_rhs[k1]))
     return state.left_op[k0], Ac, state.right_op[k1], b, core
 
 
@@ -419,8 +419,8 @@ def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarra
 
 
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
-    t = _contract(_contract(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
-    return vec_core(t)
+    """The core ``<Ly, yc, Ry>``: ``y`` projected on a frame (a, i, c)."""
+    return _contract(_contract(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
 
 
 def solve_local(B: np.ndarray, b: np.ndarray):
@@ -811,47 +811,32 @@ class EnrichmentState:
 
     # -- per-step enrichment ----------------------------------------------
 
-    def enrich(self, state: SweepState, A, y, x, u_core, k0: int, workspace=None):
+    def enrich(self, state: SweepState, A, y, u_core, k0: int, workspace=None):
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
 
         The head takes the step's ``L·A_k`` block from ``workspace`` (see
         :func:`_residual_first_block`).  svd/chol drop the tail factor they
         used, so the list is released as the sweep goes, while the next
-        sweep's is built.
+        sweep's is built.  ALS passes :func:`enrich_svd` the residual chain's
+        tail projected on z's cores k0+1..d-1 as its tail factor ``W``, then
+        updates z's core k0; it reports only the width.
         """
         head = _residual_first_block(state, A, y, u_core, k0, workspace)
         if self.method == "als":
-            return self._enrich_als(A, y, u_core, k0, head)
+            env = self._env
+            g = env.right_rhs[k0].shape[0]
+            W = np.concatenate([env.right_rhs[k0].T, env.right_op[k0].reshape(g, -1).T])
+            Z, info = enrich_svd(head, W, self.kickrank)
+            self._update_residual_core(A, y, u_core, k0)
+            return Z, {"width": info["width"]}
         F, self._factors[k0 + 1] = self._factors[k0 + 1], None
         back_end = enrich_svd if self.method == "svd" else enrich_chol
         return back_end(head, F, self.width)
 
-    def _enrich_als(self, A, y, u_core, k0, head):
-        # the residual chain's tail, projected on z's cores k0+1..d-1
-        env = self._env
-        g = env.right_rhs[k0].shape[0]
-        W = np.concatenate([env.right_rhs[k0].T, env.right_op[k0].reshape(g, -1).T])
-        proj = _unfold_first(head) @ W
-        r0, n, _ = head.shape
-        Z = None
-        width = 0
-        if np.linalg.norm(proj) > 0:
-            # drop numerically null directions so ranks do not grow idly
-            U, s, _ = np.linalg.svd(proj, full_matrices=False)
-            width = int(np.sum(s > 1e-14 * s[0]))
-            if width > 0:
-                Z = unvec_core(U[:, :width].ravel(order="F"), (r0, n, width))
-        self._update_residual_core(A, y, u_core, k0)
-        return Z, {"width": width}
-
     def _update_residual_core(self, A, y, u_core, k0):
         """One ALS step for z-tilde: project the current global residual."""
         z, env = self.residual_tt, self._env
-        pos = _contract(
-            _contract(env.left_rhs[k0], y.cores[k0], axes=(1, 0)),
-            env.right_rhs[k0],
-            axes=(2, 1),
-        )  # (g,i,h)
+        pos = _local_rhs(env.left_rhs[k0], y.cores[k0], env.right_rhs[k0])  # (g,i,h)
         T = _contract(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
         T = _contract(T, u_core, axes=((1, 3), (0, 1)))  # (g,i,Q,b)
         neg = _contract(T, env.right_op[k0], axes=((2, 3), (1, 2)))  # (g,i,h)
@@ -919,26 +904,25 @@ def amen_sweep(
     and, when ``ens`` is given, ``ens.prepare_sweep`` already called.  Each
     step's ``L·A_k`` block is built once, into ``workspace`` (a solve passes
     its own; without one the sweep makes one for itself).  A ``recorder``
-    (see ``diagnostics._RateRecorder``) is told of each step.
+    (see ``diagnostics._RateRecorder``) is told of each step: its
+    ``on_core_start(k0, x)`` runs before core k0 is solved, and
+    ``on_core_done(k0, x, u_core)`` once the core is final, with the solved
+    core as it was before the expansion.
     """
     if workspace is None:
         workspace = _Workspace()
     x = x.copy()
     d = x.d
     stats = []
-    if recorder is not None:
-        recorder.on_sweep_start(x)
     for k0 in range(d):
         if recorder is not None:
             recorder.on_core_start(k0, x)
         u_core, entry = _solve_local_problem(state, A, y, x, k0, 1, config, workspace)
-        if recorder is not None:
-            recorder.on_core_solved(k0, u_core)
         x.cores[k0] = u_core
         if k0 < d - 1:
             Z = None
             if ens is not None:
-                Z, einfo = ens.enrich(state, A, y, x, u_core, k0, workspace)
+                Z, einfo = ens.enrich(state, A, y, u_core, k0, workspace)
                 entry["enrich_width"] = einfo.get("width", 0)
                 entry["omega_surrogate"] = einfo.get("omega")
                 if Z is not None and config.max_rank is not None:
@@ -953,7 +937,7 @@ def amen_sweep(
                 # z's update runs only below d-1, so nothing reads its last one
                 ens.advance(A, y, x, k0)
         if recorder is not None:
-            recorder.on_core_done(k0, x)
+            recorder.on_core_done(k0, x, u_core)
         stats.append(entry)
     return x, stats
 

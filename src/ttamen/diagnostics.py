@@ -334,24 +334,20 @@ class _RateRecorder:
         e = self.x_star - x_dense
         return float(e @ (self.A @ e))
 
-    def on_sweep_start(self, x: TTVector):
-        self.mu = []
-        self.omega = []
-        self.sweep_start_j = self._energy(to_dense(x))
-        self.j_trace.append(self.sweep_start_j)
-
     def on_core_start(self, k0: int, x: TTVector):
         from .tt import _left_interface
 
-        d = x.d
+        if k0 == 0:  # a new sweep
+            self.mu = []
+            self.omega = []
+            self.sweep_start_j = self._energy(to_dense(x))
+            self.j_trace.append(self.sweep_start_j)
         rest = math.prod(x.mode_sizes[k0:])
         L = _left_interface(x.cores[:k0])
         Ak, yk, X = reduced_system(self.A, self.y, L, rest)
         t_sub = subtrain_dense(x.cores[k0:])
         self._ctx = {
-            "k0": k0,
             "Ak": Ak,
-            "yk": yk,
             "X": X,
             "x_star_k": dense_oracle_solve(Ak, yk),
             "t_sub": t_sub,
@@ -359,15 +355,12 @@ class _RateRecorder:
             "rest_after": math.prod(x.mode_sizes[k0 + 1 :]),
         }
 
-    def on_core_solved(self, k0: int, u_core: np.ndarray):
-        # u-subtrain: the solved core with the tail cores as they were before
-        # the expansion rescales core k0+1 by the QR factor
-        self._ctx["u_sub"] = subtrain_dense([u_core] + self._ctx["tail"])
-
-    def on_core_done(self, k0: int, x: TTVector):
+    def on_core_done(self, k0: int, x: TTVector, u_core: np.ndarray):
         ctx = self._ctx
         Ak, xs, t_sub = ctx["Ak"], ctx["x_star_k"], ctx["t_sub"]
-        u_sub = ctx["u_sub"]
+        # u-subtrain: the solved core with the tail cores as they were before
+        # the expansion rescales core k0+1 by the QR factor
+        u_sub = subtrain_dense([u_core] + ctx["tail"])
         d = x.d
 
         def a_err(v):

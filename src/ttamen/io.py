@@ -24,24 +24,18 @@ class TTFormatError(ValueError):
 
 
 def _manifest(obj) -> dict:
-    if isinstance(obj, TTVector):
-        return {
-            "type": "ttvector",
-            "mode_sizes": list(obj.mode_sizes),
-            "ranks": list(obj.ranks),
-            "dtype": "f64le",
-            "core_order": "left_rank_fastest",
-        }
+    if not isinstance(obj, (TTVector, TTMatrix)):
+        raise TypeError(f"expected TTVector or TTMatrix, got {type(obj)}")
+    manifest = {
+        "type": "ttvector" if isinstance(obj, TTVector) else "ttmatrix",
+        "mode_sizes": [c.shape[1] for c in obj.cores],  # an operator's rows
+        "ranks": list(obj.ranks),
+        "dtype": "f64le",
+        "core_order": "left_rank_fastest",
+    }
     if isinstance(obj, TTMatrix):
-        return {
-            "type": "ttmatrix",
-            "mode_sizes": list(obj.row_sizes),
-            "col_sizes": list(obj.col_sizes),
-            "ranks": list(obj.ranks),
-            "dtype": "f64le",
-            "core_order": "left_rank_fastest",
-        }
-    raise TypeError(f"expected TTVector or TTMatrix, got {type(obj)}")
+        manifest["col_sizes"] = list(obj.col_sizes)
+    return manifest
 
 
 def tt_io_write(obj, path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,34 +64,31 @@ class DenseSizeError(ValueError):
     """Raised when a dense materialization would exceed the configured cap."""
 
 
-def _as_core(a) -> np.ndarray:
-    core = np.asarray(a, dtype=np.float64)
-    return core
+class _Train:
+    """A chain of cores whose first and last axes are the ranks.
 
-
-class TTVector:
-    """A vector of length ``prod(mode_sizes)`` stored as a chain of cores.
-
-    Parameters
-    ----------
-    cores : sequence of ndarray
-        Core ``k`` has shape ``(r[k-1], n[k], r[k])``; ``r[0] = r[d] = 1``.
+    Core ``k`` has shape ``(r[k-1], ..., r[k])`` with ``r[0] = r[d] = 1``;
+    a subclass fixes the core order and names its size properties.
     """
 
+    _order = 0
+    _kind = ""
+    _size_names: tuple[str, ...] = ()
+
     def __init__(self, cores: Sequence[np.ndarray]):
-        cores = [_as_core(c) for c in cores]
+        cores = [np.asarray(c, dtype=np.float64) for c in cores]
         if not cores:
-            raise ValueError("a TT vector needs at least one core")
+            raise ValueError(f"a {self._kind} needs at least one core")
         for k, c in enumerate(cores):
-            if c.ndim != 3:
-                raise ValueError(f"core {k} is not order-3 (shape {c.shape})")
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
+            if c.ndim != self._order:
+                raise ValueError(f"core {k} is not order-{self._order} (shape {c.shape})")
+        if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must be 1")
         for k in range(len(cores) - 1):
-            if cores[k].shape[2] != cores[k + 1].shape[0]:
+            if cores[k].shape[-1] != cores[k + 1].shape[0]:
                 raise ValueError(
                     f"rank mismatch between cores {k} and {k + 1}: "
-                    f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
+                    f"{cores[k].shape[-1]} vs {cores[k + 1].shape[0]}"
                 )
         self.cores = cores
 
@@ -100,47 +97,45 @@ class TTVector:
         return len(self.cores)
 
     @property
-    def mode_sizes(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
+    def ranks(self) -> tuple[int, ...]:
+        return (1,) + tuple(c.shape[-1] for c in self.cores)
+
+    def copy(self):
+        return type(self)([c.copy() for c in self.cores])
+
+    def __repr__(self):
+        sizes = "".join(f"{name}={getattr(self, name)}, " for name in self._size_names)
+        return f"{type(self).__name__}(d={self.d}, {sizes}ranks={self.ranks})"
+
+
+class TTVector(_Train):
+    """A vector of length ``prod(mode_sizes)`` stored as a chain of cores.
+
+    Parameters
+    ----------
+    cores : sequence of ndarray
+        Core ``k`` has shape ``(r[k-1], n[k], r[k])``; ``r[0] = r[d] = 1``.
+    """
+
+    _order, _kind, _size_names = 3, "TT vector", ("mode_sizes",)
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[2] for c in self.cores)
+    def mode_sizes(self) -> tuple[int, ...]:
+        return tuple(c.shape[1] for c in self.cores)
 
     @property
     def size(self) -> int:
         return math.prod(c.shape[1] for c in self.cores)
 
-    def copy(self) -> "TTVector":
-        return TTVector([c.copy() for c in self.cores])
 
-    def __repr__(self):
-        return (
-            f"TTVector(d={self.d}, mode_sizes={self.mode_sizes}, "
-            f"ranks={self.ranks})"
-        )
+class TTMatrix(_Train):
+    """A Kronecker-structured operator stored as a chain of order-4 cores.
 
+    Core ``k`` has shape ``(R[k-1], n[k], m[k], R[k])``: a TT train with two
+    physical indices per core.
+    """
 
-class TTMatrix:
-    """A Kronecker-structured operator stored as a chain of order-4 cores."""
-
-    def __init__(self, cores: Sequence[np.ndarray]):
-        cores = [_as_core(c) for c in cores]
-        if not cores:
-            raise ValueError("a TT matrix needs at least one core")
-        for k, c in enumerate(cores):
-            if c.ndim != 4:
-                raise ValueError(f"core {k} is not order-4 (shape {c.shape})")
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise ValueError("boundary ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[3] != cores[k + 1].shape[0]:
-                raise ValueError(f"rank mismatch between cores {k} and {k + 1}")
-        self.cores = cores
-
-    @property
-    def d(self) -> int:
-        return len(self.cores)
+    _order, _kind, _size_names = 4, "TT matrix", ("row_sizes", "col_sizes")
 
     @property
     def row_sizes(self) -> tuple[int, ...]:
@@ -149,19 +144,6 @@ class TTMatrix:
     @property
     def col_sizes(self) -> tuple[int, ...]:
         return tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[3] for c in self.cores)
-
-    def copy(self) -> "TTMatrix":
-        return TTMatrix([c.copy() for c in self.cores])
-
-    def __repr__(self):
-        return (
-            f"TTMatrix(d={self.d}, row_sizes={self.row_sizes}, "
-            f"col_sizes={self.col_sizes}, ranks={self.ranks})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -587,49 +569,35 @@ def _split_chain(t: np.ndarray, mode_sizes: list[int]) -> list[np.ndarray]:
 def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """Split every mode of size ``base**L`` into L modes of size ``base``.
 
-    Bit order within a mode is little-endian (lowest bit first), and each
-    mode is split at the numerical rank of its unfoldings, so the represented
-    dense vector/matrix is unchanged up to round-off.  If ``tol > 0`` the
-    result is compressed with :func:`tt_round` at that tolerance.
+    Bit order within a mode is little-endian (lowest bit first); an
+    operator's modes must be square, and bit j of its row index is paired
+    with bit j of its column index in one core.  Each mode is split at the
+    numerical rank of its unfoldings, so the represented dense vector/matrix
+    is unchanged up to round-off.  If ``tol > 0`` the result is compressed
+    with :func:`tt_round` at that tolerance.
     """
-    if isinstance(x, TTVector):
-        new_cores = []
-        for core in x.cores:
-            r, n, R = core.shape
-            L = _split_mode_axes(n, base)
-            if L == 1:
-                new_cores.append(core.copy())
-                continue
-            t = core.reshape((r,) + (base,) * L + (R,))
-            # numpy puts the lowest bit in the last split axis; reverse them
-            t = t.transpose((0,) + tuple(range(L, 0, -1)) + (L + 1,))
-            new_cores.extend(_split_chain(t, [base] * L))
-        out = TTVector(new_cores)
-        return tt_round(out, tol) if tol > 0 else out
-    if isinstance(x, TTMatrix):
-        new_cores = []
-        for core in x.cores:
-            R0, n, m, R1 = core.shape
-            L = _split_mode_axes(n, base)
-            if m != n:
-                raise ValueError("matrix quantization requires square mode sizes")
-            if L == 1:
-                new_cores.append(core.copy())
-                continue
-            t = core.reshape((R0,) + (base,) * L + (base,) * L + (R1,))
-            row_axes = tuple(range(L, 0, -1))
-            col_axes = tuple(range(2 * L, L, -1))
-            # pair bit j of the row index with bit j of the column index
-            paired = ()
-            for a, b in zip(row_axes, col_axes):
-                paired += (a, b)
-            t = t.transpose((0,) + paired + (2 * L + 1,))
-            t = t.reshape((R0,) + (base * base,) * L + (R1,))
-            chain = _split_chain(t, [base * base] * L)
-            new_cores.extend(c.reshape(c.shape[0], base, base, c.shape[2]) for c in chain)
-        out = TTMatrix(new_cores)
-        return ttmat_round(out, tol) if tol > 0 else out
-    raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
+    if not isinstance(x, (TTVector, TTMatrix)):
+        raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
+    new_cores = []
+    for core in x.cores:
+        r0, *phys, r1 = core.shape
+        L, p = _split_mode_axes(phys[0], base), len(phys)
+        if phys.count(phys[0]) != p:
+            raise ValueError("matrix quantization requires square mode sizes")
+        if L <= 1:  # a mode of size 1 or base stays as it is
+            new_cores.append(core.copy())
+            continue
+        t = core.reshape((r0,) + (base,) * (L * p) + (r1,))
+        # numpy puts an index's lowest bit in its last split axis: take the
+        # bits lowest first, each row bit followed by its column bit
+        bits = [1 + axis * L + L - 1 - j for j in range(L) for axis in range(p)]
+        t = t.transpose([0] + bits + [L * p + 1]).reshape((r0,) + (base**p,) * L + (r1,))
+        chain = _split_chain(t, [base**p] * L)
+        new_cores.extend(c.reshape((c.shape[0],) + (base,) * p + (c.shape[2],)) for c in chain)
+    out = type(x)(new_cores)
+    if tol <= 0:
+        return out
+    return tt_round(out, tol) if isinstance(out, TTVector) else ttmat_round(out, tol)
 
 
 # ----------------------------------------------------------------------

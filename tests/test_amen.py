@@ -1194,16 +1194,10 @@ class TestSweep:
         energies = []
 
         class Rec:
-            def on_sweep_start(self, x):
-                pass
-
             def on_core_start(self, k0, x):
                 pass
 
-            def on_core_solved(self, k0, u_core):
-                pass
-
-            def on_core_done(self, k0, xc):
+            def on_core_done(self, k0, xc, u_core):
                 e = xs - to_dense(xc)
                 energies.append(e @ (Ad @ e))
 

@@ -52,11 +52,19 @@ class TestSpecValidation:
         ExperimentSpec().validate()
 
     def test_messages_list_offending_fields(self):
-        spec = ExperimentSpec(problem="heat", solver="cg", d=0, tol=2.0)
+        spec = ExperimentSpec(
+            problem="heat", solver="cg", d=0, n=1, tol=2.0, kickrank=0,
+            max_sweeps=0, max_rank=0, reference="exact", n_steps=0,
+            t_final=0.0, scheme="leapfrog",
+        )
         with pytest.raises(SpecError) as exc:
             spec.validate()
         msg = str(exc.value)
-        for frag in ("problem=", "solver=", "d=0", "tol=2.0"):
+        for frag in (
+            "problem=", "solver=", "d=0", "n=1", "tol=2.0", "kickrank=0",
+            "max_sweeps=0", "max_rank=0", "reference='exact'", "n_steps=0",
+            "t_final=0.0", "scheme='leapfrog'",
+        ):
             assert frag in msg
 
     def test_custom_requires_files(self):

@@ -150,6 +150,25 @@ class TestValidation:
         with pytest.raises(TTFormatError):
             tt_io_read(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("col_sizes"), "missing field 'col_sizes'"),
+            (lambda m: m.update(col_sizes=[3]), "col_sizes length"),
+            (lambda m: m.update(core_order="right_rank_fastest"), "unsupported core order"),
+        ],
+        ids=["no_col_sizes", "col_sizes_length", "core_order"],
+    )
+    def test_bad_matrix_manifest(self, rng, tmp_path, edit, message):
+        path = tmp_path / "A.tt"
+        tt_io_write(ttmat_random([2, 3], [3, 2], 2, rng=rng), path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(TTFormatError, match=message):
+            tt_io_read(path)
+
     def test_write_rejects_non_tt(self, tmp_path):
         with pytest.raises(TypeError):
             tt_io_write(np.ones(3), tmp_path / "x.tt")

@@ -157,6 +157,34 @@ class TestCME:
         assert np.count_nonzero(dense) == 1
         assert abs(tt_norm(psi0) - 1.0) < 1e-14
 
+    def test_one_species(self):
+        # d = 1: one core, no coupling; its sub-generator is nonsingular
+        spec = CascadeCMESpec(species=1, states=4)
+        A = build_cme_operator(spec)
+        assert A.ranks == (1, 1)
+        assert rel_err(to_dense(A), dense_cme_generator(spec)) < 1e-13
+        psi0 = build_initial_state(spec)
+        x, log = amen_solve(A, psi0, config=SolverConfig(tol=1e-12))
+        assert log.status == "converged" and len(log.records) == 1
+        ref = np.linalg.solve(to_dense(A), to_dense(psi0))
+        assert rel_err(to_dense(x), ref) < 1e-12
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("species", 0),
+            ("states", 1),
+            ("alpha0", 0.0),
+            ("delta", -0.07),
+            ("beta", 0.0),
+            ("gamma", -5.0),
+        ],
+    )
+    def test_spec_validation(self, field, value):
+        kwargs = {"species": 2, field: value}
+        with pytest.raises(ValueError, match=field):
+            CascadeCMESpec(**kwargs)
+
     def test_qtt_wrapped_same_operator(self):
         spec = CascadeCMESpec(species=2, states=8)
         A = build_cme_operator(spec)

@@ -422,6 +422,23 @@ class TestQTT:
         with pytest.raises(ValueError):
             qtt_quantize(tt_random([6], 1, rng=rng))
 
+    def test_size_one_mode_kept(self, rng):
+        # a size-1 mode between ranks 2 carries a 2 x 2 factor of the vector
+        x = tt_random([4, 1, 4], 2, rng=rng)
+        q = qtt_quantize(x)
+        assert q.mode_sizes == (2, 2, 1, 2, 2)
+        assert rel_err(to_dense(q), to_dense(x)) < 1e-13
+        A = ttmat_random([1, 4], [1, 4], 2, rng=rng)
+        assert rel_err(to_dense(qtt_quantize(A)), to_dense(A)) < 1e-13
+
+    def test_non_square_operator_mode_rejected(self, rng):
+        with pytest.raises(ValueError, match="square mode sizes"):
+            qtt_quantize(ttmat_random([4], [8], 1, rng=rng))
+
+    def test_non_train_rejected(self):
+        with pytest.raises(TypeError):
+            qtt_quantize(np.ones(4))
+
     def test_identity_splits_at_rank_one(self):
         # a split that keeps every column reaches rank 1024 at the middle bond
         q = qtt_quantize(ttmat_identity([1024]))
@@ -446,7 +463,37 @@ class TestQTT:
 # Structural invariants
 # ----------------------------------------------------------------------
 
+def _ones_cores(modes, *ranks):
+    """Cores of ones with physical axes ``modes`` between consecutive ``ranks``."""
+    return [np.ones((r0,) + modes + (r1,)) for r0, r1 in zip(ranks, ranks[1:])]
+
+
 class TestStructure:
+    @pytest.mark.parametrize(
+        "cls, modes", [(TTVector, (3,)), (TTMatrix, (3, 2))], ids=["vector", "matrix"]
+    )
+    @pytest.mark.parametrize(
+        "cores, message",
+        [
+            (lambda modes: [], "a TT {kind} needs at least one core"),
+            (
+                lambda modes: _ones_cores(modes, 1, 1) + [np.ones((1, 1))],
+                "core 1 is not order-{order}",
+            ),
+            (lambda modes: _ones_cores(modes, 2, 1), "boundary ranks must be 1"),
+            (
+                lambda modes: _ones_cores(modes, 1, 2) + _ones_cores(modes, 3, 1),
+                "rank mismatch between cores 0 and 1: 2 vs 3",
+            ),
+        ],
+        ids=["no_cores", "core_order", "boundary_rank", "neighbour_ranks"],
+    )
+    def test_constructor_rejects(self, cls, modes, cores, message):
+        kind = "vector" if cls is TTVector else "matrix"
+        message = message.format(kind=kind, order=len(modes) + 2)
+        with pytest.raises(ValueError, match=message):
+            cls(cores(modes))
+
     def test_boundary_rank_enforced(self, rng):
         with pytest.raises(ValueError):
             TTVector([rng.standard_normal((2, 3, 1))])
