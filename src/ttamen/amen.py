@@ -103,6 +103,8 @@ class SolverConfig:
             raise ValueError("max_sweeps must be >= 1")
         if self.kickrank < 1:
             raise ValueError("kickrank must be >= 1")
+        if self.max_rank is not None and self.max_rank < 1:
+            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
         if self.enrichment not in ("svd", "chol", "als", "none"):
             raise ValueError(f"unknown enrichment {self.enrichment!r}")
 
@@ -760,16 +762,14 @@ def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
 class EnrichmentState:
     """Per-sweep caches for the residual-enrichment back-ends.
 
-    For the SVD and Cholesky methods this holds the tail factors ``F`` of the
-    residual chain of the sweep's start iterate (see :func:`_residual_sweep`),
-    each dropped once its step has used it, and the sweep's enrichment
-    ``width``; for the ALS method it holds the persistent rank-``kickrank``
+    Every method keeps one tail factor per core, each dropped once its step
+    has used it, and the sweep's enrichment ``width``.  svd/chol take the
+    factors ``F`` of the residual chain of the sweep's start iterate (see
+    :func:`_residual_sweep`).  ALS holds the persistent rank-``kickrank``
     residual approximant ``z`` and one :class:`SweepState` over
-    ``(z; A, y; x)``: the projections ``<z, A x>`` and ``<z, y>`` that its
-    one-core-per-step update and its enrichment block need, built by the
-    same contractions as the solution's own environments.  The
-    approximant's rank is fixed, so ALS enrichment never takes a block wider
-    than ``kickrank``.
+    ``(z; A, y; x)``, built by the same contractions as the solution's own
+    environments; its tails ``W`` are the residual chain projected on z's
+    right cores, so none has more than ``kickrank`` columns.
     """
 
     def __init__(self, method: str, kickrank: int, rng=None):
@@ -781,7 +781,7 @@ class EnrichmentState:
         self.rng = np.random.default_rng(rng)
         self.residual_tt: Optional[TTVector] = None
         self.notices: list[str] = []
-        self._factors: list = []
+        self._tails: list = []
         self._env: Optional[SweepState] = None
 
     # -- sweep preparation -------------------------------------------------
@@ -793,21 +793,25 @@ class EnrichmentState:
 
         ``factors`` are the tail factors ``_residual_sweep(A, y, x)`` returned
         for this ``x``; svd/chol run that sweep here when they are not given.
-        ``width`` is the sweep's svd/chol enrichment width (``kickrank`` when
-        not given).  ALS ignores both; it right-orthogonalizes and normalizes
-        ``z`` and builds the right environments of ``(z; A, y; x)``.
+        ``width`` is the sweep's enrichment width (``kickrank`` when not
+        given).  ALS ignores ``factors``; it right-orthogonalizes and
+        normalizes ``z``, builds the right environments of ``(z; A, y; x)``
+        and stacks its tail ``W = [right_rhs; right_op]`` for each core.
         """
+        self.width = self.kickrank if width is None else width
         if self.method in ("svd", "chol"):
-            self._factors = _residual_sweep(A, y, x)[0] if factors is None else factors
-            self.width = self.kickrank if width is None else width
+            self._tails = _residual_sweep(A, y, x)[0] if factors is None else factors
             return
         z = self.residual_tt
         if z is None or z.mode_sizes != y.mode_sizes:
             z = tt_random(y.mode_sizes, self.kickrank, rng=self.rng)
         self.residual_tt = z = _unit_right_orthogonal(z)
-        self._env = SweepState(x.d, False)
+        self._env = env = SweepState(x.d, False)
+        self._tails = [None] * x.d
         for p in range(x.d - 1, 0, -1):
-            self._env.advance_right(p, A, y, x, z)
+            env.advance_right(p, A, y, x, z)
+            rhs, op = env.right_rhs[p - 1], env.right_op[p - 1]
+            self._tails[p] = np.concatenate([rhs.T, op.reshape(len(rhs), -1).T])
 
     # -- per-step enrichment ----------------------------------------------
 
@@ -815,23 +819,18 @@ class EnrichmentState:
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
 
         The head takes the step's ``L·A_k`` block from ``workspace`` (see
-        :func:`_residual_first_block`).  svd/chol drop the tail factor they
-        used, so the list is released as the sweep goes, while the next
-        sweep's is built.  ALS passes :func:`enrich_svd` the residual chain's
-        tail projected on z's cores k0+1..d-1 as its tail factor ``W``, then
-        updates z's core k0; it reports only the width.
+        :func:`_residual_first_block`).  The tail used is dropped, so the
+        list is released as the sweep goes, while the next sweep's is built.
+        ALS then updates z's core k0; it reports only the width.
         """
         head = _residual_first_block(state, A, y, u_core, k0, workspace)
+        tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
+        back_end = enrich_chol if self.method == "chol" else enrich_svd
+        Z, info = back_end(head, tail, self.width)
         if self.method == "als":
-            env = self._env
-            g = env.right_rhs[k0].shape[0]
-            W = np.concatenate([env.right_rhs[k0].T, env.right_op[k0].reshape(g, -1).T])
-            Z, info = enrich_svd(head, W, self.kickrank)
             self._update_residual_core(A, y, u_core, k0)
-            return Z, {"width": info["width"]}
-        F, self._factors[k0 + 1] = self._factors[k0 + 1], None
-        back_end = enrich_svd if self.method == "svd" else enrich_chol
-        return back_end(head, F, self.width)
+            info = {"width": info["width"]}
+        return Z, info
 
     def _update_residual_core(self, A, y, u_core, k0):
         """One ALS step for z-tilde: project the current global residual."""

@@ -19,6 +19,7 @@ from .tt import (
     TTMatrix,
     TTVector,
     _check_dense_cap,
+    _left_interface,
     interface_matrix,
     to_dense,
     tt_matvec,
@@ -273,7 +274,7 @@ def dense_oracle_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``A`` must fit the dense cap ``tt.DEFAULT_DENSE_CAP`` (``DenseSizeError``).
     """
-    _check_dense_cap(A.size, None)
+    _check_dense_cap(A.size)
     x = np.linalg.solve(A, y)
     ynorm = np.linalg.norm(y)
     res = np.linalg.norm(y - A @ x)
@@ -298,12 +299,7 @@ def subtrain_dense(cores) -> np.ndarray:
     The leading rank is treated as an extra fastest mode, matching the
     vectorization of the reduced problems.
     """
-    from .tt import _left_interface
-
-    first = cores[0]
-    r, n, R = first.shape
-    fused = np.reshape(first, (1, r * n, R), order="F")
-    return _left_interface([fused] + list(cores[1:]))[:, 0]
+    return _left_interface(cores)[:, 0]
 
 
 def reduced_system(A: np.ndarray, y: np.ndarray, left_iface: np.ndarray, rest_size: int):
@@ -335,8 +331,6 @@ class _RateRecorder:
         return float(e @ (self.A @ e))
 
     def on_core_start(self, k0: int, x: TTVector):
-        from .tt import _left_interface
-
         if k0 == 0:  # a new sweep
             self.mu = []
             self.omega = []

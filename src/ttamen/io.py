@@ -49,16 +49,23 @@ def tt_io_write(obj, path) -> None:
         fh.write(blob)
 
 
+def _sizes(manifest, key) -> list[int]:
+    sizes = manifest[key]
+    if not (isinstance(sizes, list) and sizes and all(type(n) is int and n > 0 for n in sizes)):
+        raise TTFormatError(f"{key} must be a non-empty list of positive ints, got {sizes!r}")
+    return sizes
+
+
 def _core_shapes(manifest) -> list[tuple[int, ...]]:
-    sizes = manifest["mode_sizes"]
-    ranks = manifest["ranks"]
+    sizes = _sizes(manifest, "mode_sizes")
+    ranks = _sizes(manifest, "ranks")
     if len(ranks) != len(sizes) + 1 or ranks[0] != 1 or ranks[-1] != 1:
         raise TTFormatError(f"inconsistent ranks {ranks} for {len(sizes)} modes")
     if manifest["type"] == "ttvector":
         return [
             (ranks[k], sizes[k], ranks[k + 1]) for k in range(len(sizes))
         ]
-    cols = manifest["col_sizes"]
+    cols = _sizes(manifest, "col_sizes")
     if len(cols) != len(sizes):
         raise TTFormatError("col_sizes length differs from mode_sizes")
     return [

@@ -56,7 +56,7 @@ __all__ = [
     "kron_le",
 ]
 
-#: Refuse to densify anything larger than this many entries unless overridden.
+#: Refuse to densify anything larger than this many entries.
 DEFAULT_DENSE_CAP = 2**24
 
 
@@ -224,39 +224,33 @@ def eval_entry(x: TTVector, mi) -> float:
 # Densification and interfaces
 # ----------------------------------------------------------------------
 
-def _check_dense_cap(n_entries: int, max_entries: Optional[int]):
-    cap = DEFAULT_DENSE_CAP if max_entries is None else max_entries
+def _check_dense_cap(n_entries: int):
+    cap = DEFAULT_DENSE_CAP
     if n_entries > cap:
-        raise DenseSizeError(
-            f"dense materialization of {n_entries} entries exceeds cap {cap}"
-        )
+        raise DenseSizeError(f"dense materialization of {n_entries} entries exceeds cap {cap}")
 
 
-def to_dense(x, max_entries: Optional[int] = None) -> np.ndarray:
-    """Materialize a TT vector (1-D array) or TT matrix (2-D array)."""
+def to_dense(x) -> np.ndarray:
+    """Materialize a TT vector (1-D array) or TT matrix (2-D array, via :func:`ttmat_to_tt`)."""
     if isinstance(x, TTVector):
-        _check_dense_cap(x.size, max_entries)
+        _check_dense_cap(x.size)
         return _left_interface(x.cores)[:, 0]
     if isinstance(x, TTMatrix):
-        _check_dense_cap(math.prod(x.row_sizes) * math.prod(x.col_sizes), max_entries)
-        out = np.ones((1, 1, 1))
-        for core in x.cores:
-            out = np.einsum("abx,xijy->iajby", out, core, optimize=True)
-            R, a, n, b, m = (
-                out.shape[4],
-                out.shape[1],
-                out.shape[0],
-                out.shape[3],
-                out.shape[2],
-            )
-            out = out.reshape(n * a, m * b, R)
-        return out[:, :, 0]
+        d, N, M = x.d, math.prod(x.row_sizes), math.prod(x.col_sizes)
+        _check_dense_cap(N * M)
+        # the fused view's C-order axes, slowest first: (n_d, m_d, ..., n_1, m_1)
+        sizes = [s for c in reversed(x.cores) for s in c.shape[1:3]]
+        v = _left_interface(ttmat_to_tt(x).cores).reshape(sizes)
+        return v.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]).reshape(N, M)
     raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
 
 
 def _left_interface(cores) -> np.ndarray:
-    """Dense interface matrix of a core chain, shape (n1*...*nk, r_k)."""
-    M = np.ones((1, 1))
+    """Dense interface matrix of a core chain, shape (r0*n1*...*nk, r_k).
+
+    ``r0`` is the fastest row index; an empty chain gives the 1x1 identity.
+    """
+    M = np.eye(cores[0].shape[0] if cores else 1)
     for core in cores:
         r, n, R = core.shape
         T = (M @ core.reshape(r, n * R)).reshape(-1, n, R)
@@ -266,15 +260,11 @@ def _left_interface(cores) -> np.ndarray:
 
 def _right_interface(cores) -> np.ndarray:
     """Dense right interface, shape (r_k, n(k+1)*...*nd)."""
-    W = np.ones((1, 1))
-    for core in reversed(cores):
-        r, n, R = core.shape
-        A = (core.reshape(r * n, R) @ W).reshape(r, n, -1)
-        W = A.transpose(0, 2, 1).reshape(r, -1)
-    return W
+    r = cores[0].shape[0] if cores else 1
+    return _left_interface(cores).reshape(r, -1, order="F")
 
 
-def interface_matrix(x: TTVector, k: int, side: str, max_entries=None) -> np.ndarray:
+def interface_matrix(x: TTVector, k: int, side: str) -> np.ndarray:
     """Interface matrix of the first k cores (``side="leq"``) or the rest.
 
     ``k`` is 1-based.  ``side="leq"`` returns shape ``(n1*...*nk, r_k)``;
@@ -284,11 +274,11 @@ def interface_matrix(x: TTVector, k: int, side: str, max_entries=None) -> np.nda
         raise ValueError(f"position {k} out of range [1, {x.d}]")
     if side == "leq":
         size = math.prod(x.mode_sizes[:k]) * x.ranks[k]
-        _check_dense_cap(size, max_entries)
+        _check_dense_cap(size)
         return _left_interface(x.cores[:k])
     if side == "gt":
         size = math.prod(x.mode_sizes[k:]) * x.ranks[k]
-        _check_dense_cap(size, max_entries)
+        _check_dense_cap(size)
         return _right_interface(x.cores[k:])
     raise ValueError(f"side must be 'leq' or 'gt', got {side!r}")
 
@@ -304,7 +294,7 @@ def kron_le(*factors) -> np.ndarray:
     return out
 
 
-def frame_matrix(x: TTVector, k: int, max_entries=None) -> np.ndarray:
+def frame_matrix(x: TTVector, k: int) -> np.ndarray:
     """Dense frame matrix mapping a vectorized core k (1-based) to the vector.
 
     Column index is the Fortran-order vectorization ``(alpha_{k-1}, i_k,
@@ -314,7 +304,7 @@ def frame_matrix(x: TTVector, k: int, max_entries=None) -> np.ndarray:
     if not 1 <= k <= x.d:
         raise ValueError(f"position {k} out of range [1, {x.d}]")
     r0, n, r1 = x.cores[k - 1].shape
-    _check_dense_cap(x.size * r0 * n * r1, max_entries)
+    _check_dense_cap(x.size * r0 * n * r1)
     left = _left_interface(x.cores[: k - 1])
     right = _right_interface(x.cores[k:])
     return kron_le(left, np.eye(n), right.T)
@@ -387,6 +377,8 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     d = x.d
     if d == 1:
         return x.copy()

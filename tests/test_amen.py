@@ -833,12 +833,12 @@ class TestResidualBlocks:
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for k in range(1, d):
             R = _right_interface(chain.cores[k:])
-            F = ens._factors[k]
+            F = ens._tails[k]
             assert rel_err(F @ F.T, R @ R.T) < 1e-12
 
     def test_als_cross_environment_matches_chain(self, rng):
-        """The stacked ``[right_rhs; right_op]`` at p-1 pairs chain blocks
-        p..d-1 with approximant cores p..d-1."""
+        """ALS's tail at p, ``[right_rhs; right_op]`` at p-1, pairs chain
+        blocks p..d-1 with approximant cores p..d-1."""
         d, n = 4, 3
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
@@ -846,12 +846,10 @@ class TestResidualBlocks:
         ens = EnrichmentState("als", 2, rng=rng)
         ens.prepare_sweep(A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
-        z, env = ens.residual_tt, ens._env
+        z = ens.residual_tt
         for p in range(1, d):
             ref = _right_interface(chain.cores[p:]) @ _right_interface(z.cores[p:]).T
-            g = ref.shape[1]
-            W = np.concatenate([env.right_rhs[p - 1].T, env.right_op[p - 1].reshape(g, -1).T])
-            assert rel_err(W, ref) < 1e-12
+            assert rel_err(ens._tails[p], ref) < 1e-12
 
 
 def _chain_sweep(A, y, x):
@@ -1226,7 +1224,7 @@ class TestSweep:
         e = np.linalg.solve(Ad, to_dense(y)) - to_dense(x)
         assert rep.j_trace[-1] == pytest.approx(e @ (Ad @ e), rel=1e-10)
 
-    @pytest.mark.parametrize("enrichment", ["svd", "chol"])
+    @pytest.mark.parametrize("enrichment", ["svd", "chol", "als"])
     def test_tail_factors_released_as_used(self, rng, enrichment):
         # the run builds the next sweep's factors while this list is alive
         A, y = random_spd_system(4, 3, rng)
@@ -1234,9 +1232,9 @@ class TestSweep:
         state = build_environments(A, y, x)
         ens = EnrichmentState(enrichment, 2, rng=rng)
         ens.prepare_sweep(A, y, x)
-        assert all(isinstance(F, np.ndarray) for F in ens._factors[1 : x.d])
+        assert all(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
         amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
-        assert not any(isinstance(F, np.ndarray) for F in ens._factors[1 : x.d])
+        assert not any(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
 
     def test_no_enrichment_on_last_core(self, rng):
         A, y = random_spd_system(3, 3, rng)
@@ -1385,6 +1383,9 @@ class TestSolvers:
             SolverConfig(kickrank=0)
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_rank"):
+                SolverConfig(max_rank=bad)
         with pytest.raises(ValueError):
             EnrichmentState("bogus", 2)
 

@@ -285,6 +285,23 @@ class TestMain:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    def test_float_size_in_manifest_exit_three(self, tmp_path, capsys):
+        A, y = build_poisson(PoissonSpec(dimension=2, grid_points=3))
+        tt_io_write(A, tmp_path / "A.tt")
+        tt_io_write(y, tmp_path / "y.tt")
+        header, _, blob = (tmp_path / "y.tt").read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        manifest["mode_sizes"] = [3.0, 3]
+        (tmp_path / "y.tt").write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        code = main(
+            [
+                "solve", "--problem", "custom", "--matrix", str(tmp_path / "A.tt"),
+                "--rhs", str(tmp_path / "y.tt"), "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert "mode_sizes must be" in capsys.readouterr().err
+
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         code = main(
             [
@@ -341,7 +358,7 @@ class TestParser:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Command line:\n\n```sh\n", 1)[1].split("```", 1)[0]
         lines = [line for line in block.splitlines() if line.startswith("ttamen ")]
-        assert len(lines) == 3
+        assert len(lines) == 4
         for line in lines:
             make_parser().parse_args(shlex.split(line)[1:])
 

@@ -151,6 +151,30 @@ class TestValidation:
             tt_io_read(path)
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mode_sizes", [2.0, 3]),
+            ("mode_sizes", [3, -2]),
+            ("mode_sizes", [2, 0]),
+            ("mode_sizes", []),
+            ("mode_sizes", "23"),
+            ("ranks", None),
+            ("ranks", [1, True, 1]),
+            ("col_sizes", [3, 2.5]),
+            ("col_sizes", None),
+        ],
+    )
+    def test_sizes_must_be_positive_ints(self, rng, tmp_path, key, value):
+        path = tmp_path / "A.tt"
+        tt_io_write(ttmat_random([2, 3], [3, 2], 2, rng=rng), path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        manifest[key] = value
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(TTFormatError, match=f"{key} must be"):
+            tt_io_read(path)
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda m: m.pop("col_sizes"), "missing field 'col_sizes'"),

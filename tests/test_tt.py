@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ttamen.tt
 from ttamen import (
     DenseSizeError,
     MultiIndex,
@@ -33,7 +34,7 @@ from ttamen import (
     ttmat_transpose,
 )
 from ttamen.amen import vec_core
-from ttamen.tt import _contract, _contract_plan
+from ttamen.tt import _contract, _contract_plan, _left_interface, _right_interface
 
 from conftest import rel_err, slow_dense_matrix, slow_dense_vector
 
@@ -136,23 +137,50 @@ class TestEvalAndDense:
             A = ttmat_random([2, 3], [3, 2], 2, rng=rng)
             assert rel_err(to_dense(A), slow_dense_matrix(A)) < 1e-13
 
-    def test_dense_cap_refusal(self):
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([5], [5]), ([4], [2]), ([1, 3, 1], [2, 1, 1]), ([2, 1, 3], [3, 4, 1])],
+        ids=["d1", "d1_non_square", "size_one_modes", "non_square"],
+    )
+    def test_matrix_to_dense_odd_shapes(self, rng, rows, cols):
+        A = ttmat_random(rows, cols, 2, rng=rng)
+        dense = to_dense(A)
+        assert dense.shape == (np.prod(rows), np.prod(cols))
+        assert rel_err(dense, slow_dense_matrix(A)) < 1e-13
+
+    def test_dense_cap_refusal(self, monkeypatch):
         x = tt_ones([2] * 30)
         with pytest.raises(DenseSizeError):
             to_dense(x)
+        monkeypatch.setattr(ttamen.tt, "DEFAULT_DENSE_CAP", 100)
         with pytest.raises(DenseSizeError):
-            to_dense(tt_ones([2] * 10), max_entries=100)
+            to_dense(tt_ones([2] * 10))
+
+    def test_left_interface_of_empty_chain(self):
+        assert _left_interface([]).tolist() == [[1.0]]
+
+    def test_left_interface_with_leading_rank(self, rng):
+        # the leading rank is the fastest row index, ahead of the modes
+        first = rng.standard_normal((3, 2, 4))
+        for last_rank in (2, 1):
+            cores = [first, rng.standard_normal((4, 5, last_rank))]
+            ref = np.einsum("aib,bjc->jiac", *cores).reshape(-1, last_rank)
+            assert rel_err(_left_interface(cores), ref) < 1e-14
+        # a right chain ends at rank 1: (alpha_0, modes) with the modes fastest
+        R = _right_interface(cores)
+        assert rel_err(R, np.einsum("aib,bjc->ajic", *cores).reshape(3, 10)) < 1e-14
 
 
 class TestExactSizes:
     """Sizes are exact Python integers past int64 (2**64 entries, 16**17)."""
 
-    def test_size_then_dense_cap(self):
+    def test_size_then_dense_cap(self, monkeypatch):
         x = tt_ones([2] * 64)
         # checked first: a wrapped size would pass the cap and exhaust memory
         assert x.size == 2**64
         with pytest.raises(DenseSizeError):
-            to_dense(x, max_entries=2**20)
+            to_dense(x)
+        monkeypatch.setattr(ttamen.tt, "DEFAULT_DENSE_CAP", 2**20)
         with pytest.raises(DenseSizeError):
             to_dense(x)
 
@@ -292,6 +320,15 @@ class TestRounding:
     def test_negative_tol_rejected(self, rng):
         with pytest.raises(ValueError):
             tt_round(tt_ones([2, 2]), -1.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_max_rank_below_one_rejected(self, rng, d):
+        x = tt_random([3] * d, 2, rng=rng)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="max_rank"):
+                tt_round(x, 0.1, max_rank=bad)
+        with pytest.raises(ValueError, match="max_rank"):
+            ttmat_round(ttmat_identity([3] * d), 0.1, max_rank=0)
 
 
 # ----------------------------------------------------------------------
