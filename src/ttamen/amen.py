@@ -97,8 +97,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.kickrank < 1:
@@ -113,11 +113,14 @@ class SolverConfig:
 class SweepRecord:
     """One sweep of a solve.
 
-    The lists hold one entry per core: the local ``mu``, path and products,
-    and for an enriching AMEn run the back-end's ``omega_surrogate`` and
-    ``enrich_width`` (the width it took, before ``max_rank`` trims it;
-    ``None`` on the last core).  ``ranks`` is the rank profile after the
-    sweep.
+    ``steps`` holds the sweep's local steps in order, each the entry its
+    sweep made (see :func:`_solve_local_problem`; one per core, one per
+    pair of cores for DMRG).  An enriching AMEn step below the last core
+    adds the back-end's ``enrich_width`` (the width it took, before
+    ``max_rank`` trims it) and ``omega_surrogate`` (None for ``als``), and
+    an ALS step whose approximant core was redrawn a ``note``.  Entries
+    hold plain numbers and strings only.  ``ranks`` is the rank profile
+    after the sweep.
     """
 
     sweep: int
@@ -126,13 +129,8 @@ class SweepRecord:
     a_norm_error: Optional[float]
     max_rank: int
     local_converged: bool
-    mu: list = field(default_factory=list)
-    local_path: list = field(default_factory=list)
-    local_products: list = field(default_factory=list)
-    omega_surrogate: list = field(default_factory=list)
-    enrich_width: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 @dataclass
@@ -366,20 +364,20 @@ class _Workspace:
         self._M = None
         self.allocations = 0
 
-    def _reserve(self, n: int, dtype) -> np.ndarray:
-        """The buffer, with room for ``n`` items."""
+    def _reserve(self, n: int) -> np.ndarray:
+        """The buffer, with room for ``n`` float64 items (the cores' type)."""
         buf = self._buffer
-        if buf is None or buf.size < n or buf.dtype != dtype:
+        if buf is None or buf.size < n:
             # freed first, so that its successor can take its pages
             self._buffer = buf = None
-            self._buffer = buf = np.empty(n, dtype)
+            self._buffer = buf = np.empty(n)
             self.allocations += 1
         return buf
 
     @staticmethod
-    def panel_rows(a: int, row_items: int, itemsize: int) -> int:
-        """How many ``a`` one panel of ``row_items`` items per ``a`` takes."""
-        return max(1, min(a, _PANEL_BYTES // (row_items * itemsize)))
+    def panel_rows(a: int, row_items: int) -> int:
+        """How many ``a`` one panel of ``row_items`` float64 items per ``a`` takes."""
+        return max(1, min(a, _PANEL_BYTES // (row_items * 8)))
 
     def M(self, L, Ac) -> np.ndarray:
         step = self._step
@@ -392,11 +390,11 @@ class _Workspace:
         a, P, b = L.shape
         _, i, j, Q = Ac.shape
         c, d = (0, 0) if R is None else (R.shape[0], R.shape[2])  # N = 0: no matrix
-        dtype, row = np.result_type(L, Ac), b * i * j * Q
-        size, rows, N = a * row, self.panel_rows(a, row, dtype.itemsize), a * i * c
+        row = b * i * j * Q
+        size, rows, N = a * row, self.panel_rows(a, row), a * i * c
         # until M is whole; and a grown buffer frees the old one's pages
         self._step = self._M = None
-        buf = self._reserve(size + rows * row + N * N, dtype)
+        buf = self._reserve(size + rows * row + N * N)
         M = buf[:size].reshape(a, i, Q, b, j)
         B = buf[size + rows * row : size + rows * row + N * N].reshape(c, i, a, d, j, b)
         Lt = L.transpose(0, 2, 1).reshape(a * b, P)
@@ -529,7 +527,7 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
     ``info["residual"]``, and the solvers run in ``info["path"]``.
     """
     r0 = b - loc.matvec(guess)  # the solvers start from it
-    info = {"fallback": False, "residual_before": np.linalg.norm(r0)}
+    info = {"residual_before": np.linalg.norm(r0)}
     if symmetric:
         u, code = spla.cg(loc, b, x0=guess, r0=r0, rtol=rtol, maxiter=_LOCAL_MAXITER)
         if code == 0:
@@ -559,10 +557,11 @@ def _solve_local_problem(
 
     Systems up to ``config.max_direct_size`` unknowns are assembled and
     solved directly, larger ones matrix-free.  Returns the solved core (the
-    merged one for two sites) and its stats entry: the local residuals before
-    and after, scaled by ``norm(b)``, their ratio ``mu``, whether the direct
-    solve fell back to least squares, the ``path`` taken (``direct``,
-    ``lstsq``, ``cg``, ``gmres`` or ``cg+gmres``), the local operator's
+    merged one for two sites) and its stats entry: the 1-based ``k`` of its
+    first core, the local residuals before and after, scaled by ``norm(b)``,
+    their ratio ``mu`` (at most 1), the ``path`` taken (``direct``,
+    ``lstsq`` where the direct solve fell back to least squares, ``cg``,
+    ``gmres`` or ``cg+gmres``), the local operator's
     ``products`` (0 on the direct path; the initial residual's counts) and
     ``kept_guess``: whether the iterative path kept the current core because
     the Krylov result's residual was larger than the guess's (GMRES can break
@@ -595,7 +594,6 @@ def _solve_local_problem(
         "local_res_before": float(res_before),
         "local_res_after": float(res_after),
         "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
-        "fallback": info["fallback"],
         "path": path,
         "products": products,
         "kept_guess": kept_guess,
@@ -780,27 +778,23 @@ class EnrichmentState:
         self.width = kickrank
         self.rng = np.random.default_rng(rng)
         self.residual_tt: Optional[TTVector] = None
-        self.notices: list[str] = []
         self._tails: list = []
         self._env: Optional[SweepState] = None
 
     # -- sweep preparation -------------------------------------------------
 
-    def prepare_sweep(
-        self, A: TTMatrix, y: TTVector, x: TTVector, factors=None, width=None
-    ):
+    def prepare_sweep(self, A: TTMatrix, y: TTVector, x: TTVector, factors, width: int):
         """Set up a sweep from its start iterate ``x``.
 
         ``factors`` are the tail factors ``_residual_sweep(A, y, x)`` returned
-        for this ``x``; svd/chol run that sweep here when they are not given.
-        ``width`` is the sweep's enrichment width (``kickrank`` when not
-        given).  ALS ignores ``factors``; it right-orthogonalizes and
-        normalizes ``z``, builds the right environments of ``(z; A, y; x)``
-        and stacks its tail ``W = [right_rhs; right_op]`` for each core.
+        for this ``x``, and ``width`` is the sweep's enrichment width.  ALS
+        ignores ``factors``; it right-orthogonalizes and normalizes ``z``,
+        builds the right environments of ``(z; A, y; x)`` and stacks its tail
+        ``W = [right_rhs; right_op]`` for each core.
         """
-        self.width = self.kickrank if width is None else width
+        self.width = width
         if self.method in ("svd", "chol"):
-            self._tails = _residual_sweep(A, y, x)[0] if factors is None else factors
+            self._tails = factors
             return
         z = self.residual_tt
         if z is None or z.mode_sizes != y.mode_sizes:
@@ -821,36 +815,38 @@ class EnrichmentState:
         The head takes the step's ``L·A_k`` block from ``workspace`` (see
         :func:`_residual_first_block`).  The tail used is dropped, so the
         list is released as the sweep goes, while the next sweep's is built.
-        ALS then updates z's core k0; it reports only the width.
+        ALS then updates z's core k0; it reports only the width, and a
+        ``note`` when that core was redrawn.
         """
         head = _residual_first_block(state, A, y, u_core, k0, workspace)
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
         back_end = enrich_chol if self.method == "chol" else enrich_svd
         Z, info = back_end(head, tail, self.width)
         if self.method == "als":
-            self._update_residual_core(A, y, u_core, k0)
             info = {"width": info["width"]}
+            if self._update_residual_core(A, y, u_core, k0):
+                info["note"] = f"residual approximant core {k0 + 1} degenerated; reinitialized"
         return Z, info
 
-    def _update_residual_core(self, A, y, u_core, k0):
-        """One ALS step for z-tilde: project the current global residual."""
+    def _update_residual_core(self, A, y, u_core, k0) -> bool:
+        """One ALS step for z-tilde: project the current global residual.
+
+        Returns whether the projection vanished and the core was redrawn.
+        """
         z, env = self.residual_tt, self._env
         pos = _local_rhs(env.left_rhs[k0], y.cores[k0], env.right_rhs[k0])  # (g,i,h)
         T = _contract(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
         T = _contract(T, u_core, axes=((1, 3), (0, 1)))  # (g,i,Q,b)
         neg = _contract(T, env.right_op[k0], axes=((2, 3), (1, 2)))  # (g,i,h)
         z_new = pos - neg
-        nrm = np.linalg.norm(z_new)
-        if nrm <= 1e-300:
-            g0, n, g1 = z.cores[k0].shape
-            z_new = self.rng.standard_normal((g0, n, g1))
-            self.notices.append(
-                f"residual approximant core {k0 + 1} degenerated; reinitialized"
-            )
+        degenerated = bool(np.linalg.norm(z_new) <= 1e-300)
+        if degenerated:
+            z_new = self.rng.standard_normal(z.cores[k0].shape)
         # keep the left part of z-tilde orthonormal for the next projection
         g0, n, g1 = z_new.shape
         Q, _ = np.linalg.qr(z_new.reshape(g0 * n, g1))
         z.cores[k0] = Q.reshape(g0, n, -1)
+        return degenerated
 
     def advance(self, A, y, x, k0: int):
         """Advance the ALS environments of ``(z; A, y; x)`` past the finalized core k0."""
@@ -922,8 +918,10 @@ def amen_sweep(
             Z = None
             if ens is not None:
                 Z, einfo = ens.enrich(state, A, y, u_core, k0, workspace)
-                entry["enrich_width"] = einfo.get("width", 0)
+                entry["enrich_width"] = einfo["width"]
                 entry["omega_surrogate"] = einfo.get("omega")
+                if "note" in einfo:
+                    entry["note"] = einfo["note"]
                 if Z is not None and config.max_rank is not None:
                     room = config.max_rank - x.cores[k0].shape[2]
                     if room <= 0:
@@ -1019,16 +1017,9 @@ def _run_alternating(A, y, x0, config, sweep_fn):
             a_norm_error=None,
             max_rank=max(x.ranks),
             local_converged=local_conv,
-            mu=[s["mu"] for s in stats],
-            local_path=[s["path"] for s in stats],
-            local_products=[s["products"] for s in stats],
-            omega_surrogate=[s.get("omega_surrogate") for s in stats],
-            enrich_width=[s.get("enrich_width") for s in stats],
+            steps=stats,
             ranks=list(x.ranks),
         )
-        if ens is not None and ens.notices:
-            rec.notes.extend(ens.notices)
-            ens.notices = []
         log.records.append(rec)
         if log.best is rec:
             x_best = x
@@ -1129,21 +1120,20 @@ def _dmrg_sweep(x, A, y, state, ens, config, workspace):
 # Symmetrization
 # ----------------------------------------------------------------------
 
-def symmetrize(
-    A: TTMatrix,
-    y: TTVector,
-    round_tol: Optional[float] = None,
-    rank_cap: int = 4096,
-):
+# the largest normal-equation operator rank ``symmetrize`` forms unrounded
+SYMMETRIZE_RANK_CAP = 4096
+
+
+def symmetrize(A: TTMatrix, y: TTVector, round_tol: Optional[float] = None):
     """Normal equations ``(A^T A) x = A^T y``; operator ranks square.
 
-    Raises if the squared ranks exceed ``rank_cap`` and no ``round_tol`` is
-    given to compress them.
+    Raises if the squared ranks exceed ``SYMMETRIZE_RANK_CAP`` and no
+    ``round_tol`` is given to compress them.
     """
     worst = max(r * r for r in A.ranks)
-    if worst > rank_cap and round_tol is None:
+    if worst > SYMMETRIZE_RANK_CAP and round_tol is None:
         raise ValueError(
-            f"normal-equation ranks reach {worst} (> {rank_cap}); "
+            f"normal-equation ranks reach {worst} (> {SYMMETRIZE_RANK_CAP}); "
             "pass round_tol to compress the product"
         )
     At = ttmat_transpose(A)

@@ -105,24 +105,24 @@ class ExperimentSpec:
             bad.append(f"problem={self.problem!r} (one of {PROBLEMS})")
         if self.solver not in SOLVERS:
             bad.append(f"solver={self.solver!r} (one of {tuple(SOLVERS)})")
-        if self.d < 1:
-            bad.append(f"d={self.d} (must be >= 1)")
-        if self.n < 2:
-            bad.append(f"n={self.n} (must be >= 2)")
+        # the integer fields and the least value each takes (None: any); they
+        # must be ints, not floats or bools, as io._sizes asks of sizes
+        ints = [("d", 1), ("n", 2), ("kickrank", 1), ("max_sweeps", 1), ("max_rank", 1),
+                ("seed", None), ("n_steps", 1)]
+        for name, least in ints:
+            value = getattr(self, name)
+            if name == "max_rank" and value is None:
+                continue
+            if type(value) is not int:
+                bad.append(f"{name}={value!r} (must be an int)")
+            elif least is not None and value < least:
+                bad.append(f"{name}={value} (must be >= {least})")
         if not (0 < self.tol < 1):
             bad.append(f"tol={self.tol} (must be in (0, 1))")
-        if self.kickrank < 1:
-            bad.append(f"kickrank={self.kickrank} (must be >= 1)")
-        if self.max_sweeps < 1:
-            bad.append(f"max_sweeps={self.max_sweeps} (must be >= 1)")
-        if self.max_rank is not None and self.max_rank < 1:
-            bad.append(f"max_rank={self.max_rank} (must be >= 1)")
         if self.reference not in ("dense", "tight", "none"):
             bad.append(f"reference={self.reference!r} (one of dense|tight|none)")
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
-        if self.n_steps < 1:
-            bad.append(f"n_steps={self.n_steps} (must be >= 1)")
         if self.t_final <= 0:
             bad.append(f"t_final={self.t_final} (must be positive)")
         if self.scheme not in ("crank_nicolson", "implicit_euler"):
@@ -252,7 +252,7 @@ def _write_artifacts(spec, A, y, x, log, err):
         "ranks": list(x.ranks),
         "sweeps": len(log.records),
         "config": asdict(spec),
-        "notes": [note for rec in log.records for note in rec.notes],
+        "notes": [s["note"] for rec in log.records for s in rec.steps if "note" in s],
     }
     with open(spec.out + ".json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -326,6 +326,11 @@ class _KrylovSpy:
         return self._run("gmres", op, b, **kwargs)
 
 
+def _prepare(ens, A, y, x):
+    """``ens.prepare_sweep`` as a solve calls it, at the width ``kickrank``."""
+    ens.prepare_sweep(A, y, x, _residual_sweep(A, y, x)[0], ens.kickrank)
+
+
 def _nonsymmetric_system(d, n, rng):
     noise = ttmat_random([n] * d, [n] * d, 2, rng=rng)
     # dominant, invertible: the shift is twice the noise's Frobenius norm,
@@ -382,7 +387,7 @@ class TestLocalProblemLayer:
         monkeypatch.setattr(ttamen.amen, "_solve_local_problem", solve_local_problem)
         config = SolverConfig(tol=1e-8, max_sweeps=max_sweeps, max_direct_size=0)
         x, log = solve(A, y, config=config)
-        local_solves = sum(len(r.mu) for r in log.records)
+        local_solves = sum(len(r.steps) for r in log.records)
         assert local_solves > 0 and not direct
         # every matrix-free solve reaches tol/100, relative to norm(b)
         assert len(entries) == local_solves
@@ -398,10 +403,10 @@ class TestLocalProblemLayer:
         # each entry names its path and counts every product of its solve
         assert {e["path"] for e in entries} == {"cg" if symmetric else "gmres"}
         assert sum(e["products"] for e in entries) == len(products)
-        assert [p for r in log.records for p in r.local_path] == [e["path"] for e in entries]
-        assert [n for r in log.records for n in r.local_products] == [
-            e["products"] for e in entries
-        ]
+        # the records hold the very entries the local steps made
+        steps = [e for r in log.records for e in r.steps]
+        assert len(steps) == len(entries)
+        assert all(a is b for a, b in zip(steps, entries))
         return log
 
     @pytest.mark.parametrize("solve", [amen_solve, dmrg_solve])
@@ -438,8 +443,7 @@ class TestLocalProblemLayer:
         assert one.shape == x.cores[0].shape
         assert two.shape == (1, 16, x.cores[1].shape[2])
         assert entry1.keys() == entry2.keys()
-        keys = {"k", "local_res_before", "local_res_after", "mu", "fallback"}
-        assert set(entry1) == keys | {"path", "products", "kept_guess"}
+        assert set(entry1) == STEP_KEYS
         assert entry1["path"] == ("cg" if cap == 0 else "direct")
         assert (entry1["products"] > 0) == (cap == 0)
         assert entry1["kept_guess"] is entry2["kept_guess"] is False
@@ -587,7 +591,7 @@ def _buffer_need(L, Ac, R=None):
     """Items the buffer needs for a step's ``M`` and one panel, and with
     ``R`` for its direct matrix after them."""
     row = L.shape[2] * math.prod(Ac.shape[1:])
-    need = (L.shape[0] + _Workspace.panel_rows(L.shape[0], row, 8)) * row
+    need = (L.shape[0] + _Workspace.panel_rows(L.shape[0], row)) * row
     if R is not None:
         need += (L.shape[0] * Ac.shape[1] * R.shape[0]) ** 2
     return need
@@ -655,7 +659,7 @@ class TestWorkspace:
         # panels of 3 left indices: at a = 7 the last one takes a single index
         P, i, Q = 5, 4, 6
         monkeypatch.setattr(ttamen.amen, "_PANEL_BYTES", 3 * a * i * i * Q * 8 + 100)
-        assert _Workspace.panel_rows(a, a * i * i * Q, 8) == min(a, 3)
+        assert _Workspace.panel_rows(a, a * i * i * Q) == min(a, 3)
         L = rng.standard_normal((a, P, a))
         Ac = rng.standard_normal((P, i, i, Q))
         R = rng.standard_normal((2, Q, 2))
@@ -829,7 +833,7 @@ class TestResidualBlocks:
         y = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(tt_random([n] * d, 2, rng=rng), "right", 1)
         ens = EnrichmentState("svd", 2, rng=rng)
-        ens.prepare_sweep(A, y, x)
+        _prepare(ens, A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for k in range(1, d):
             R = _right_interface(chain.cores[k:])
@@ -844,7 +848,7 @@ class TestResidualBlocks:
         y = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(tt_random([n] * d, 3, rng=rng), "right", 1)
         ens = EnrichmentState("als", 2, rng=rng)
-        ens.prepare_sweep(A, y, x)
+        _prepare(ens, A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         z = ens.residual_tt
         for p in range(1, d):
@@ -1202,7 +1206,7 @@ class TestSweep:
         state = build_environments(A, y, x)
         config = SolverConfig(tol=1e-12, max_direct_size=1 << 16)
         ens = EnrichmentState("svd", 2, rng=rng)
-        ens.prepare_sweep(A, y, x)
+        _prepare(ens, A, y, x)
         amen_sweep(x, A, y, state, ens, config, recorder=Rec())
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
@@ -1231,7 +1235,7 @@ class TestSweep:
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
         state = build_environments(A, y, x)
         ens = EnrichmentState(enrichment, 2, rng=rng)
-        ens.prepare_sweep(A, y, x)
+        _prepare(ens, A, y, x)
         assert all(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
         amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
         assert not any(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
@@ -1241,10 +1245,10 @@ class TestSweep:
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
         state = build_environments(A, y, x)
         ens = EnrichmentState("svd", 2, rng=rng)
-        ens.prepare_sweep(A, y, x)
+        _prepare(ens, A, y, x)
         out, stats = amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
-        assert "enrich_width" in stats[0]
-        assert "enrich_width" not in stats[-1]
+        assert "enrich_width" in stats[0] and "omega_surrogate" in stats[0]
+        assert "enrich_width" not in stats[-1] and "omega_surrogate" not in stats[-1]
 
     @pytest.mark.parametrize(
         "solve, enrichment, solution, approximant",
@@ -1366,7 +1370,7 @@ class TestSolvers:
         x1, log1 = amen_solve(A, y, config=config)
         x2, log2 = amen_solve(A, y, config=config)
         columns = [
-            [(r.rel_residual, r.max_rank, r.local_converged, r.mu, r.omega_surrogate)
+            [(r.rel_residual, r.max_rank, r.local_converged, r.steps, r.ranks)
              for r in log.records]
             for log in (log1, log2)
         ]
@@ -1377,6 +1381,9 @@ class TestSolvers:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                SolverConfig(tol=bad)
         with pytest.raises(ValueError):
             SolverConfig(enrichment="bogus")
         with pytest.raises(ValueError):
@@ -1396,7 +1403,10 @@ class TestSolvers:
         y = TTVector([np.zeros_like(c) for c in y.cores])
         x, log = amen_solve(A, y, config=SolverConfig(enrichment="als", kickrank=2))
         assert log.status == "converged" and len(log.records) == 1
-        assert log.records[0].notes == [
+        # each note sits on the step of the core it names
+        steps = log.records[0].steps
+        assert [s["k"] for s in steps if "note" in s] == [1, 2, 3]
+        assert [s["note"] for s in steps[:3]] == [
             f"residual approximant core {k} degenerated; reinitialized" for k in (1, 2, 3)
         ]
         assert tt_norm(x) == 0.0
@@ -1423,6 +1433,45 @@ ALL_SOLVERS = [
 
 def _enriches(solve, enrichment):
     return solve is amen_solve and enrichment != "none"
+
+
+# the keys of every local step's entry; an enriching step adds ENRICH_KEYS
+STEP_KEYS = {"k", "local_res_before", "local_res_after", "mu", "path", "products", "kept_guess"}
+ENRICH_KEYS = {"enrich_width", "omega_surrogate"}
+
+
+class TestSweepRecord:
+    """``SweepRecord.steps`` holds each local step's entry once, as made."""
+
+    def test_forced_iterative_steps_keep_their_residuals(self, rng):
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-8, max_sweeps=4, max_direct_size=0)
+        x, log = amen_solve(A, y, config=config)
+        for record in log.records:
+            assert [s["k"] for s in record.steps] == [1, 2, 3]
+            for s in record.steps:
+                assert set(s) == STEP_KEYS | (ENRICH_KEYS if s["k"] < 3 else set())
+                before, after = s["local_res_before"], s["local_res_after"]
+                assert s["path"] == "cg" and s["kept_guess"] is False
+                assert 0 < before and s["mu"] == min(after / before, 1.0)
+
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
+    def test_enrichment_keys_only_where_enriched_and_no_arrays(
+        self, rng, solve, enrichment
+    ):
+        A, y = random_spd_system(3, 4, rng)
+        config = SolverConfig(tol=1e-8, enrichment=enrichment, max_sweeps=3)
+        x, log = solve(A, y, config=config)
+        plain = (bool, int, float, str, type(None))
+        for record in log.records:
+            # DMRG takes one step per pair of cores
+            assert len(record.steps) == (2 if solve is dmrg_solve else 3)
+            for s in record.steps:
+                enriched = _enriches(solve, enrichment) and s["k"] < 3
+                assert set(s) == STEP_KEYS | (ENRICH_KEYS if enriched else set())
+                # plain values only, so a kept log pins no array
+                assert all(type(v) in plain for v in s.values()), s
+            assert all(type(r) is int for r in record.ranks)
 
 
 class TestContractBits:
@@ -1631,8 +1680,8 @@ def _trigger_sweep(log):
 
 def _widths(record):
     """The enrichment widths of one sweep's cores; the last core has none."""
-    assert record.enrich_width[-1] is None
-    return record.enrich_width[:-1]
+    assert "enrich_width" not in record.steps[-1]
+    return [s["enrich_width"] for s in record.steps[:-1]]
 
 
 class TestEnrichmentWidth:
@@ -1805,10 +1854,11 @@ class TestSymmetrize:
         assert rel_err(to_dense(AtA), Ad.T @ Ad) < 1e-11
         assert rel_err(to_dense(Aty), Ad.T @ to_dense(y)) < 1e-11
 
-    def test_rank_cap_requires_round_tol(self, rng):
+    def test_rank_cap_requires_round_tol(self, rng, monkeypatch):
+        monkeypatch.setattr(ttamen.amen, "SYMMETRIZE_RANK_CAP", 2)
         A = ttmat_random([2] * 3, [2] * 3, 2, rng=rng)
         with pytest.raises(ValueError):
-            symmetrize(A, tt_random([2] * 3, 1, rng=rng), rank_cap=2)
+            symmetrize(A, tt_random([2] * 3, 1, rng=rng))
 
     def test_solve_after_symmetrization(self, rng):
         from ttamen import ttmat_add

@@ -312,6 +312,34 @@ class TestMain:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "problem, field, value",
+        [
+            ("poisson", "kickrank", 2.5),
+            ("poisson", "max_sweeps", 2.5),
+            ("poisson", "max_rank", 1.5),
+            ("poisson", "d", 2.5),
+            ("poisson", "n", 4.0),
+            ("poisson", "seed", 1.5),
+            ("poisson", "max_sweeps", True),
+            ("poisson", "kickrank", "2"),
+            ("cme_time", "n_steps", 2.5),
+        ],
+    )
+    def test_spec_file_with_non_integer_count_exit_three(
+        self, tmp_path, capsys, problem, field, value
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: value}))
+        code = main(
+            [
+                "solve", "--spec", str(spec), "--problem", problem, "--d", "3",
+                "--n", "4", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert f"{field}={value!r} (must be an int)" in capsys.readouterr().err
+
     def test_spec_file_with_unknown_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"problem": "poisson", "stepsize": 2}))
