@@ -26,6 +26,7 @@ from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
     TTMatrix,
     TTVector,
+    _check_counts,
     _contract,
     _matvec_core,
     _qr_push_right,
@@ -99,12 +100,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.kickrank < 1:
-            raise ValueError("kickrank must be >= 1")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
+        _check_counts(self, max_sweeps=1, kickrank=1, max_direct_size=0, seed=0)
+        if self.max_rank is not None:
+            _check_counts(self, max_rank=1)
         if self.enrichment not in ("svd", "chol", "als", "none"):
             raise ValueError(f"unknown enrichment {self.enrichment!r}")
 
@@ -280,7 +278,7 @@ def assemble_local(
     left rank index fastest.
     """
     L, Ac, R, b, _ = _local_problem(state, A, y, x, k - 1, 1)
-    return _local_matrix(L, Ac, R), b
+    return _Workspace().build(L, Ac, R), b
 
 
 def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
@@ -332,8 +330,7 @@ class _Workspace:
     ``M(L, Ac)`` is the (a i Q, b j) reordering of ``L·Ac``, the contraction
     over ``P``: the merged :class:`_LocalOperator` and the enrichment head
     take it.  ``build(L, Ac, R)`` also returns the step's dense local
-    matrix (see :func:`_local_matrix`).  Both come from one loop over row
-    panels of ``L·Ac``.  Each panel is the GEMM of the rows of a few ``a``
+    matrix ``L·Ac·R``.  Both come from one loop over row panels of ``L·Ac``.  Each panel is the GEMM of the rows of a few ``a``
     with ``Ac`` and K = P, the rows ``np.tensordot(L, Ac, axes=(1, 0))``
     gives them, so its bits are those of one GEMM.  It is copied into ``M``
     and, on a direct step, contracted with ``R`` over ``Q`` into the direct
@@ -412,12 +409,6 @@ class _Workspace:
         return None if R is None else B.reshape(N, N)
 
 
-def _local_matrix(L, Ac, R, workspace: Optional[_Workspace] = None) -> np.ndarray:
-    """The dense local matrix ``L·Ac·R``, in ``workspace`` (see
-    :meth:`_Workspace.build`) or, without one, in an array of its own."""
-    return (workspace or _Workspace()).build(L, Ac, R)
-
-
 def _local_rhs(Ly, yc, Ry) -> np.ndarray:
     """The core ``<Ly, yc, Ry>``: ``y`` projected on a frame (a, i, c)."""
     return _contract(_contract(Ly, yc, axes=(1, 0)), Ry, axes=(2, 1))
@@ -465,10 +456,10 @@ class _LocalOperator:
 
     ``shape`` and ``dtype`` let the Krylov solvers take it as it is;
     ``products`` counts the products made.  The merged order takes ``M1``
-    from ``workspace`` (see :class:`_Workspace`; fresh without one).
+    from ``workspace`` (see :class:`_Workspace`).
     """
 
-    def __init__(self, L, Ac, R, workspace: Optional[_Workspace] = None):
+    def __init__(self, L, Ac, R, workspace: _Workspace):
         a, P, b = L.shape
         _, i, j, Q = Ac.shape
         c, _, d = R.shape
@@ -487,7 +478,7 @@ class _LocalOperator:
             self._A = np.ascontiguousarray(A_t).reshape(P * i, Q * j)
             self._L = np.ascontiguousarray(L.transpose(1, 2, 0)).reshape(P * b, a)
             return
-        self._M1 = (workspace or _Workspace()).M(L, Ac)  # (a i Q, b j)
+        self._M1 = workspace.M(L, Ac)  # (a i Q, b j)
         self._M2 = np.ascontiguousarray(R.reshape(c, Q * d))
 
     def apply(self, v_core: np.ndarray) -> np.ndarray:
@@ -551,7 +542,7 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
 
 
 def _solve_local_problem(
-    state: SweepState, A, y, x, k0: int, sites: int, config, workspace=None
+    state: SweepState, A, y, x, k0: int, sites: int, config, workspace: _Workspace
 ):
     """Solve the local system on cores ``k0 .. k0+sites-1``.
 
@@ -575,7 +566,7 @@ def _solve_local_problem(
     scale = bnorm if bnorm > 0 else 1.0
     kept_guess = False
     if b.size <= config.max_direct_size:
-        B = _local_matrix(L, Ac, R, workspace)
+        B = workspace.build(L, Ac, R)
         res_before = np.linalg.norm(b - B @ guess) / scale
         u, info = solve_local(B, b)
         path, products = ("lstsq" if info["fallback"] else "direct"), 0
@@ -616,7 +607,7 @@ def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int):
 
 
 def _residual_first_block(
-    state: SweepState, A, y, u_core, k0: int, workspace=None
+    state: SweepState, A, y, u_core, k0: int, workspace: _Workspace
 ) -> np.ndarray:
     """Step-dependent head block of the exact local residual at core k0.
 
@@ -625,7 +616,7 @@ def _residual_first_block(
     """
     yc = y.cores[k0]
     y_part = _contract(state.left_rhs[k0], yc, axes=(1, 0))  # (a,i,q)
-    M = (workspace or _Workspace()).M(state.left_op[k0], A.cores[k0])  # (a i Q, b j)
+    M = workspace.M(state.left_op[k0], A.cores[k0])  # (a i Q, b j)
     b, j, c = u_core.shape
     a_part = np.dot(M, u_core.reshape(b * j, c))  # (a i Q, c)
     return np.concatenate([y_part, -a_part.reshape(y_part.shape[:2] + (-1,))], axis=2)
@@ -813,12 +804,13 @@ class EnrichmentState:
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
 
         The head takes the step's ``L·A_k`` block from ``workspace`` (see
-        :func:`_residual_first_block`).  The tail used is dropped, so the
-        list is released as the sweep goes, while the next sweep's is built.
+        :func:`_residual_first_block`; a fresh one without it).  The tail
+        used is dropped, so the list is released as the sweep goes, while
+        the next sweep's is built.
         ALS then updates z's core k0; it reports only the width, and a
         ``note`` when that core was redrawn.
         """
-        head = _residual_first_block(state, A, y, u_core, k0, workspace)
+        head = _residual_first_block(state, A, y, u_core, k0, workspace or _Workspace())
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
         back_end = enrich_chol if self.method == "chol" else enrich_svd
         Z, info = back_end(head, tail, self.width)
@@ -904,8 +896,7 @@ def amen_sweep(
     ``on_core_done(k0, x, u_core)`` once the core is final, with the solved
     core as it was before the expansion.
     """
-    if workspace is None:
-        workspace = _Workspace()
+    workspace = workspace or _Workspace()
     x = x.copy()
     d = x.d
     stats = []

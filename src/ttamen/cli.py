@@ -21,7 +21,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,7 @@ from .tt import (
     DenseSizeError,
     TTMatrix,
     TTVector,
+    _count_error,
     qtt_quantize,
     to_dense,
     tt_add,
@@ -101,32 +103,38 @@ class ExperimentSpec:
 
     def validate(self):
         bad = []
-        if self.problem not in PROBLEMS:
-            bad.append(f"problem={self.problem!r} (one of {PROBLEMS})")
-        if self.solver not in SOLVERS:
-            bad.append(f"solver={self.solver!r} (one of {tuple(SOLVERS)})")
-        # the integer fields and the least value each takes (None: any); they
-        # must be ints, not floats or bools, as io._sizes asks of sizes
-        ints = [("d", 1), ("n", 2), ("kickrank", 1), ("max_sweeps", 1), ("max_rank", 1),
-                ("seed", None), ("n_steps", 1)]
-        for name, least in ints:
+        kinds = {str: "a string", bool: "a bool", Real: "a real number"}
+
+        def check(name, kind, allowed=lambda value: True, why=""):
+            """The type of the field first, then its value (a bool is no number)."""
             value = getattr(self, name)
-            if name == "max_rank" and value is None:
-                continue
-            if type(value) is not int:
-                bad.append(f"{name}={value!r} (must be an int)")
-            elif least is not None and value < least:
-                bad.append(f"{name}={value} (must be >= {least})")
-        if not (0 < self.tol < 1):
-            bad.append(f"tol={self.tol} (must be in (0, 1))")
-        if self.reference not in ("dense", "tight", "none"):
-            bad.append(f"reference={self.reference!r} (one of dense|tight|none)")
+            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+                bad.append(f"{name}={value!r} (must be {kinds[kind]})")
+            elif not allowed(value):
+                bad.append(f"{name}={value!r} ({why})")
+
+        check("problem", str, lambda v: v in PROBLEMS, f"one of {PROBLEMS}")
+        check("solver", str, lambda v: v in SOLVERS, f"one of {tuple(SOLVERS)}")
+        # the counts and the least value each takes (see tt._count_error)
+        ints = [("d", 1), ("n", 2), ("kickrank", 1), ("max_sweeps", 1), ("max_rank", 1),
+                ("seed", 0), ("n_steps", 1)]
+        for name, least in ints:
+            if not (name == "max_rank" and self.max_rank is None):
+                bad.append(_count_error(name, getattr(self, name), least))
+        check("tol", Real, lambda v: 0 < v < 1, "must be in (0, 1)")
+        check("reference", str, lambda v: v in ("dense", "tight", "none"), "one of dense|tight|none")
+        check("out", str)
+        for name in ("matrix", "rhs"):
+            if getattr(self, name) is not None:
+                check(name, str)
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
-        if self.t_final <= 0:
-            bad.append(f"t_final={self.t_final} (must be positive)")
-        if self.scheme not in ("crank_nicolson", "implicit_euler"):
-            bad.append(f"scheme={self.scheme!r}")
+        check("symmetrize", bool)
+        check("t_final", Real, lambda v: v > 0, "must be positive")
+        check("scheme", str, lambda v: v in ("crank_nicolson", "implicit_euler"),
+              "one of crank_nicolson|implicit_euler")
+        check("qtt", bool)
+        bad = [complaint for complaint in bad if complaint]
         if bad:
             raise SpecError("invalid experiment fields: " + "; ".join(bad))
 
@@ -137,21 +145,13 @@ def build_problem(spec: ExperimentSpec):
         return build_poisson(PoissonSpec(dimension=spec.d, grid_points=spec.n))
     if spec.problem in ("cme", "cme_time"):
         cspec = CascadeCMESpec(species=spec.d, states=spec.n)
-        A = build_cme_operator(cspec)
-        psi0 = build_initial_state(cspec)
-        if spec.qtt and _is_power_of_two(spec.n):
-            A = qtt_quantize(A, tol=1e-13)
-            psi0 = qtt_quantize(psi0, tol=1e-13)
+        A, psi0 = _quantized(spec, spec.n, build_cme_operator(cspec), build_initial_state(cspec))
         if spec.problem == "cme":
             return A, psi0
         tspec = TimeSystemSpec(
             tau=spec.t_final / spec.n_steps, n_steps=spec.n_steps, scheme=spec.scheme
         )
-        M, b = build_time_system(A, psi0, tspec)
-        if spec.qtt and _is_power_of_two(spec.n_steps):
-            M = qtt_quantize(M, tol=1e-13)
-            b = qtt_quantize(b, tol=1e-13)
-        return M, b
+        return _quantized(spec, spec.n_steps, *build_time_system(A, psi0, tspec))
     # custom
     A = tt_io_read(spec.matrix)
     y = tt_io_read(spec.rhs)
@@ -160,8 +160,12 @@ def build_problem(spec: ExperimentSpec):
     return A, y
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def _quantized(spec: ExperimentSpec, size: int, *trains):
+    """``trains`` in binary modes where ``spec.qtt`` asks and ``size`` is a
+    power of two, else as they are."""
+    if not (spec.qtt and size >= 2 and (size & (size - 1)) == 0):
+        return trains
+    return tuple(qtt_quantize(t, tol=1e-13) for t in trains)
 
 
 def run_experiment(spec: ExperimentSpec):

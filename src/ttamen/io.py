@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .tt import TTMatrix, TTVector
+from .tt import TTMatrix, TTVector, _count_error
 
 __all__ = ["tt_io_write", "tt_io_read", "TTFormatError"]
 
@@ -51,7 +51,7 @@ def tt_io_write(obj, path) -> None:
 
 def _sizes(manifest, key) -> list[int]:
     sizes = manifest[key]
-    if not (isinstance(sizes, list) and sizes and all(type(n) is int and n > 0 for n in sizes)):
+    if not (isinstance(sizes, list) and sizes) or any(_count_error(key, n, 1) for n in sizes):
         raise TTFormatError(f"{key} must be a non-empty list of positive ints, got {sizes!r}")
     return sizes
 
@@ -61,16 +61,11 @@ def _core_shapes(manifest) -> list[tuple[int, ...]]:
     ranks = _sizes(manifest, "ranks")
     if len(ranks) != len(sizes) + 1 or ranks[0] != 1 or ranks[-1] != 1:
         raise TTFormatError(f"inconsistent ranks {ranks} for {len(sizes)} modes")
-    if manifest["type"] == "ttvector":
-        return [
-            (ranks[k], sizes[k], ranks[k + 1]) for k in range(len(sizes))
-        ]
-    cols = _sizes(manifest, "col_sizes")
-    if len(cols) != len(sizes):
+    # the physical sizes of each core: its rows, and an operator's columns
+    phys = [sizes] if manifest["type"] == "ttvector" else [sizes, _sizes(manifest, "col_sizes")]
+    if len(phys[-1]) != len(sizes):
         raise TTFormatError("col_sizes length differs from mode_sizes")
-    return [
-        (ranks[k], sizes[k], cols[k], ranks[k + 1]) for k in range(len(sizes))
-    ]
+    return [(ranks[k], *(p[k] for p in phys), ranks[k + 1]) for k in range(len(sizes))]
 
 
 def tt_io_read(path):

@@ -15,6 +15,7 @@ import numpy as np
 from .tt import (
     TTMatrix,
     TTVector,
+    _check_counts,
     tt_matvec,
     tt_ones,
     tt_round,
@@ -44,10 +45,7 @@ class PoissonSpec:
     grid_points: int = 64
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        _check_counts(self, dimension=1, grid_points=2)
 
 
 @dataclass
@@ -62,10 +60,7 @@ class CascadeCMESpec:
     gamma: float = 5.0
 
     def __post_init__(self):
-        if self.species < 1:
-            raise ValueError("species must be >= 1")
-        if self.states < 2:
-            raise ValueError("states must be >= 2")
+        _check_counts(self, species=1, states=2)
         for name in ("alpha0", "delta", "beta", "gamma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -82,8 +77,7 @@ class TimeSystemSpec:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        _check_counts(self, n_steps=1)
         if self.scheme not in ("crank_nicolson", "implicit_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -97,6 +91,15 @@ def laplace_1d(n: int) -> np.ndarray:
     )
 
 
+def _block_core(blocks: dict, shape: tuple) -> np.ndarray:
+    """A zero operator core of ``shape`` with each n x n block of ``blocks``
+    at its rank pair ``(a, b)``: ``core[a, :, :, b]``."""
+    core = np.zeros(shape)
+    for (a, b), block in blocks.items():
+        core[a, :, :, b] = block
+    return core
+
+
 def build_poisson(spec: PoissonSpec) -> tuple[TTMatrix, TTVector]:
     """Kronecker-sum Laplacian (interior TT operator ranks 2) and all-ones rhs."""
     d, n = spec.dimension, spec.grid_points
@@ -104,22 +107,11 @@ def build_poisson(spec: PoissonSpec) -> tuple[TTMatrix, TTVector]:
     eye = np.eye(n)
     if d == 1:
         return TTMatrix([L[None, :, :, None]]), tt_ones([n])
-    cores = []
-    first = np.zeros((1, n, n, 2))
-    first[0, :, :, 0] = L
-    first[0, :, :, 1] = eye
-    cores.append(first)
-    for _ in range(d - 2):
-        mid = np.zeros((2, n, n, 2))
-        mid[0, :, :, 0] = eye
-        mid[1, :, :, 0] = L
-        mid[1, :, :, 1] = eye
-        cores.append(mid)
-    last = np.zeros((2, n, n, 1))
-    last[0, :, :, 0] = eye
-    last[1, :, :, 0] = L
-    cores.append(last)
-    return TTMatrix(cores), tt_ones([n] * d)
+    first = _block_core({(0, 0): L, (0, 1): eye}, (1, n, n, 2))
+    mid = _block_core({(0, 0): eye, (1, 0): L, (1, 1): eye}, (2, n, n, 2))
+    last = _block_core({(0, 0): eye, (1, 0): L}, (2, n, n, 1))
+    # each interior core its own copy: TTMatrix keeps float64 cores as given
+    return TTMatrix([first] + [mid.copy() for _ in range(d - 2)] + [last]), tt_ones([n] * d)
 
 
 def _cme_mode_matrices(spec: CascadeCMESpec):
@@ -130,8 +122,7 @@ def _cme_mode_matrices(spec: CascadeCMESpec):
     shift = np.eye(n, k=-1)
     degrade = np.diag(counts[1:], k=1) - np.diag(counts)
     couple = np.diag(spec.beta * counts / (spec.beta * counts + spec.gamma))
-    gen = spec.alpha0 * (shift - np.eye(n))
-    return shift - np.eye(n), degrade, couple, gen
+    return shift - np.eye(n), degrade, couple
 
 
 def build_cme_operator(spec: CascadeCMESpec) -> TTMatrix:
@@ -142,32 +133,19 @@ def build_cme_operator(spec: CascadeCMESpec) -> TTMatrix:
     occupation of mode k-1 through beta*i/(beta*i + gamma), plus degradation.
     """
     d, n = spec.species, spec.states
-    prod_minus_id, degrade, couple, gen = _cme_mode_matrices(spec)
+    prod_minus_id, degrade, couple = _cme_mode_matrices(spec)
     eye = np.eye(n)
-    g_first = gen + spec.delta * degrade
+    g_first = spec.alpha0 * prod_minus_id + spec.delta * degrade
     g_local = spec.delta * degrade
     if d == 1:
         return TTMatrix([g_first[None, :, :, None]])
-    cores = []
-    first = np.zeros((1, n, n, 3))
-    first[0, :, :, 0] = eye
-    first[0, :, :, 1] = couple
-    first[0, :, :, 2] = g_first
-    cores.append(first)
-    for _ in range(d - 2):
-        mid = np.zeros((3, n, n, 3))
-        mid[0, :, :, 0] = eye
-        mid[0, :, :, 1] = couple
-        mid[0, :, :, 2] = g_local
-        mid[1, :, :, 2] = prod_minus_id
-        mid[2, :, :, 2] = eye
-        cores.append(mid)
-    last = np.zeros((3, n, n, 1))
-    last[0, :, :, 0] = g_local
-    last[1, :, :, 0] = prod_minus_id
-    last[2, :, :, 0] = eye
-    cores.append(last)
-    return TTMatrix(cores)
+    first = _block_core({(0, 0): eye, (0, 1): couple, (0, 2): g_first}, (1, n, n, 3))
+    mid = _block_core(
+        {(0, 0): eye, (0, 1): couple, (0, 2): g_local, (1, 2): prod_minus_id, (2, 2): eye},
+        (3, n, n, 3),
+    )
+    last = _block_core({(0, 0): g_local, (1, 0): prod_minus_id, (2, 0): eye}, (3, n, n, 1))
+    return TTMatrix([first] + [mid.copy() for _ in range(d - 2)] + [last])
 
 
 def build_time_system(

@@ -171,6 +171,24 @@ def _check_bounds(indices, sizes):
             raise IndexError(f"index {i} out of range [1, {n}] at mode {k + 1}")
 
 
+def _count_error(name: str, value, least: int) -> Optional[str]:
+    """The complaint about the count ``name=value``, or None where it is an
+    int (NumPy's too, but not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return f"{name}={value!r} (must be an int)"
+    if value < least:
+        return f"{name}={value} (must be >= {least})"
+    return None
+
+
+def _check_counts(owner, **least):
+    """Raise one ValueError naming every count of ``owner`` that
+    :func:`_count_error` refuses; ``least`` maps field names to least values."""
+    bad = [_count_error(name, getattr(owner, name), low) for name, low in least.items()]
+    if any(bad):
+        raise ValueError("; ".join(filter(None, bad)))
+
+
 def flat_index(mi, sizes) -> int:
     """Map a 1-based multi-index to its 1-based flat index.
 
@@ -570,6 +588,9 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """
     if not isinstance(x, (TTVector, TTMatrix)):
         raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
+    bad = _count_error("base", base, 2)
+    if bad:
+        raise ValueError(bad)
     new_cores = []
     for core in x.cores:
         r0, *phys, r1 = core.shape

@@ -1,6 +1,7 @@
 """Environments, local systems, residual blocks, enrichment, and solvers."""
 
 import math
+import re
 import threading
 import weakref
 from dataclasses import replace
@@ -50,7 +51,6 @@ from ttamen.amen import (
     _LOCAL_MAXITER,
     _WIDEN_ABOVE,
     _is_symmetric,
-    _local_matrix,
     _LocalOperator,
     _merge_op_cores,
     _merge_vec_cores,
@@ -184,7 +184,8 @@ class TestEnvironments:
         state = build_environments(A, y, x)
         B, _ = assemble_local(state, A, y, x, 1)
         v = x.cores[0]
-        out = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0]).apply(v)
+        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
+        out = loc.apply(v)
         assert rel_err(vec_core(out), B @ vec_core(v)) < 1e-12
 
 
@@ -200,7 +201,7 @@ def _local_operator_case(case, rng):
             state.advance_left(p, A, y, x)
         L, R = state.left_op[2], state.right_op[3]
         A12 = _merge_op_cores(A.cores[2], A.cores[3])
-        return _LocalOperator(L, A12, R), _local_matrix(L, A12, R)
+        return _LocalOperator(L, A12, R, _Workspace()), _Workspace().build(L, A12, R)
     if case == "large_mode":  # core (8, 32, 4), operator ranks 2
         d, n, ranks, op_rank = 3, 32, [1, 8, 4, 1], 2
     else:  # QTT: core (8, 2, 8), operator ranks 4
@@ -214,7 +215,7 @@ def _local_operator_case(case, rng):
         state.advance_left(p, A, y, x)
     B, _ = assemble_local(state, A, y, x, k)
     L, Ac, R = state.left_op[k - 1], A.cores[k - 1], state.right_op[k - 1]
-    return _LocalOperator(L, Ac, R), B
+    return _LocalOperator(L, Ac, R, _Workspace()), B
 
 
 class TestLocalOperator:
@@ -290,7 +291,7 @@ class TestLocalSolvers:
         state = build_environments(A, y, x)
         B, b = assemble_local(state, A, y, x, 1)
         ref = np.linalg.solve(B, b)
-        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0])
+        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
         u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, symmetric=True)
         assert rel_err(u, ref) < 1e-8
 
@@ -438,8 +439,8 @@ class TestLocalProblemLayer:
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
         state = build_environments(A, y, x)
         config = SolverConfig(tol=1e-8, max_direct_size=cap)
-        one, entry1 = _solve_local_problem(state, A, y, x, 0, 1, config)
-        two, entry2 = _solve_local_problem(state, A, y, x, 0, 2, config)
+        one, entry1 = _solve_local_problem(state, A, y, x, 0, 1, config, _Workspace())
+        two, entry2 = _solve_local_problem(state, A, y, x, 0, 2, config, _Workspace())
         assert one.shape == x.cores[0].shape
         assert two.shape == (1, 16, x.cores[1].shape[2])
         assert entry1.keys() == entry2.keys()
@@ -454,7 +455,8 @@ class TestLocalProblemLayer:
         n, rng = 6, np.random.default_rng(7)
         M = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
         b = rng.standard_normal(n)
-        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        one = np.ones((1, 1, 1))
+        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
         u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-10, symmetric=False)
         assert np.abs(u).max() > 1e15 and info["residual"] > info["residual_before"]
         # the local-problem layer keeps the guess and says so
@@ -462,7 +464,7 @@ class TestLocalProblemLayer:
         y, x = TTVector([b.reshape(1, n, 1)]), TTVector([np.zeros((1, n, 1))])
         state = build_environments(A, y, x)
         config = SolverConfig(tol=1e-8, max_direct_size=0)  # rtol 1e-10 locally
-        core, entry = _solve_local_problem(state, A, y, x, 0, 1, config)
+        core, entry = _solve_local_problem(state, A, y, x, 0, 1, config, _Workspace())
         assert np.array_equal(core, x.cores[0])
         assert entry["path"] == "gmres" and entry["kept_guess"] is True
         assert entry["local_res_after"] == entry["local_res_before"] == 1.0
@@ -475,7 +477,8 @@ class TestLocalProblemLayer:
         M = rng.standard_normal((n, n - 1))
         M = M @ M.T if symmetric else np.hstack([M, np.zeros((n, 1))])
         b = np.linalg.svd(M)[0][:, -1] + rng.standard_normal(n)  # leaves the range
-        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        one = np.ones((1, 1, 1))
+        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
         krylov, _, _ = self.spy(monkeypatch)
         u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-12, symmetric=symmetric)
         assert info["gmres_info"] > 0
@@ -502,7 +505,7 @@ class TestLocalProblemLayer:
         state = build_environments(A, y, x)
         state.advance_left(0, A, y, x)
         krylov, _, direct = self.spy(monkeypatch)
-        _solve_local_problem(state, A, y, x, 1, 1, SolverConfig())
+        _solve_local_problem(state, A, y, x, 1, 1, SolverConfig(), _Workspace())
         if direct_path:
             assert direct == [512] and not krylov.calls
         else:
@@ -524,7 +527,8 @@ class TestLocalProblemLayer:
 # ----------------------------------------------------------------------
 
 def _local_matrix_ref(L, Ac, R):
-    """``_local_matrix`` as two tensordots, the route the workspace replaced."""
+    """The direct matrix of ``_Workspace.build`` as two tensordots, the route
+    the workspace replaced."""
     T = np.tensordot(L, Ac, axes=(1, 0))  # (a,b,i,j,Q)
     T = np.tensordot(T, R, axes=(4, 1))  # (a,b,i,j,c,d)
     N = L.shape[0] * Ac.shape[1] * R.shape[0]
@@ -634,7 +638,7 @@ class TestWorkspace:
         state, A, y, x, k0 = case
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
         if direct:
-            B = _local_matrix(L, Ac, R, workspace)
+            B = workspace.build(L, Ac, R)
             assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
         loc = _LocalOperator(L, Ac, R, workspace)
         if not loc.factored:
@@ -650,9 +654,8 @@ class TestWorkspace:
         case_ = _workspace_case(case, rng)
         # the Poisson n = 32 operator takes the factored order, the others M1
         for direct in (True, False):
-            for workspace in (None, _Workspace()):
-                loc = self.check_step(workspace, case_, rng, direct)
-                assert loc.factored is (case == "poisson")
+            loc = self.check_step(_Workspace(), case_, rng, direct)
+            assert loc.factored is (case == "poisson")
 
     @pytest.mark.parametrize("a", [1, 7])
     def test_panels_give_the_bits_of_one_gemm(self, rng, monkeypatch, a):
@@ -669,7 +672,7 @@ class TestWorkspace:
         assert workspace._buffer.size == _buffer_need(L, Ac)  # no full L·Ac was formed
         # the direct matrix and its step's M: the bits of one GEMM each
         direct = _Workspace()
-        assert np.array_equal(_local_matrix(L, Ac, R, direct), _local_matrix_ref(L, Ac, R))
+        assert np.array_equal(direct.build(L, Ac, R), _local_matrix_ref(L, Ac, R))
         assert np.array_equal(M, direct.M(L, Ac))
         assert direct._buffer.size == _buffer_need(L, Ac, R)
 
@@ -683,14 +686,14 @@ class TestWorkspace:
         workspace = _Workspace()
         M = workspace.M(L, Ac)
         held = M.copy()
-        B = _local_matrix(L, Ac, R, workspace)
+        B = workspace.build(L, Ac, R)
         assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
         assert np.array_equal(M, held) and np.array_equal(M, _merged_m1_ref(L, Ac))
         assert np.array_equal(workspace.M(L, Ac), held)
         assert not np.shares_memory(B, workspace.M(L, Ac))
         # another R on the same step gives its own matrix
         R2 = R + 1.0
-        assert np.array_equal(_local_matrix(L, Ac, R2, workspace), _local_matrix_ref(L, Ac, R2))
+        assert np.array_equal(workspace.build(L, Ac, R2), _local_matrix_ref(L, Ac, R2))
 
     def test_later_request_keeps_m(self, rng):
         # a rectangular left environment (a != b): M only, no direct matrix
@@ -749,10 +752,9 @@ class TestWorkspace:
         assert np.array_equal(B1, B2) and not np.shares_memory(B1, B2)
         workspace = _Workspace()
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
-        B = _local_matrix(L, Ac, R, workspace)
+        B = workspace.build(L, Ac, R)
         assert not np.shares_memory(B, workspace.M(L, Ac))
-        fresh = _local_matrix(L, Ac, R)  # without a workspace: an array of its own
-        assert np.array_equal(fresh, B) and not np.shares_memory(fresh, workspace._buffer)
+        assert np.array_equal(B1, B) and not np.shares_memory(B1, workspace._buffer)
 
     def test_allocates_only_for_a_larger_block(self, monkeypatch):
         monkeypatch.setattr(_RecordingWorkspace, "made", [])
@@ -813,7 +815,7 @@ class TestResidualBlocks:
         for p in range(k - 1):
             state.advance_left(p, A, y, x)
         u_core = rng.standard_normal(x.cores[k - 1].shape)
-        head = _residual_first_block(state, A, y, u_core, k - 1)
+        head = _residual_first_block(state, A, y, u_core, k - 1, _Workspace())
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         z = subtrain_dense([head] + chain.cores[k:])
         # reference: project y - A*(left-interface (x) [u, tail cores])
@@ -1395,6 +1397,23 @@ class TestSolvers:
                 SolverConfig(max_rank=bad)
         with pytest.raises(ValueError):
             EnrichmentState("bogus", 2)
+
+    @pytest.mark.parametrize(
+        "field, value, complaint",
+        [
+            ("kickrank", 2.5, "kickrank=2.5 (must be an int)"),
+            ("max_sweeps", True, "max_sweeps=True (must be an int)"),
+            ("max_rank", 2.0, "max_rank=2.0 (must be an int)"),
+            ("seed", 1.5, "seed=1.5 (must be an int)"),
+            ("seed", -1, "seed=-1 (must be >= 0)"),
+            ("max_direct_size", -1, "max_direct_size=-1 (must be >= 0)"),
+        ],
+    )
+    def test_config_counts_are_ints(self, field, value, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            SolverConfig(**{field: value})
+        config = SolverConfig(**{field: np.int64(3)})  # NumPy integers are counts
+        assert getattr(config, field) == 3
 
     def test_als_enrichment_on_a_zero_rhs(self):
         # every projection of the zero residual vanishes: each core of the

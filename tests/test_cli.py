@@ -340,6 +340,42 @@ class TestMain:
         assert code == EXIT_INVALID
         assert f"{field}={value!r} (must be an int)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem, fields, complaints",
+        [
+            ("poisson", {"symmetrize": "no"}, ["symmetrize='no' (must be a bool)"]),
+            ("cme_time", {"qtt": 0}, ["qtt=0 (must be a bool)"]),
+            ("poisson", {"tol": "1e-5"}, ["tol='1e-5' (must be a real number)"]),
+            ("poisson", {"tol": True}, ["tol=True (must be a real number)"]),
+            ("cme_time", {"t_final": "1"}, ["t_final='1' (must be a real number)"]),
+            ("poisson", {"solver": ["amen_svd"]}, ["solver=['amen_svd'] (must be a string)"]),
+            ("poisson", {"out": 5}, ["out=5 (must be a string)"]),
+            ("cme_time", {"scheme": 1}, ["scheme=1 (must be a string)"]),
+            ("poisson", {"reference": None}, ["reference=None (must be a string)"]),
+            ("custom", {"matrix": 3, "rhs": "y.tt"}, ["matrix=3 (must be a string)"]),
+            (
+                "poisson",
+                {"tol": "1e-5", "out": 5},
+                ["tol='1e-5' (must be a real number)", "out=5 (must be a string)"],
+            ),
+        ],
+    )
+    def test_spec_file_with_wrong_type_exit_three(
+        self, tmp_path, capsys, problem, fields, complaints
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fields))
+        code = main(
+            [
+                "solve", "--spec", str(spec), "--problem", problem, "--d", "3",
+                "--n", "4", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        (line,) = capsys.readouterr().err.splitlines()  # one message names them all
+        assert all(complaint in line for complaint in complaints)
+        assert not list(tmp_path.glob("run*"))
+
     def test_spec_file_with_unknown_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"problem": "poisson", "stepsize": 2}))

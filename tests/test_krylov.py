@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 import ttamen.amen
 from ttamen import krylov
-from ttamen.amen import _LocalOperator, _solve_local_iterative
+from ttamen.amen import _LocalOperator, _solve_local_iterative, _Workspace
 
 # the solvers transcribe SciPy 1.17's; other releases may round differently
 SAME_BITS = scipy.__version__.startswith("1.17.")
@@ -143,7 +143,8 @@ class TestLocalSolve:
         M = rng.standard_normal((n, n - 1))
         M = M @ M.T
         b = np.linalg.svd(M)[0][:, -1] + rng.standard_normal(n)
-        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        one = np.ones((1, 1, 1))
+        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
         seen = {}
 
         class Spy:
@@ -169,7 +170,8 @@ class TestLocalSolve:
     def test_reports_both_residuals(self, rng, symmetric):
         n = 50
         M = spd(rng, n) if symmetric else nonsymmetric(rng, n)
-        loc = _LocalOperator(np.ones((1, 1, 1)), M.reshape(1, n, n, 1), np.ones((1, 1, 1)))
+        one = np.ones((1, 1, 1))
+        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
         b, guess = rng.standard_normal(n), rng.standard_normal(n)
         u, info = _solve_local_iterative(loc, b, guess, 1e-10, symmetric=symmetric)
         assert info["path"] == ("cg" if symmetric else "gmres")

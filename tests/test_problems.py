@@ -1,5 +1,8 @@
 """Problem generators against independently assembled dense references."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -285,3 +288,36 @@ class TestTimeSystem:
             TimeSystemSpec(tau=0.1, n_steps=0)
         with pytest.raises(ValueError):
             TimeSystemSpec(tau=0.1, n_steps=2, scheme="rk4")
+
+
+class TestCountsAndCores:
+    @pytest.mark.parametrize(
+        "make, kwargs, complaint",
+        [
+            (PoissonSpec, dict(dimension=2.5), "dimension=2.5 (must be an int)"),
+            (PoissonSpec, dict(dimension=2, grid_points=4.0), "grid_points=4.0 (must be an int)"),
+            (PoissonSpec, dict(dimension=True), "dimension=True (must be an int)"),
+            (CascadeCMESpec, dict(species=2, states=4.5), "states=4.5 (must be an int)"),
+            (TimeSystemSpec, dict(tau=0.1, n_steps=2.5), "n_steps=2.5 (must be an int)"),
+        ],
+    )
+    def test_spec_counts_are_ints(self, make, kwargs, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            make(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        A, _ = build_poisson(PoissonSpec(dimension=np.int64(3), grid_points=np.int64(4)))
+        ref, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        assert [c.tobytes() for c in A.cores] == [c.tobytes() for c in ref.cores]
+        assert build_cme_operator(CascadeCMESpec(species=np.int64(2), states=np.int64(4))).d == 2
+        assert TimeSystemSpec(tau=0.1, n_steps=np.int64(3)).n_steps == 3
+
+    @pytest.mark.parametrize("problem", ["poisson", "cme"])
+    def test_no_two_cores_share_memory(self, problem):
+        # the interior cores are copies of one built core, not views of it
+        if problem == "poisson":
+            A, _ = build_poisson(PoissonSpec(dimension=5, grid_points=4))
+        else:
+            A = build_cme_operator(CascadeCMESpec(species=5, states=4))
+        for a, b in itertools.combinations(A.cores, 2):
+            assert not np.shares_memory(a, b)

@@ -1,5 +1,7 @@
 """TT data structures and multilinear algebra against dense oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -467,6 +469,20 @@ class TestQTT:
         assert rel_err(to_dense(q), to_dense(x)) < 1e-13
         A = ttmat_random([1, 4], [1, 4], 2, rng=rng)
         assert rel_err(to_dense(qtt_quantize(A)), to_dense(A)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "base, complaint",
+        [
+            (1, "base=1 (must be >= 2)"),
+            (2.0, "base=2.0 (must be an int)"),
+            (True, "base=True (must be an int)"),
+        ],
+    )
+    def test_base_is_a_count_of_at_least_two(self, base, complaint):
+        x = TTVector([np.arange(4.0)[None, :, None]])
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            qtt_quantize(x, base=base)
+        assert qtt_quantize(x, base=np.int64(2)).mode_sizes == (2, 2)
 
     def test_non_square_operator_mode_rejected(self, rng):
         with pytest.raises(ValueError, match="square mode sizes"):
