@@ -26,7 +26,7 @@ from . import krylov as spla  # bench/tracing.py and the tests patch ``spla``
 from .tt import (
     TTMatrix,
     TTVector,
-    _check_counts,
+    _check_fields,
     _contract,
     _matvec_core,
     _qr_push_right,
@@ -98,12 +98,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        _check_counts(self, max_sweeps=1, kickrank=1, max_direct_size=0, seed=0)
+        _check_fields(self, ("tol",), max_sweeps=1, kickrank=1, max_direct_size=0, seed=0)
         if self.max_rank is not None:
-            _check_counts(self, max_rank=1)
-        if self.enrichment not in ("svd", "chol", "als", "none"):
+            _check_fields(self, max_rank=1)
+        if self.enrichment not in (*_BACK_ENDS, "none"):
             raise ValueError(f"unknown enrichment {self.enrichment!r}")
 
 
@@ -293,8 +291,11 @@ def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
     Ac, yc, core = A.cores[k0], y.cores[k0], x.cores[k0]
     if sites == 2:
         Ac = _merge_op_cores(Ac, A.cores[k1])
-        yc = _merge_vec_cores(yc, y.cores[k1])
-        core = _merge_vec_cores(core, x.cores[k1])
+        # a vector core is an operator core with a unit column axis
+        yc, core = (
+            _merge_op_cores(c[:, :, None], t.cores[k1][:, :, None])[:, :, 0]
+            for c, t in ((yc, y), (core, x))
+        )
     b = vec_core(_local_rhs(state.left_rhs[k0], yc, state.right_rhs[k1]))
     return state.left_op[k0], Ac, state.right_op[k1], b, core
 
@@ -310,13 +311,6 @@ def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     T = _contract(A1, A2, axes=(3, 0))  # (P,i,j,k,l,S)
     T = T.transpose(0, 3, 1, 4, 2, 5)  # (P,k,i,l,j,S)
     return np.ascontiguousarray(T).reshape(RP, n1 * n2, m1 * m2, RS)
-
-
-def _merge_vec_cores(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    p, n1, _ = y1.shape
-    _, n2, q = y2.shape
-    T = _contract(y1, y2, axes=(2, 0))  # (p,i,k,q)
-    return np.ascontiguousarray(T.transpose(0, 2, 1, 3)).reshape(p, n1 * n2, q)
 
 
 # a panel of L·Ac rows, in bytes: a few ``a`` per panel on QTT cores, one on
@@ -596,16 +590,6 @@ def _solve_local_problem(
 # Exact residual in TT block form
 # ----------------------------------------------------------------------
 
-def _residual_right_block(A: TTMatrix, y: TTVector, x: TTVector, p: int):
-    """Block p of the exact local residual chain (0-based p >= 1).
-
-    Block-diagonal pairing of the rhs core with the operator-times-iterate
-    core; at the last position the two column blocks collapse to rank 1.
-    """
-    ax = _matvec_core(A.cores[p], x.cores[p])
-    return _sum_core(y.cores[p], ax, p, x.d)
-
-
 def _residual_first_block(
     state: SweepState, A, y, u_core, k0: int, workspace: _Workspace
 ) -> np.ndarray:
@@ -640,14 +624,15 @@ def _residual_factored(ac: np.ndarray, xc: np.ndarray) -> bool:
 def _residual_block_product(A: TTMatrix, y: TTVector, x: TTVector, p: int, F_next):
     """Chain block p (0-based, ``p >= 1``) of ``y - A x`` times ``F_next``: (rows, n, w).
 
-    Block route: form the block of :func:`_residual_right_block` and contract
-    it.  Factored route (see :func:`_residual_factored`): the y rows of
-    ``F_next`` meet ``y_p``; its ``A x`` rows meet ``x_p`` over ``d`` first,
-    then ``A_p`` over ``(j, Q)``, so the ``A x`` core is never formed.
+    Block route: form the block, ``y_p`` paired block-diagonally with the
+    core of ``A_p x_p`` (at the last core the two stack along the left rank),
+    and contract it.  Factored route (see :func:`_residual_factored`): the y
+    rows of ``F_next`` meet ``y_p``; its ``A x`` rows meet ``x_p`` over ``d``
+    first, then ``A_p`` over ``(j, Q)``, so the ``A x`` core is never formed.
     """
     yc, ac, xc = y.cores[p], A.cores[p], x.cores[p]
     if not _residual_factored(ac, xc):
-        block = _residual_right_block(A, y, x, p)
+        block = _sum_core(yc, _matvec_core(ac, xc), p, x.d)
         return _contract(block, F_next, axes=(2, 0))
     R0, n, _, R1 = ac.shape
     r0, _, r1 = xc.shape
@@ -664,10 +649,10 @@ def _residual_block_product(A: TTMatrix, y: TTVector, x: TTVector, p: int, F_nex
 def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
     """Tail factors and exact norm of ``y - A x`` from one R-only QR sweep.
 
-    The unrounded chain ``y - A x`` (cores 1..d-1 are the blocks of
-    :func:`_residual_right_block`) is swept right to left keeping only the
-    R factors.  Each block's product with the factor to its right comes from
-    :func:`_residual_block_product`, so the chain itself is never built.
+    The unrounded chain ``y - A x`` is swept right to left keeping only the
+    R factors.  The product of each block 1..d-1 with the factor to its
+    right comes from :func:`_residual_block_product`, so the chain itself is
+    never built.
     Returns ``(F, norm)``: ``F[p] @ F[p].T`` is the Gram matrix of chain
     blocks ``p..d-1`` for ``p = 1..d`` (``F[d]`` is ``[[1]]``, ``F[0]`` is
     None), and ``norm = ‖[y_0, -A_0 x_0] @ F[1]‖``.  Unlike a square root of
@@ -744,6 +729,11 @@ def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     return Z, {"width": width, "omega": _omega(float(np.sum(L**2)), total)}
 
 
+# the back-end that each enrichment method runs on its head and tail, by
+# name: the name is looked up at call time, so a patched one takes effect
+_BACK_ENDS = {"svd": "enrich_svd", "chol": "enrich_chol", "als": "enrich_svd"}
+
+
 # ----------------------------------------------------------------------
 # Enrichment state
 # ----------------------------------------------------------------------
@@ -762,7 +752,7 @@ class EnrichmentState:
     """
 
     def __init__(self, method: str, kickrank: int, rng=None):
-        if method not in ("svd", "chol", "als"):
+        if method not in _BACK_ENDS:
             raise ValueError(f"unknown enrichment method {method!r}")
         self.method = method
         self.kickrank = kickrank
@@ -812,8 +802,7 @@ class EnrichmentState:
         """
         head = _residual_first_block(state, A, y, u_core, k0, workspace or _Workspace())
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
-        back_end = enrich_chol if self.method == "chol" else enrich_svd
-        Z, info = back_end(head, tail, self.width)
+        Z, info = globals()[_BACK_ENDS[self.method]](head, tail, self.width)
         if self.method == "als":
             info = {"width": info["width"]}
             if self._update_residual_core(A, y, u_core, k0):

@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -49,6 +48,7 @@ from .tt import (
     TTMatrix,
     TTVector,
     _count_error,
+    _real_error,
     qtt_quantize,
     to_dense,
     tt_add,
@@ -103,12 +103,12 @@ class ExperimentSpec:
 
     def validate(self):
         bad = []
-        kinds = {str: "a string", bool: "a bool", Real: "a real number"}
+        kinds = {str: "a string", bool: "a bool"}
 
         def check(name, kind, allowed=lambda value: True, why=""):
-            """The type of the field first, then its value (a bool is no number)."""
+            """The type of the field first, then its value."""
             value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+            if not isinstance(value, kind):
                 bad.append(f"{name}={value!r} (must be {kinds[kind]})")
             elif not allowed(value):
                 bad.append(f"{name}={value!r} ({why})")
@@ -121,7 +121,11 @@ class ExperimentSpec:
         for name, least in ints:
             if not (name == "max_rank" and self.max_rank is None):
                 bad.append(_count_error(name, getattr(self, name), least))
-        check("tol", Real, lambda v: 0 < v < 1, "must be in (0, 1)")
+        # the reals (see tt._real_error); tol must also be below 1
+        tol_bad = _real_error("tol", self.tol)
+        if tol_bad is None and self.tol >= 1:
+            tol_bad = f"tol={self.tol!r} (must be < 1)"
+        bad += [tol_bad, _real_error("t_final", self.t_final)]
         check("reference", str, lambda v: v in ("dense", "tight", "none"), "one of dense|tight|none")
         check("out", str)
         for name in ("matrix", "rhs"):
@@ -130,7 +134,6 @@ class ExperimentSpec:
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
         check("symmetrize", bool)
-        check("t_final", Real, lambda v: v > 0, "must be positive")
         check("scheme", str, lambda v: v in ("crank_nicolson", "implicit_euler"),
               "one of crank_nicolson|implicit_euler")
         check("qtt", bool)

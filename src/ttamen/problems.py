@@ -15,12 +15,12 @@ import numpy as np
 from .tt import (
     TTMatrix,
     TTVector,
-    _check_counts,
+    _check_fields,
+    tt_add,
     tt_matvec,
     tt_ones,
     tt_round,
     tt_unit,
-    ttmat_add,
     ttmat_identity,
     ttmat_round,
 )
@@ -45,7 +45,7 @@ class PoissonSpec:
     grid_points: int = 64
 
     def __post_init__(self):
-        _check_counts(self, dimension=1, grid_points=2)
+        _check_fields(self, dimension=1, grid_points=2)
 
 
 @dataclass
@@ -60,10 +60,7 @@ class CascadeCMESpec:
     gamma: float = 5.0
 
     def __post_init__(self):
-        _check_counts(self, species=1, states=2)
-        for name in ("alpha0", "delta", "beta", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _check_fields(self, ("alpha0", "delta", "beta", "gamma"), species=1, states=2)
 
 
 @dataclass
@@ -75,9 +72,7 @@ class TimeSystemSpec:
     scheme: str = "crank_nicolson"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        _check_counts(self, n_steps=1)
+        _check_fields(self, ("tau",), n_steps=1)
         if self.scheme not in ("crank_nicolson", "implicit_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -148,34 +143,37 @@ def build_cme_operator(spec: CascadeCMESpec) -> TTMatrix:
     return TTMatrix([first] + [mid.copy() for _ in range(d - 2)] + [last])
 
 
-def build_time_system(
-    A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec, round_tol: float = 1e-13
-) -> tuple[TTMatrix, TTVector]:
+# the relative accuracy of build_time_system's rounding
+_TIME_ROUND_TOL = 1e-13
+
+
+def build_time_system(A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec) -> tuple[TTMatrix, TTVector]:
     """Block-bidiagonal-in-time system with time appended as the last mode.
 
     The unknown stacks the states at t_1..t_{n_steps}.  Crank-Nicolson rows
     read ``(I - tau/2 A) x_m - (I + tau/2 A) x_{m-1} = 0`` with the initial
     state feeding the first row's right-hand side; implicit Euler uses
-    ``(I - tau A)`` on the diagonal and the identity below it.
+    ``(I - tau A)`` on the diagonal and the identity below it.  The operator
+    and right-hand side are rounded at ``_TIME_ROUND_TOL``.
     """
     if A.col_sizes != psi0.mode_sizes:
         raise ValueError("operator and initial state sizes differ")
     tau, nt = tspec.tau, tspec.n_steps
     half = 0.5 * tau if tspec.scheme == "crank_nicolson" else tau
     eye = ttmat_identity(A.row_sizes)
-    P = ttmat_add(eye, A, 1.0, -half)  # diagonal-in-time blocks
-    Q = ttmat_add(eye, A, 1.0, half if tspec.scheme == "crank_nicolson" else 0.0)
+    P = tt_add(eye, A, 1.0, -half)  # diagonal-in-time blocks
+    Q = tt_add(eye, A, 1.0, half if tspec.scheme == "crank_nicolson" else 0.0)
     # M = P (x) I_t  -  Q (x) S_t, with the sign on the time core
     time_eye = np.eye(nt)[None, :, :, None]
     time_sub = np.eye(nt, k=-1)[None, :, :, None]
-    M = ttmat_add(TTMatrix(P.cores + [time_eye]), TTMatrix(Q.cores + [-time_sub]))
-    M = ttmat_round(M, round_tol)
+    M = tt_add(TTMatrix(P.cores + [time_eye]), TTMatrix(Q.cores + [-time_sub]))
+    M = ttmat_round(M, _TIME_ROUND_TOL)
 
     rhs_space = tt_matvec(Q, psi0)  # Q x_0 feeds the first step
     e0 = np.zeros((rhs_space.ranks[-1], nt, 1))
     e0[:, 0, 0] = 1.0
     b = TTVector(rhs_space.cores + [e0])
-    return M, tt_round(b, round_tol)
+    return M, tt_round(b, _TIME_ROUND_TOL)
 
 
 def build_initial_state(spec: CascadeCMESpec) -> TTVector:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,7 +53,6 @@ __all__ = [
     "ttmat_matmul",
     "ttmat_round",
     "ttmat_to_tt",
-    "tt_from_ttmat_layout",
     "kron_le",
 ]
 
@@ -181,10 +181,22 @@ def _count_error(name: str, value, least: int) -> Optional[str]:
     return None
 
 
-def _check_counts(owner, **least):
-    """Raise one ValueError naming every count of ``owner`` that
-    :func:`_count_error` refuses; ``least`` maps field names to least values."""
+def _real_error(name: str, value) -> Optional[str]:
+    """The complaint about the real ``name=value``, or None where it is a
+    real number (NumPy's too, but not a bool) that is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name}={value!r} (must be a real number)"
+    if not (math.isfinite(value) and value > 0):
+        return f"{name}={value!r} (must be positive and finite)"
+    return None
+
+
+def _check_fields(owner, reals=(), **least):
+    """Raise one ValueError naming every field of ``owner`` that its rule
+    refuses: :func:`_count_error` for the counts in ``least`` (name to least
+    value), :func:`_real_error` for the names in ``reals``."""
     bad = [_count_error(name, getattr(owner, name), low) for name, low in least.items()]
+    bad += [_real_error(name, getattr(owner, name)) for name in reals]
     if any(bad):
         raise ValueError("; ".join(filter(None, bad)))
 
@@ -395,8 +407,8 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if max_rank is not None and max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    if max_rank is not None and (bad := _count_error("max_rank", max_rank, 1)):
+        raise ValueError(bad)
     d = x.d
     if d == 1:
         return x.copy()
@@ -419,12 +431,17 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
 # TT algebra
 # ----------------------------------------------------------------------
 
-def tt_add(x: TTVector, y: TTVector, alpha: float = 1.0, beta: float = 1.0) -> TTVector:
-    """Exact representation of ``alpha*x + beta*y``; ranks add."""
-    if x.mode_sizes != y.mode_sizes:
-        raise ValueError(f"mode sizes differ: {x.mode_sizes} vs {y.mode_sizes}")
+def tt_add(x: _Train, y: _Train, alpha: float = 1.0, beta: float = 1.0) -> _Train:
+    """Exact ``alpha*x + beta*y`` of two vectors or of two operators (``ttmat_add``
+    is this function) with the same physical sizes; ranks add."""
+    xs, ys = ([c.shape[1:-1] for c in t.cores] for t in (x, y))
+    if xs != ys:
+        raise ValueError(f"physical sizes differ: {xs} vs {ys}")
     pairs = enumerate(zip(x.cores, y.cores))
-    return TTVector([_sum_core(xc, yc, k, x.d, alpha, beta) for k, (xc, yc) in pairs])
+    return type(x)([_sum_core(xc, yc, k, x.d, alpha, beta) for k, (xc, yc) in pairs])
+
+
+ttmat_add = tt_add
 
 
 def _sum_core(xc: np.ndarray, yc: np.ndarray, k: int, d: int, alpha=1.0, beta=1.0):
@@ -588,8 +605,7 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """
     if not isinstance(x, (TTVector, TTMatrix)):
         raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
-    bad = _count_error("base", base, 2)
-    if bad:
+    if bad := _count_error("base", base, 2):
         raise ValueError(bad)
     new_cores = []
     for core in x.cores:
@@ -677,13 +693,6 @@ def ttmat_from_factors(factors) -> TTMatrix:
     return TTMatrix([np.asarray(F)[None, :, :, None] for F in factors])
 
 
-def ttmat_add(A: TTMatrix, B: TTMatrix, alpha: float = 1.0, beta: float = 1.0) -> TTMatrix:
-    if A.row_sizes != B.row_sizes or A.col_sizes != B.col_sizes:
-        raise ValueError("operator shapes differ")
-    pairs = enumerate(zip(A.cores, B.cores))
-    return TTMatrix([_sum_core(ac, bc, k, A.d, alpha, beta) for k, (ac, bc) in pairs])
-
-
 def ttmat_transpose(A: TTMatrix) -> TTMatrix:
     return TTMatrix([c.transpose(0, 2, 1, 3) for c in A.cores])
 
@@ -709,15 +718,8 @@ def ttmat_to_tt(A: TTMatrix) -> TTVector:
     )
 
 
-def tt_from_ttmat_layout(x: TTVector, row_sizes, col_sizes) -> TTMatrix:
-    """Inverse of :func:`ttmat_to_tt` given the original mode splitting."""
-    cores = []
-    for c, n, m in zip(x.cores, row_sizes, col_sizes):
-        cores.append(c.reshape(c.shape[0], n, m, c.shape[2]))
-    return TTMatrix(cores)
-
-
 def ttmat_round(A: TTMatrix, tol: float, max_rank: Optional[int] = None) -> TTMatrix:
     """Rank compression of an operator via its fused vector view."""
     v = tt_round(ttmat_to_tt(A), tol, max_rank=max_rank)
-    return tt_from_ttmat_layout(v, A.row_sizes, A.col_sizes)
+    sizes = zip(v.cores, A.row_sizes, A.col_sizes)
+    return TTMatrix([c.reshape(c.shape[0], n, m, c.shape[2]) for c, n, m in sizes])

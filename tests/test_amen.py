@@ -53,7 +53,6 @@ from ttamen.amen import (
     _is_symmetric,
     _LocalOperator,
     _merge_op_cores,
-    _merge_vec_cores,
     _next_width,
     _residual_factored,
     _residual_first_block,
@@ -559,10 +558,13 @@ def _merged_pair(A, y, x, k0):
     def merge(cores, fn):
         return cores[:k0] + [fn(cores[k0], cores[k0 + 1])] + cores[k0 + 2 :]
 
+    def merge_vec(c1, c2):  # a vector core is an operator core with one column
+        return _merge_op_cores(c1[:, :, None], c2[:, :, None])[:, :, 0]
+
     return (
         TTMatrix(merge(A.cores, _merge_op_cores)),
-        TTVector(merge(y.cores, _merge_vec_cores)),
-        TTVector(merge(x.cores, _merge_vec_cores)),
+        TTVector(merge(y.cores, merge_vec)),
+        TTVector(merge(x.cores, merge_vec)),
     )
 
 
@@ -1414,6 +1416,19 @@ class TestSolvers:
             SolverConfig(**{field: value})
         config = SolverConfig(**{field: np.int64(3)})  # NumPy integers are counts
         assert getattr(config, field) == 3
+
+    @pytest.mark.parametrize(
+        "value, complaint",
+        [
+            ("1e-5", "tol='1e-5' (must be a real number)"),
+            (True, "tol=True (must be a real number)"),
+            (-1.0, "tol=-1.0 (must be positive and finite)"),
+        ],
+    )
+    def test_config_tol_is_a_real_number(self, value, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            SolverConfig(tol=value)
+        assert SolverConfig(tol=np.float64(1e-5)).tol == 1e-5  # NumPy floats are reals
 
     def test_als_enrichment_on_a_zero_rhs(self):
         # every projection of the zero residual vanishes: each core of the

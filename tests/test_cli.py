@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -66,6 +67,12 @@ class TestSpecValidation:
             "t_final=0.0", "scheme='leapfrog'",
         ):
             assert frag in msg
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_t_final_must_be_finite(self, value):
+        with pytest.raises(SpecError, match=re.escape(f"t_final={value!r} (must be positive")):
+            ExperimentSpec(problem="cme_time", t_final=value).validate()
+        ExperimentSpec(problem="cme_time", tol=np.float64(1e-6), t_final=np.float32(1)).validate()
 
     def test_custom_requires_files(self):
         with pytest.raises(SpecError):

@@ -305,6 +305,29 @@ class TestCountsAndCores:
         with pytest.raises(ValueError, match=re.escape(complaint)):
             make(**kwargs)
 
+    @pytest.mark.parametrize(
+        "make, kwargs, complaint",
+        [
+            (TimeSystemSpec, dict(tau="0.1", n_steps=2), "tau='0.1' (must be a real number)"),
+            (TimeSystemSpec, dict(tau=True, n_steps=2), "tau=True (must be a real number)"),
+            (TimeSystemSpec, dict(tau=np.nan, n_steps=2), "tau=nan (must be positive and finite)"),
+            (CascadeCMESpec, dict(species=2, alpha0="1"), "alpha0='1' (must be a real number)"),
+            (CascadeCMESpec, dict(species=2, gamma=True), "gamma=True (must be a real number)"),
+            (CascadeCMESpec, dict(species=2, delta=np.inf), "delta=inf (must be positive and finite)"),
+        ],
+    )
+    def test_spec_reals_are_numbers(self, make, kwargs, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            make(**kwargs)
+
+    def test_numpy_reals_accepted(self):
+        spec = CascadeCMESpec(species=2, states=4, alpha0=np.float64(0.7), beta=np.int64(1))
+        ref = build_cme_operator(CascadeCMESpec(species=2, states=4))
+        assert [c.tobytes() for c in build_cme_operator(spec).cores] == [
+            c.tobytes() for c in ref.cores
+        ]
+        assert TimeSystemSpec(tau=np.float32(0.5), n_steps=2).tau == 0.5
+
     def test_numpy_integer_counts_accepted(self):
         A, _ = build_poisson(PoissonSpec(dimension=np.int64(3), grid_points=np.int64(4)))
         ref, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))

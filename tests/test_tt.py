@@ -332,6 +332,19 @@ class TestRounding:
         with pytest.raises(ValueError, match="max_rank"):
             ttmat_round(ttmat_identity([3] * d), 0.1, max_rank=0)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    def test_max_rank_must_be_a_count(self, rng, bad):
+        x = tt_random([3, 3, 3], 2, rng=rng)
+        complaint = re.escape(f"max_rank={bad!r} (must be an int)")
+        with pytest.raises(ValueError, match=complaint):
+            tt_round(x, 0.1, max_rank=bad)
+        with pytest.raises(ValueError, match=complaint):
+            ttmat_round(ttmat_identity([3, 3, 3]), 0.1, max_rank=bad)
+        capped = tt_round(x, 0.0, max_rank=np.int64(2))  # NumPy integers are counts
+        assert [c.tobytes() for c in capped.cores] == [
+            c.tobytes() for c in tt_round(x, 0.0, max_rank=2).cores
+        ]
+
 
 # ----------------------------------------------------------------------
 # Algebra vs dense oracles
@@ -623,12 +636,12 @@ PACKAGE_SIGNATURES = [
     (3, 4, ((0, 1), (0, 2))),
     (2, 3, (0, 0)),  # advance_left (rhs), tt_dot
     (3, 3, ((0, 1), (0, 1))),
-    (3, 3, (2, 0)),  # advance_right, _merge_vec_cores, the residual blocks
+    (3, 3, (2, 0)),  # advance_right, the residual blocks
     (3, 2, (2, 0)),
     (4, 4, ((1, 2), (1, 3))),
     (4, 3, ((1, 3), (2, 1))),
     (3, 3, ((1, 2), (1, 2))),
-    (4, 4, (3, 0)),  # _merge_op_cores
+    (4, 4, (3, 0)),  # _merge_op_cores (vector cores too)
     (5, 3, (4, 1)),  # _Workspace.build
     (2, 3, (1, 0)),  # _local_rhs, _residual_first_block, the ALS residual core
     (3, 2, (2, 1)),
