@@ -30,6 +30,7 @@ from .tt import (
     _contract,
     _matvec_core,
     _qr_push_right,
+    _real_error,
     _sum_core,
     _svd_trunc,
     orthogonalize,
@@ -60,8 +61,6 @@ __all__ = [
     "als_solve",
     "dmrg_solve",
     "symmetrize",
-    "vec_core",
-    "unvec_core",
 ]
 
 
@@ -176,19 +175,20 @@ def _unfold_first(block: np.ndarray) -> np.ndarray:
 class SweepState:
     """Left/right partial contractions of (w, A, x) and (w, y) per position.
 
-    ``w`` is the test vector: the iterate ``x`` itself for the solution's
-    environments, the ALS residual approximant ``z`` for its projections
-    ``<z, A x>`` and ``<z, y>`` (see :class:`EnrichmentState`).  Each
-    environment's first index is ``w``'s rank.  ``left_op[k]`` contracts
-    cores ``0..k-1``; ``right_op[k]`` contracts cores ``k+1..d-1``.  Both
-    boundary environments are 1x1x1 identities.  ``symmetric`` says whether
-    the operator is symmetric, which makes every local operator symmetric
-    too (CG rather than GMRES).
+    It keeps the system ``A``, ``y`` it contracts, which every layer that
+    takes a state reads from it.  ``w`` is the test vector: the iterate
+    ``x`` itself for the solution's environments, the ALS residual
+    approximant ``z`` for its projections ``<z, A x>`` and ``<z, y>`` (see
+    :class:`EnrichmentState`).  Each environment's first index is ``w``'s
+    rank.  ``left_op[k]`` contracts cores ``0..k-1``; ``right_op[k]``
+    contracts cores ``k+1..d-1``.  Both boundary environments are 1x1x1
+    identities.  ``symmetric`` says whether the operator is symmetric, which
+    makes every local operator symmetric too (CG rather than GMRES).
     """
 
-    def __init__(self, d: int, symmetric: bool):
-        self.d = d
-        self.symmetric = symmetric
+    def __init__(self, A: TTMatrix, y: TTVector, symmetric: bool):
+        self.A, self.y, self.symmetric = A, y, symmetric
+        d = A.d
         self.left_op = [None] * d
         self.right_op = [None] * d
         self.left_rhs = [None] * d
@@ -198,13 +198,13 @@ class SweepState:
         self.right_op[d - 1] = np.ones((1, 1, 1))
         self.right_rhs[d - 1] = np.ones((1, 1))
 
-    def advance_left(self, k: int, A: TTMatrix, y: TTVector, x: TTVector, w=None):
+    def advance_left(self, k: int, x: TTVector, w=None):
         """Absorb core k into the left environments (valid once core k is final).
 
         ``w`` is the test vector (``x`` when omitted).
         """
         wc = (x if w is None else w).cores[k]
-        xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
+        xc, ac, yc = x.cores[k], self.A.cores[k], self.y.cores[k]
         # (a,P,b),(a,i,c),(P,i,j,Q),(b,j,d) -> (c,Q,d) via BLAS-able pairings
         T = _contract(self.left_op[k], wc, axes=(0, 0))  # (P,b,i,c)
         T = _contract(T, ac, axes=((0, 2), (0, 1)))  # (b,c,j,Q)
@@ -213,10 +213,10 @@ class SweepState:
         T = _contract(self.left_rhs[k], wc, axes=(0, 0))  # (p,i,c)
         self.left_rhs[k + 1] = _contract(T, yc, axes=((0, 1), (0, 1)))  # (c,q)
 
-    def advance_right(self, k: int, A: TTMatrix, y: TTVector, x: TTVector, w=None):
+    def advance_right(self, k: int, x: TTVector, w=None):
         """Absorb core k into the right environments; ``w`` as in :meth:`advance_left`."""
         wc = (x if w is None else w).cores[k]
-        xc, ac, yc = x.cores[k], A.cores[k], y.cores[k]
+        xc, ac, yc = x.cores[k], self.A.cores[k], self.y.cores[k]
         T = _contract(wc, self.right_op[k], axes=(2, 0))  # (a,i,Q,d)
         T = _contract(T, ac, axes=((1, 2), (1, 3)))  # (a,d,P,j)
         self.right_op[k - 1] = _contract(T, xc, axes=((1, 3), (2, 1)))  # (a,P,b)
@@ -234,10 +234,9 @@ def build_environments(
     """
     if A.col_sizes != x.mode_sizes or A.row_sizes != y.mode_sizes:
         raise ValueError("operator / vector sizes are inconsistent")
-    d = x.d
-    state = SweepState(d, _is_symmetric(A) if symmetric is None else symmetric)
-    for k in range(d - 1, 0, -1):
-        state.advance_right(k, A, y, x)
+    state = SweepState(A, y, _is_symmetric(A) if symmetric is None else symmetric)
+    for k in range(x.d - 1, 0, -1):
+        state.advance_right(k, x)
     return state
 
 
@@ -263,23 +262,17 @@ def _is_symmetric(A: TTMatrix) -> bool:
     return bool(abs(wav[0] - vaw[0]) <= 1e-10 * bound[0])
 
 
-def assemble_local(
-    state: SweepState,
-    A: TTMatrix,
-    y: TTVector,
-    x: TTVector,
-    k: int,
-):
+def assemble_local(state: SweepState, x: TTVector, k: int):
     """Dense local system (B_k, b_k) at 1-based position k.
 
     Row/column ordering is the Fortran vectorization of the core, i.e. the
     left rank index fastest.
     """
-    L, Ac, R, b, _ = _local_problem(state, A, y, x, k - 1, 1)
+    L, Ac, R, b, _ = _local_problem(state, x, k - 1, 1)
     return _Workspace().build(L, Ac, R), b
 
 
-def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
+def _local_problem(state: SweepState, x, k0: int, sites: int):
     """The local system on cores ``k0 .. k0+sites-1``: ``(L, Ac, R, b, core)``.
 
     ``L``, ``Ac`` and ``R`` make up the operator, ``b`` is the vectorized
@@ -288,6 +281,7 @@ def _local_problem(state: SweepState, A, y, x, k0: int, sites: int):
     iterate cores are merged into one core with a fused mode.
     """
     k1 = k0 + sites - 1
+    A, y = state.A, state.y
     Ac, yc, core = A.cores[k0], y.cores[k0], x.cores[k0]
     if sites == 2:
         Ac = _merge_op_cores(Ac, A.cores[k1])
@@ -535,9 +529,7 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
     return u, info
 
 
-def _solve_local_problem(
-    state: SweepState, A, y, x, k0: int, sites: int, config, workspace: _Workspace
-):
+def _solve_local_problem(state: SweepState, x, k0: int, sites: int, config, workspace: _Workspace):
     """Solve the local system on cores ``k0 .. k0+sites-1``.
 
     Systems up to ``config.max_direct_size`` unknowns are assembled and
@@ -554,7 +546,7 @@ def _solve_local_problem(
     The step's ``L·Ac`` block and the direct matrix go into ``workspace``
     (see :class:`_Workspace`).
     """
-    L, Ac, R, b, core = _local_problem(state, A, y, x, k0, sites)
+    L, Ac, R, b, core = _local_problem(state, x, k0, sites)
     guess = vec_core(core)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
@@ -590,17 +582,14 @@ def _solve_local_problem(
 # Exact residual in TT block form
 # ----------------------------------------------------------------------
 
-def _residual_first_block(
-    state: SweepState, A, y, u_core, k0: int, workspace: _Workspace
-) -> np.ndarray:
+def _residual_first_block(state: SweepState, u_core, k0: int, workspace: _Workspace) -> np.ndarray:
     """Step-dependent head block of the exact local residual at core k0.
 
     ``L·A_k`` comes from ``workspace`` (see :class:`_Workspace`), so
     the ``M`` the local solve built is not formed again.
     """
-    yc = y.cores[k0]
-    y_part = _contract(state.left_rhs[k0], yc, axes=(1, 0))  # (a,i,q)
-    M = workspace.M(state.left_op[k0], A.cores[k0])  # (a i Q, b j)
+    y_part = _contract(state.left_rhs[k0], state.y.cores[k0], axes=(1, 0))  # (a,i,q)
+    M = workspace.M(state.left_op[k0], state.A.cores[k0])  # (a i Q, b j)
     b, j, c = u_core.shape
     a_part = np.dot(M, u_core.reshape(b * j, c))  # (a i Q, c)
     return np.concatenate([y_part, -a_part.reshape(y_part.shape[:2] + (-1,))], axis=2)
@@ -781,16 +770,16 @@ class EnrichmentState:
         if z is None or z.mode_sizes != y.mode_sizes:
             z = tt_random(y.mode_sizes, self.kickrank, rng=self.rng)
         self.residual_tt = z = _unit_right_orthogonal(z)
-        self._env = env = SweepState(x.d, False)
+        self._env = env = SweepState(A, y, False)
         self._tails = [None] * x.d
         for p in range(x.d - 1, 0, -1):
-            env.advance_right(p, A, y, x, z)
+            env.advance_right(p, x, z)
             rhs, op = env.right_rhs[p - 1], env.right_op[p - 1]
             self._tails[p] = np.concatenate([rhs.T, op.reshape(len(rhs), -1).T])
 
     # -- per-step enrichment ----------------------------------------------
 
-    def enrich(self, state: SweepState, A, y, u_core, k0: int, workspace=None):
+    def enrich(self, state: SweepState, u_core, k0: int, workspace=None):
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
 
         The head takes the step's ``L·A_k`` block from ``workspace`` (see
@@ -800,23 +789,24 @@ class EnrichmentState:
         ALS then updates z's core k0; it reports only the width, and a
         ``note`` when that core was redrawn.
         """
-        head = _residual_first_block(state, A, y, u_core, k0, workspace or _Workspace())
+        head = _residual_first_block(state, u_core, k0, workspace or _Workspace())
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
         Z, info = globals()[_BACK_ENDS[self.method]](head, tail, self.width)
         if self.method == "als":
             info = {"width": info["width"]}
-            if self._update_residual_core(A, y, u_core, k0):
+            if self._update_residual_core(u_core, k0):
                 info["note"] = f"residual approximant core {k0 + 1} degenerated; reinitialized"
         return Z, info
 
-    def _update_residual_core(self, A, y, u_core, k0) -> bool:
+    def _update_residual_core(self, u_core, k0) -> bool:
         """One ALS step for z-tilde: project the current global residual.
 
-        Returns whether the projection vanished and the core was redrawn.
+        The system comes from the ``(z; A, y)`` state.  Returns whether the
+        projection vanished and the core was redrawn.
         """
         z, env = self.residual_tt, self._env
-        pos = _local_rhs(env.left_rhs[k0], y.cores[k0], env.right_rhs[k0])  # (g,i,h)
-        T = _contract(env.left_op[k0], A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
+        pos = _local_rhs(env.left_rhs[k0], env.y.cores[k0], env.right_rhs[k0])  # (g,i,h)
+        T = _contract(env.left_op[k0], env.A.cores[k0], axes=(1, 0))  # (g,a,i,j,Q)
         T = _contract(T, u_core, axes=((1, 3), (0, 1)))  # (g,i,Q,b)
         neg = _contract(T, env.right_op[k0], axes=((2, 3), (1, 2)))  # (g,i,h)
         z_new = pos - neg
@@ -829,10 +819,10 @@ class EnrichmentState:
         z.cores[k0] = Q.reshape(g0, n, -1)
         return degenerated
 
-    def advance(self, A, y, x, k0: int):
+    def advance(self, x, k0: int):
         """Advance the ALS environments of ``(z; A, y; x)`` past the finalized core k0."""
         if self.method == "als":
-            self._env.advance_left(k0, A, y, x, self.residual_tt)
+            self._env.advance_left(k0, x, self.residual_tt)
 
 
 # ----------------------------------------------------------------------
@@ -866,8 +856,6 @@ def _expand(cores: list, k0: int, Z: Optional[np.ndarray]):
 
 def amen_sweep(
     x: TTVector,
-    A: TTMatrix,
-    y: TTVector,
     state: SweepState,
     ens: Optional[EnrichmentState],
     config: SolverConfig,
@@ -877,10 +865,11 @@ def amen_sweep(
     """One left-to-right AMEn pass; returns (x, per-core stats).
 
     Expects ``x`` right-orthogonal from position 2 with fresh environments
-    and, when ``ens`` is given, ``ens.prepare_sweep`` already called.  Each
-    step's ``L·A_k`` block is built once, into ``workspace`` (a solve passes
-    its own; without one the sweep makes one for itself).  A ``recorder``
-    (see ``diagnostics._RateRecorder``) is told of each step: its
+    of the system in ``state`` and, when ``ens`` is given,
+    ``ens.prepare_sweep`` already called.  Each step's ``L·A_k`` block is
+    built once, into ``workspace`` (a solve passes its own; without one the
+    sweep makes one for itself).  A ``recorder`` (see
+    ``diagnostics._RateRecorder``) is told of each step: its
     ``on_core_start(k0, x)`` runs before core k0 is solved, and
     ``on_core_done(k0, x, u_core)`` once the core is final, with the solved
     core as it was before the expansion.
@@ -892,12 +881,12 @@ def amen_sweep(
     for k0 in range(d):
         if recorder is not None:
             recorder.on_core_start(k0, x)
-        u_core, entry = _solve_local_problem(state, A, y, x, k0, 1, config, workspace)
+        u_core, entry = _solve_local_problem(state, x, k0, 1, config, workspace)
         x.cores[k0] = u_core
         if k0 < d - 1:
             Z = None
             if ens is not None:
-                Z, einfo = ens.enrich(state, A, y, u_core, k0, workspace)
+                Z, einfo = ens.enrich(state, u_core, k0, workspace)
                 entry["enrich_width"] = einfo["width"]
                 entry["omega_surrogate"] = einfo.get("omega")
                 if "note" in einfo:
@@ -909,10 +898,10 @@ def amen_sweep(
                     elif Z.shape[2] > room:
                         Z = Z[:, :, :room]
             _expand(x.cores, k0, Z)
-            state.advance_left(k0, A, y, x)  # the last core reads left_op[d-1]
+            state.advance_left(k0, x)  # the last core reads left_op[d-1]
             if ens is not None and k0 < d - 2:
                 # z's update runs only below d-1, so nothing reads its last one
-                ens.advance(A, y, x, k0)
+                ens.advance(x, k0)
         if recorder is not None:
             recorder.on_core_done(k0, x, u_core)
         stats.append(entry)
@@ -962,8 +951,9 @@ def _run_alternating(A, y, x0, config, sweep_fn):
     The package's one sweep loop: every solver runs through it, and so does
     the dense rate check (``diagnostics.instrumented_amen_run``), whose
     ``sweep_fn`` is :func:`amen_sweep` plus a recorder.  ``sweep_fn`` is
-    called as ``(x, A, y, state, ens, config, workspace)``; ``ens`` is the
-    run's :class:`EnrichmentState` (None for ``enrichment="none"``).
+    called as ``(x, state, ens, config, workspace)``, with the system in
+    ``state``; ``ens`` is the run's :class:`EnrichmentState` (None for
+    ``enrichment="none"``).
     One residual sweep over each start iterate gives both the check of the
     sweep before and the svd/chol tail factors of the sweep after.
     """
@@ -985,7 +975,7 @@ def _run_alternating(A, y, x0, config, sweep_fn):
         if ens is not None:
             ens.prepare_sweep(A, y, x_next, factors, width)
         state = build_environments(A, y, x_next, symmetric)
-        x, stats = sweep_fn(x_next, A, y, state, ens, config, workspace)
+        x, stats = sweep_fn(x_next, state, ens, config, workspace)
         x_next = orthogonalize(x, "right", 1)
         factors, res = _residual_sweep(A, y, x_next)
         rel = res / yscale
@@ -1076,13 +1066,13 @@ def dmrg_solve(
     return _run_alternating(A, y, x0, replace(config, enrichment="none"), _dmrg_sweep)
 
 
-def _dmrg_sweep(x, A, y, state, ens, config, workspace):
+def _dmrg_sweep(x, state, ens, config, workspace):
     """One left-to-right two-site pass; ``ens`` is None (DMRG does not enrich)."""
     x = x.copy()
     d = x.d
     stats = []
     for k0 in range(d - 1):
-        W, entry = _solve_local_problem(state, A, y, x, k0, 2, config, workspace)
+        W, entry = _solve_local_problem(state, x, k0, 2, config, workspace)
         r0, n1, _ = x.cores[k0].shape
         _, n2, r2 = x.cores[k0 + 1].shape
         budget = config.tol * np.linalg.norm(W) / np.sqrt(max(d - 1, 1))
@@ -1091,7 +1081,7 @@ def _dmrg_sweep(x, A, y, state, ens, config, workspace):
         x.cores[k0] = U.reshape(r0, n1, keep, order="F")
         x.cores[k0 + 1] = (s[:, None] * Vt).reshape(keep, n2, r2, order="F")
         if k0 < d - 2:  # the next sweep builds a new state, so none reads left_op[d-1]
-            state.advance_left(k0, A, y, x)
+            state.advance_left(k0, x)
         stats.append(entry)
     return x, stats
 
@@ -1110,6 +1100,8 @@ def symmetrize(A: TTMatrix, y: TTVector, round_tol: Optional[float] = None):
     Raises if the squared ranks exceed ``SYMMETRIZE_RANK_CAP`` and no
     ``round_tol`` is given to compress them.
     """
+    if round_tol is not None and (bad := _real_error("round_tol", round_tol, zero=True)):
+        raise ValueError(bad)
     worst = max(r * r for r in A.ranks)
     if worst > SYMMETRIZE_RANK_CAP and round_tol is None:
         raise ValueError(

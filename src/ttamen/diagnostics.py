@@ -42,14 +42,7 @@ __all__ = [
     "angle_quantities",
     "fom_chain_bound",
     "dense_oracle_solve",
-    "subtrain_dense",
-    "reduced_system",
     "instrumented_amen_run",
-    "run_kantorovich_check",
-    "run_rate_check",
-    "run_fom_check",
-    "random_spd",
-    "random_well_conditioned",
 ]
 
 
@@ -415,8 +408,8 @@ def instrumented_amen_run(
         omega_bound=_kantorovich_ratio(lam_min, lam_max),
     )
 
-    def recorded_sweep(x, A, y, state, ens, config, workspace):
-        out = _amen.amen_sweep(x, A, y, state, ens, config, workspace, recorder=rec)
+    def recorded_sweep(x, state, ens, config, workspace):
+        out = _amen.amen_sweep(x, state, ens, config, workspace, recorder=rec)
         j_start = rec.sweep_start_j
         ratio = rec.j_trace[-1] / j_start if j_start > 0 else 0.0
         # the last core's progress is absorbed by its exact solve

@@ -28,7 +28,6 @@ __all__ = [
     "TTMatrix",
     "MultiIndex",
     "DenseSizeError",
-    "DEFAULT_DENSE_CAP",
     "flat_index",
     "multi_index",
     "eval_entry",
@@ -52,7 +51,6 @@ __all__ = [
     "ttmat_transpose",
     "ttmat_matmul",
     "ttmat_round",
-    "ttmat_to_tt",
     "kron_le",
 ]
 
@@ -181,13 +179,15 @@ def _count_error(name: str, value, least: int) -> Optional[str]:
     return None
 
 
-def _real_error(name: str, value) -> Optional[str]:
+def _real_error(name: str, value, zero: bool = False) -> Optional[str]:
     """The complaint about the real ``name=value``, or None where it is a
-    real number (NumPy's too, but not a bool) that is positive and finite."""
+    real number (NumPy's too, but not a bool) that is finite and positive,
+    or zero where ``zero`` allows it (a tolerance)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return f"{name}={value!r} (must be a real number)"
-    if not (math.isfinite(value) and value > 0):
-        return f"{name}={value!r} (must be positive and finite)"
+    if not (math.isfinite(value) and (value > 0 or zero and value == 0)):
+        sign = "nonnegative" if zero else "positive"
+        return f"{name}={value!r} (must be {sign} and finite)"
     return None
 
 
@@ -405,8 +405,8 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     per-core budget of ``tol * norm(x) / sqrt(d-1)``.  The result is
     right-orthogonal from core 2 on.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if bad := _real_error("tol", tol, zero=True):
+        raise ValueError(bad)
     if max_rank is not None and (bad := _count_error("max_rank", max_rank, 1)):
         raise ValueError(bad)
     d = x.d
@@ -605,7 +605,7 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """
     if not isinstance(x, (TTVector, TTMatrix)):
         raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
-    if bad := _count_error("base", base, 2):
+    if bad := _count_error("base", base, 2) or _real_error("tol", tol, zero=True):
         raise ValueError(bad)
     new_cores = []
     for core in x.cores:
@@ -624,7 +624,7 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
         chain = _split_chain(t, [base**p] * L)
         new_cores.extend(c.reshape((c.shape[0],) + (base,) * p + (c.shape[2],)) for c in chain)
     out = type(x)(new_cores)
-    if tol <= 0:
+    if tol == 0:
         return out
     return tt_round(out, tol) if isinstance(out, TTVector) else ttmat_round(out, tol)
 

@@ -191,7 +191,7 @@ class TestAcceptance:
         run("svd")  # warm caches before timing
         walls = {"svd": [], "als": []}
         logs = {}
-        for _ in range(3):  # interleave to cancel machine-load drift
+        for _ in range(5):  # interleave to cancel machine-load drift
             for method in ("svd", "als"):
                 w, log = run(method)
                 walls[method].append(w)

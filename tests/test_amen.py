@@ -100,7 +100,7 @@ class TestEnvironments:
         x = orthogonalize(tt_random([n] * d, 2, rng=rng), "right", 1)
         x = orthogonalize(x, "left", 1)
         state = build_environments(A, y, x)
-        B, _ = assemble_local(state, A, y, x, 1)
+        B, _ = assemble_local(state, x, 1)
         assert np.linalg.norm(B - np.eye(B.shape[0])) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -114,8 +114,8 @@ class TestEnvironments:
         x = orthogonalize(x, "right", pivot=k)
         state = build_environments(A, y, x)
         for p in range(k - 1):
-            state.advance_left(p, A, y, x)
-        B, b = assemble_local(state, A, y, x, k)
+            state.advance_left(p, x)
+        B, b = assemble_local(state, x, k)
         B_ref, b_ref = dense_local_oracle(A, y, x, k)
         assert rel_err(B, B_ref) < 1e-11
         assert rel_err(b, b_ref) < 1e-11
@@ -131,12 +131,12 @@ class TestEnvironments:
     def swept(A, y, x, w=None):
         """A state advanced right over cores d-1..1, then left over 0..d-2;
         ``w`` is passed on only when given."""
-        state = SweepState(x.d, False)
+        state = SweepState(A, y, False)
         extra = () if w is None else (w,)
         for k in range(x.d - 1, 0, -1):
-            state.advance_right(k, A, y, x, *extra)
+            state.advance_right(k, x, *extra)
         for k in range(x.d - 1):
-            state.advance_left(k, A, y, x, *extra)
+            state.advance_left(k, x, *extra)
         return state
 
     @staticmethod
@@ -181,7 +181,7 @@ class TestEnvironments:
         y = tt_random([n] * d, 2, rng=rng)
         x = tt_random([n] * d, 3, rng=rng)
         state = build_environments(A, y, x)
-        B, _ = assemble_local(state, A, y, x, 1)
+        B, _ = assemble_local(state, x, 1)
         v = x.cores[0]
         loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
         out = loc.apply(v)
@@ -197,7 +197,7 @@ def _local_operator_case(case, rng):
         x = tt_random([n] * d, 8, rng=rng)  # ranks 1, 4, 8, 8, 4, 1
         state = build_environments(A, y, x)
         for p in range(2):
-            state.advance_left(p, A, y, x)
+            state.advance_left(p, x)
         L, R = state.left_op[2], state.right_op[3]
         A12 = _merge_op_cores(A.cores[2], A.cores[3])
         return _LocalOperator(L, A12, R, _Workspace()), _Workspace().build(L, A12, R)
@@ -211,8 +211,8 @@ def _local_operator_case(case, rng):
     k = 2 if case == "large_mode" else 3
     state = build_environments(A, y, x)
     for p in range(k - 1):
-        state.advance_left(p, A, y, x)
-    B, _ = assemble_local(state, A, y, x, k)
+        state.advance_left(p, x)
+    B, _ = assemble_local(state, x, k)
     L, Ac, R = state.left_op[k - 1], A.cores[k - 1], state.right_op[k - 1]
     return _LocalOperator(L, Ac, R, _Workspace()), B
 
@@ -288,7 +288,7 @@ class TestLocalSolvers:
         x = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(x, "right", 1)
         state = build_environments(A, y, x)
-        B, b = assemble_local(state, A, y, x, 1)
+        B, b = assemble_local(state, x, 1)
         ref = np.linalg.solve(B, b)
         loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
         u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, symmetric=True)
@@ -438,8 +438,8 @@ class TestLocalProblemLayer:
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
         state = build_environments(A, y, x)
         config = SolverConfig(tol=1e-8, max_direct_size=cap)
-        one, entry1 = _solve_local_problem(state, A, y, x, 0, 1, config, _Workspace())
-        two, entry2 = _solve_local_problem(state, A, y, x, 0, 2, config, _Workspace())
+        one, entry1 = _solve_local_problem(state, x, 0, 1, config, _Workspace())
+        two, entry2 = _solve_local_problem(state, x, 0, 2, config, _Workspace())
         assert one.shape == x.cores[0].shape
         assert two.shape == (1, 16, x.cores[1].shape[2])
         assert entry1.keys() == entry2.keys()
@@ -463,7 +463,7 @@ class TestLocalProblemLayer:
         y, x = TTVector([b.reshape(1, n, 1)]), TTVector([np.zeros((1, n, 1))])
         state = build_environments(A, y, x)
         config = SolverConfig(tol=1e-8, max_direct_size=0)  # rtol 1e-10 locally
-        core, entry = _solve_local_problem(state, A, y, x, 0, 1, config, _Workspace())
+        core, entry = _solve_local_problem(state, x, 0, 1, config, _Workspace())
         assert np.array_equal(core, x.cores[0])
         assert entry["path"] == "gmres" and entry["kept_guess"] is True
         assert entry["local_res_after"] == entry["local_res_before"] == 1.0
@@ -502,9 +502,9 @@ class TestLocalProblemLayer:
         )
         x = orthogonalize(orthogonalize(x, "left", 2), "right", 2)
         state = build_environments(A, y, x)
-        state.advance_left(0, A, y, x)
+        state.advance_left(0, x)
         krylov, _, direct = self.spy(monkeypatch)
-        _solve_local_problem(state, A, y, x, 1, 1, SolverConfig(), _Workspace())
+        _solve_local_problem(state, x, 1, 1, SolverConfig(), _Workspace())
         if direct_path:
             assert direct == [512] and not krylov.calls
         else:
@@ -584,7 +584,7 @@ def _workspace_case(case, rng):
         A, y, x = _merged_pair(A, y, x, k0)
     state = build_environments(A, y, x)
     for p in range(k0):
-        state.advance_left(p, A, y, x)
+        state.advance_left(p, x)
     return state, A, y, x, k0
 
 
@@ -647,7 +647,7 @@ class TestWorkspace:
             assert np.array_equal(loc._M1, _merged_m1_ref(L, Ac))
         # the solver hands the head the Fortran view of the solved vector
         u_core = unvec_core(rng.standard_normal(x.cores[k0].size), x.cores[k0].shape)
-        head = _residual_first_block(state, A, y, u_core, k0, workspace)
+        head = _residual_first_block(state, u_core, k0, workspace)
         assert np.array_equal(head, _residual_first_block_ref(state, A, y, u_core, k0))
         return loc
 
@@ -749,8 +749,8 @@ class TestWorkspace:
 
     def test_public_results_share_no_memory(self, rng):
         state, A, y, x, k0 = _workspace_case("poisson", rng)
-        B1, b1 = assemble_local(state, A, y, x, k0 + 1)
-        B2, b2 = assemble_local(state, A, y, x, k0 + 1)
+        B1, b1 = assemble_local(state, x, k0 + 1)
+        B2, b2 = assemble_local(state, x, k0 + 1)
         assert np.array_equal(B1, B2) and not np.shares_memory(B1, B2)
         workspace = _Workspace()
         L, Ac, R = state.left_op[k0], A.cores[k0], state.right_op[k0]
@@ -815,9 +815,9 @@ class TestResidualBlocks:
         x = orthogonalize(x, "left", pivot=k)
         state = build_environments(A, y, x)
         for p in range(k - 1):
-            state.advance_left(p, A, y, x)
+            state.advance_left(p, x)
         u_core = rng.standard_normal(x.cores[k - 1].shape)
-        head = _residual_first_block(state, A, y, u_core, k - 1, _Workspace())
+        head = _residual_first_block(state, u_core, k - 1, _Workspace())
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         z = subtrain_dense([head] + chain.cores[k:])
         # reference: project y - A*(left-interface (x) [u, tail cores])
@@ -1211,7 +1211,7 @@ class TestSweep:
         config = SolverConfig(tol=1e-12, max_direct_size=1 << 16)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
-        amen_sweep(x, A, y, state, ens, config, recorder=Rec())
+        amen_sweep(x, state, ens, config, recorder=Rec())
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
 
@@ -1241,7 +1241,7 @@ class TestSweep:
         ens = EnrichmentState(enrichment, 2, rng=rng)
         _prepare(ens, A, y, x)
         assert all(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
-        amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
+        amen_sweep(x, state, ens, SolverConfig(tol=1e-8))
         assert not any(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
 
     def test_no_enrichment_on_last_core(self, rng):
@@ -1250,7 +1250,7 @@ class TestSweep:
         state = build_environments(A, y, x)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
-        out, stats = amen_sweep(x, A, y, state, ens, SolverConfig(tol=1e-8))
+        out, stats = amen_sweep(x, state, ens, SolverConfig(tol=1e-8))
         assert "enrich_width" in stats[0] and "omega_surrogate" in stats[0]
         assert "enrich_width" not in stats[-1] and "omega_surrogate" not in stats[-1]
 
@@ -1266,9 +1266,9 @@ class TestSweep:
         calls = {}
         real = SweepState.advance_left
 
-        def advance_left(self, k, A, y, x, w=None):
+        def advance_left(self, k, x, w=None):
             calls.setdefault(id(self), [self, w is None, 0])[2] += 1
-            return real(self, k, A, y, x, w)
+            return real(self, k, x, w)
 
         monkeypatch.setattr(SweepState, "advance_left", advance_left)
         A, y = random_spd_system(5, 3, rng)
@@ -1893,6 +1893,15 @@ class TestSymmetrize:
         A = ttmat_random([2] * 3, [2] * 3, 2, rng=rng)
         with pytest.raises(ValueError):
             symmetrize(A, tt_random([2] * 3, 1, rng=rng))
+
+    @pytest.mark.parametrize("round_tol", [-1.0, np.nan, np.inf, True, "1e-10"])
+    def test_round_tol_is_a_nonnegative_finite_real(self, rng, round_tol):
+        A = ttmat_random([3, 3], [3, 3], 2, rng=rng)
+        y = tt_random([3, 3], 2, rng=rng)
+        with pytest.raises(ValueError, match=re.escape(f"round_tol={round_tol!r}")):
+            symmetrize(A, y, round_tol=round_tol)
+        for ok in (0, 0.0, np.float64(1e-12)):
+            assert symmetrize(A, y, round_tol=ok)[0].row_sizes == (3, 3)
 
     def test_solve_after_symmetrization(self, rng):
         from ttamen import ttmat_add

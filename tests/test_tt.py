@@ -323,6 +323,32 @@ class TestRounding:
         with pytest.raises(ValueError):
             tt_round(tt_ones([2, 2]), -1.0)
 
+    @pytest.mark.parametrize(
+        "tol, complaint",
+        [
+            (np.nan, "tol=nan (must be nonnegative and finite)"),
+            (np.inf, "tol=inf (must be nonnegative and finite)"),
+            (-1.0, "tol=-1.0 (must be nonnegative and finite)"),
+            (True, "tol=True (must be a real number)"),
+            ("1e-3", "tol='1e-3' (must be a real number)"),
+        ],
+    )
+    def test_tol_is_a_nonnegative_finite_real(self, rng, tol, complaint):
+        x = tt_random([3] * 4, 3, rng=rng)
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            tt_round(x, tol)
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            ttmat_round(ttmat_identity([3, 3]), tol)
+
+    def test_zero_and_numpy_tols_accepted(self, rng):
+        x = tt_random([3] * 4, 3, rng=rng)
+
+        def bits(tol):
+            return [c.tobytes() for c in tt_round(x, tol).cores]
+
+        assert bits(0) == bits(0.0) == bits(np.float64(0.0))
+        assert bits(np.float64(0.1)) == bits(0.1)
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_max_rank_below_one_rejected(self, rng, d):
         x = tt_random([3] * d, 2, rng=rng)
@@ -496,6 +522,14 @@ class TestQTT:
         with pytest.raises(ValueError, match=re.escape(complaint)):
             qtt_quantize(x, base=base)
         assert qtt_quantize(x, base=np.int64(2)).mode_sizes == (2, 2)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, True, "0"])
+    def test_tol_is_a_nonnegative_finite_real(self, tol):
+        A = ttmat_identity([4, 4])
+        with pytest.raises(ValueError, match=re.escape(f"tol={tol!r}")):
+            qtt_quantize(A, tol=tol)
+        for ok in (0, 0.0, np.float64(1e-13)):
+            assert qtt_quantize(A, tol=ok).row_sizes == (2, 2, 2, 2)
 
     def test_non_square_operator_mode_rejected(self, rng):
         with pytest.raises(ValueError, match="square mode sizes"):
