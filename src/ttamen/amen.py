@@ -30,18 +30,14 @@ from .tt import (
     _contract,
     _matvec_core,
     _qr_push_right,
-    _real_error,
     _sum_core,
     _svd_trunc,
     orthogonalize,
     tt_add,  # unused here, but bench/tracing.py wraps it by this name
-    tt_matvec,
+    tt_matvec,  # unused here, but bench/tracing.py wraps it by this name
     tt_norm,
     tt_random,
-    tt_round,
-    ttmat_matmul,
-    ttmat_round,
-    ttmat_transpose,
+    tt_round,  # unused here, but bench/tracing.py wraps it by this name
 )
 
 __all__ = [
@@ -60,7 +56,6 @@ __all__ = [
     "amen_solve",
     "als_solve",
     "dmrg_solve",
-    "symmetrize",
 ]
 
 
@@ -121,7 +116,6 @@ class SweepRecord:
     sweep: int
     wall_time: float
     rel_residual: float
-    a_norm_error: Optional[float]
     max_rank: int
     local_converged: bool
     steps: list = field(default_factory=list)
@@ -984,7 +978,6 @@ def _run_alternating(A, y, x0, config, sweep_fn):
             sweep=sweep + 1,
             wall_time=time.perf_counter() - t0,
             rel_residual=float(rel),
-            a_norm_error=None,
             max_rank=max(x.ranks),
             local_converged=local_conv,
             steps=stats,
@@ -1084,34 +1077,3 @@ def _dmrg_sweep(x, state, ens, config, workspace):
             state.advance_left(k0, x)
         stats.append(entry)
     return x, stats
-
-
-# ----------------------------------------------------------------------
-# Symmetrization
-# ----------------------------------------------------------------------
-
-# the largest normal-equation operator rank ``symmetrize`` forms unrounded
-SYMMETRIZE_RANK_CAP = 4096
-
-
-def symmetrize(A: TTMatrix, y: TTVector, round_tol: Optional[float] = None):
-    """Normal equations ``(A^T A) x = A^T y``; operator ranks square.
-
-    Raises if the squared ranks exceed ``SYMMETRIZE_RANK_CAP`` and no
-    ``round_tol`` is given to compress them.
-    """
-    if round_tol is not None and (bad := _real_error("round_tol", round_tol, zero=True)):
-        raise ValueError(bad)
-    worst = max(r * r for r in A.ranks)
-    if worst > SYMMETRIZE_RANK_CAP and round_tol is None:
-        raise ValueError(
-            f"normal-equation ranks reach {worst} (> {SYMMETRIZE_RANK_CAP}); "
-            "pass round_tol to compress the product"
-        )
-    At = ttmat_transpose(A)
-    AtA = ttmat_matmul(At, A)
-    Aty = tt_matvec(At, y)
-    if round_tol is not None:
-        AtA = ttmat_round(AtA, round_tol)
-        Aty = tt_round(Aty, round_tol)
-    return AtA, Aty

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amen import SolverConfig, amen_solve, dmrg_solve, symmetrize
+from .amen import SolverConfig, amen_solve, dmrg_solve
 from .diagnostics import (
     dense_oracle_solve,
     run_fom_check,
@@ -63,7 +63,7 @@ EXIT_NUMERICAL = 5
 
 CSV_HEADER = ["sweep", "wall_time_s", "rel_residual", "a_norm_error", "max_rank", "local_converged"]
 
-# name -> (driver, enrichment); --symmetrize runs any of them on the normal equations
+# name -> (driver, enrichment)
 SOLVERS = {
     "amen_svd": (amen_solve, "svd"),
     "amen_chol": (amen_solve, "chol"),
@@ -94,7 +94,6 @@ class ExperimentSpec:
     matrix: Optional[str] = None
     rhs: Optional[str] = None
     reference: str = "dense"
-    symmetrize: bool = False
     # time-system knobs (cme_time), overridable through --spec
     n_steps: int = 256
     t_final: float = 10.0
@@ -133,7 +132,6 @@ class ExperimentSpec:
                 check(name, str)
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
-        check("symmetrize", bool)
         check("scheme", str, lambda v: v in ("crank_nicolson", "implicit_euler"),
               "one of crank_nicolson|implicit_euler")
         check("qtt", bool)
@@ -172,7 +170,7 @@ def _quantized(spec: ExperimentSpec, size: int, *trains):
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Build, solve, attach reference error, and write all artifacts."""
+    """Build, solve, measure the reference error, and write all artifacts."""
     spec.validate()
     A, y = build_problem(spec)
     driver, enrichment = SOLVERS[spec.solver]
@@ -184,15 +182,8 @@ def run_experiment(spec: ExperimentSpec):
         seed=spec.seed,
         enrichment=enrichment,
     )
-    A_solve, y_solve = A, y
-    if spec.symmetrize:
-        A_solve, y_solve = symmetrize(A, y, round_tol=min(spec.tol / 100, 1e-10))
-    x, log = driver(A_solve, y_solve, config=config)
-
+    x, log = driver(A, y, config=config)
     err = _reference_error(spec, A, y, x)
-    if err is not None and log.records:
-        log.best.a_norm_error = err  # the record of the returned iterate
-
     _write_artifacts(spec, A, y, x, log, err)
     return x, log
 
@@ -230,19 +221,21 @@ def _tight_reference_error(spec: ExperimentSpec, A, y, x) -> Optional[float]:
     return float(diff / (denom if denom > 0 else 1.0))
 
 
-def write_log(log, path):
-    """CSV convergence log, one row per sweep; empty field for missing error."""
+def write_log(log, path, err=None):
+    """CSV convergence log, one row per sweep.  ``err``, the reference error
+    of the returned iterate, fills the error field of ``log.best``'s row; the
+    field is empty elsewhere."""
+    best = log.best
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in log.records:
-            err = "" if rec.a_norm_error is None else repr(float(rec.a_norm_error))
             writer.writerow(
                 [
                     rec.sweep,
                     repr(float(rec.wall_time)),
                     repr(float(rec.rel_residual)),
-                    err,
+                    "" if err is None or rec is not best else repr(float(err)),
                     rec.max_rank,
                     int(rec.local_converged),
                 ]
@@ -250,7 +243,7 @@ def write_log(log, path):
 
 
 def _write_artifacts(spec, A, y, x, log, err):
-    write_log(log, spec.out + ".csv")
+    write_log(log, spec.out + ".csv", err)
     summary = {
         "status": log.status,
         "stop_reason": log.stop_reason,
@@ -299,7 +292,6 @@ def make_parser() -> _Parser:
     ps.add_argument("--matrix", help="TT operator file (custom)")
     ps.add_argument("--rhs", help="TT right-hand side file (custom)")
     ps.add_argument("--reference", choices=("dense", "tight", "none"))
-    ps.add_argument("--symmetrize", action="store_true")
     ps.add_argument("--spec", help="JSON experiment file overriding flags")
 
     pd = sub.add_parser("diag", help="randomized convergence-theory checks")

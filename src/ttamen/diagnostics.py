@@ -20,7 +20,6 @@ from .tt import (
     TTVector,
     _check_dense_cap,
     _left_interface,
-    interface_matrix,
     to_dense,
     tt_add,
     tt_dot,

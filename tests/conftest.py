@@ -6,7 +6,9 @@ slices index by index, so a structural bug in the optimized contractions
 cannot cancel out on both sides of a comparison.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,15 @@ def random_spd_system(d: int, n: int, rng):
     A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, shift)
     y = tt_random([n] * d, 2, rng=rng)
     return A, y
+
+
+def load_tracing():
+    """The benchmark's span tracer, ``bench/tracing.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

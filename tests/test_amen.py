@@ -37,7 +37,6 @@ from ttamen import (
     orthogonalize,
     qtt_quantize,
     solve_local,
-    symmetrize,
     to_dense,
     tt_add,
     tt_matvec,
@@ -45,7 +44,9 @@ from ttamen import (
     tt_random,
     ttmat_add,
     ttmat_identity,
+    ttmat_matmul,
     ttmat_random,
+    ttmat_transpose,
 )
 from ttamen.amen import (
     _LOCAL_MAXITER,
@@ -514,8 +515,8 @@ class TestLocalProblemLayer:
         assert _is_symmetric(random_spd_system(3, 4, rng)[0])
         A, _ = build_poisson(PoissonSpec(dimension=2, grid_points=64))
         assert _is_symmetric(qtt_quantize(A, tol=1e-13))  # 12 binary cores
-        AtA, _ = symmetrize(*_nonsymmetric_system(3, 4, rng))
-        assert _is_symmetric(AtA)
+        B = _nonsymmetric_system(3, 4, rng)[0]
+        assert _is_symmetric(ttmat_matmul(ttmat_transpose(B), B))  # normal equations
         assert not _is_symmetric(_nonsymmetric_system(3, 4, rng)[0])
         assert not _is_symmetric(_qtt_cme_system())
         assert not _is_symmetric(ttmat_random([3, 3], [4, 4], 2, rng=rng))
@@ -1878,41 +1879,3 @@ class TestSweepPreparation:
         assert threads and set(threads) == {baseline}
         assert threading.active_count() == baseline
 
-
-class TestSymmetrize:
-    def test_normal_equations_match_dense(self, rng):
-        A = ttmat_random([3, 3], [3, 3], 2, rng=rng)
-        y = tt_random([3, 3], 2, rng=rng)
-        AtA, Aty = symmetrize(A, y)
-        Ad = to_dense(A)
-        assert rel_err(to_dense(AtA), Ad.T @ Ad) < 1e-11
-        assert rel_err(to_dense(Aty), Ad.T @ to_dense(y)) < 1e-11
-
-    def test_rank_cap_requires_round_tol(self, rng, monkeypatch):
-        monkeypatch.setattr(ttamen.amen, "SYMMETRIZE_RANK_CAP", 2)
-        A = ttmat_random([2] * 3, [2] * 3, 2, rng=rng)
-        with pytest.raises(ValueError):
-            symmetrize(A, tt_random([2] * 3, 1, rng=rng))
-
-    @pytest.mark.parametrize("round_tol", [-1.0, np.nan, np.inf, True, "1e-10"])
-    def test_round_tol_is_a_nonnegative_finite_real(self, rng, round_tol):
-        A = ttmat_random([3, 3], [3, 3], 2, rng=rng)
-        y = tt_random([3, 3], 2, rng=rng)
-        with pytest.raises(ValueError, match=re.escape(f"round_tol={round_tol!r}")):
-            symmetrize(A, y, round_tol=round_tol)
-        for ok in (0, 0.0, np.float64(1e-12)):
-            assert symmetrize(A, y, round_tol=ok)[0].row_sizes == (3, 3)
-
-    def test_solve_after_symmetrization(self, rng):
-        from ttamen import ttmat_add
-        A = ttmat_add(
-            ttmat_identity([3, 3, 3]),
-            ttmat_random([3] * 3, [3] * 3, 2, rng=rng),
-            6.0,
-            1.0,
-        )
-        y = tt_random([3] * 3, 2, rng=rng)
-        AtA, Aty = symmetrize(A, y)
-        x, log = amen_solve(AtA, Aty, config=SolverConfig(tol=1e-9, max_sweeps=30))
-        xs = np.linalg.solve(to_dense(A), to_dense(y))
-        assert rel_err(to_dense(x), xs) < 1e-6

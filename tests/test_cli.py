@@ -89,13 +89,15 @@ class TestWriteLog:
     def test_rows_and_empty_error_field(self, tmp_path):
         from ttamen import SweepRecord
         log = ConvergenceLog()
-        log.records.append(SweepRecord(1, 0.5, 1e-3, None, 4, False))
-        log.records.append(SweepRecord(2, 1.0, 1e-6, 2.5e-7, 6, True))
+        log.records.append(SweepRecord(1, 0.5, 1e-3, 4, False))
+        log.records.append(SweepRecord(2, 1.0, 1e-6, 6, True))
         path = tmp_path / "log.csv"
         write_log(log, path)
+        assert [row[3] for row in read_csv(path)[1:]] == ["", ""]  # no error given
+        write_log(log, path, 2.5e-7)
         rows = read_csv(path)
         assert rows[0] == CSV_HEADER
-        assert rows[1][3] == ""  # missing a_norm_error
+        assert rows[1][3] == ""  # only the returned iterate's row holds the error
         assert float(rows[2][3]) == 2.5e-7
         assert float(rows[1][1]) <= float(rows[2][1])  # monotone wall time
 
@@ -147,14 +149,12 @@ class TestRunExperiment:
         )
         x, log = run_experiment(spec)
         assert log.status == "stalled" and log.best is not log.records[-1]
-        assert [r.a_norm_error is not None for r in log.records] == [
-            r is log.best for r in log.records
-        ]
         rows = read_csv(tmp_path / "run.csv")
         assert [row[3] != "" for row in rows[1:]] == [r is log.best for r in log.records]
         summary = json.loads((tmp_path / "run.json").read_text())
         assert summary["final_residual"] == log.best.rel_residual
-        assert summary["final_error"] == log.best.a_norm_error
+        assert summary["final_error"] is not None
+        assert [float(row[3]) for row in rows[1:] if row[3]] == [summary["final_error"]]
         assert summary["ranks"] == log.best.ranks
 
     @pytest.mark.parametrize("above", [False, True])
@@ -171,8 +171,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(ttamen.cli, "_tight_reference_error", counted)
         spec = ExperimentSpec(d=3, n=4, tol=1e-7, out=str(tmp_path / "run"))
-        x, log = run_experiment(spec)
-        assert log.best.a_norm_error is not None and log.best.a_norm_error < 1e-6
+        run_experiment(spec)
+        err = json.loads((tmp_path / "run.json").read_text())["final_error"]
+        assert err is not None and err < 1e-6
         assert len(tight_calls) == above
 
     def test_custom_rejects_swapped_files(self, tmp_path, rng):
@@ -350,7 +351,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "problem, fields, complaints",
         [
-            ("poisson", {"symmetrize": "no"}, ["symmetrize='no' (must be a bool)"]),
+            ("poisson", {"qtt": "no"}, ["qtt='no' (must be a bool)"]),
             ("cme_time", {"qtt": 0}, ["qtt=0 (must be a bool)"]),
             ("poisson", {"tol": "1e-5"}, ["tol='1e-5' (must be a real number)"]),
             ("poisson", {"tol": True}, ["tol=True (must be a real number)"]),
@@ -441,23 +442,18 @@ class TestParser:
         err = capsys.readouterr().err
         assert all(name in err for name in SOLVERS)
 
-    def test_symmetrize_runs_the_normal_equations(self, tmp_path, monkeypatch):
-        calls = []
-        real = ttamen.cli.symmetrize
-
-        def spy(A, y, **kwargs):
-            calls.append(A)
-            return real(A, y, **kwargs)
-
-        monkeypatch.setattr(ttamen.cli, "symmetrize", spy)
-        args = ["solve", "--problem", "poisson", "--d", "2", "--n", "4", "--tol", "1e-7"]
-        assert main(args + ["--out", str(tmp_path / "plain")]) == EXIT_OK
-        assert not calls
-        out = tmp_path / "sym"
-        assert main(args + ["--symmetrize", "--out", str(out)]) == EXIT_OK
-        assert len(calls) == 1
-        summary = json.loads(out.with_suffix(".json").read_text())
-        assert summary["config"]["symmetrize"] is True
+    def test_normal_equations_option_is_refused(self, tmp_path, capsys):
+        # an old input must fail, not silently run the system it was given
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"symmetrize": False}))
+        args = [
+            "solve", "--problem", "poisson", "--d", "2", "--n", "4",
+            "--out", str(tmp_path / "run"),
+        ]
+        for extra in (["--symmetrize"], ["--spec", str(spec)]):
+            assert main(args + extra) == EXIT_INVALID
+            assert "symmetrize" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run*"))
 
 
 class TestDeterminism:

@@ -6,23 +6,13 @@ still exists, that a traced solve gives the bits of an untraced one and
 records the expected spans, and that every swapped name is put back.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from ttamen import PoissonSpec, SolverConfig, amen_solve, build_poisson, dmrg_solve
 
+from conftest import load_tracing
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load_tracing()
+tracing = load_tracing()
 
 # Poisson d=4, n=8: the local systems reach 4*8*4 = 128 unknowns, so a cap
 # of 50 sends them to CG
