@@ -146,13 +146,14 @@ def build_problem(spec: ExperimentSpec):
         return build_poisson(PoissonSpec(dimension=spec.d, grid_points=spec.n))
     if spec.problem in ("cme", "cme_time"):
         cspec = CascadeCMESpec(species=spec.d, states=spec.n)
-        A, psi0 = _quantized(spec, spec.n, build_cme_operator(cspec), build_initial_state(cspec))
+        A, psi0 = _quantized(spec, build_cme_operator(cspec), build_initial_state(cspec))
         if spec.problem == "cme":
             return A, psi0
         tspec = TimeSystemSpec(
             tau=spec.t_final / spec.n_steps, n_steps=spec.n_steps, scheme=spec.scheme
         )
-        return _quantized(spec, spec.n_steps, *build_time_system(A, psi0, tspec))
+        # binary time cores where A is binary and n_steps a power of two
+        return build_time_system(A, psi0, tspec)
     # custom
     A = tt_io_read(spec.matrix)
     y = tt_io_read(spec.rhs)
@@ -161,10 +162,10 @@ def build_problem(spec: ExperimentSpec):
     return A, y
 
 
-def _quantized(spec: ExperimentSpec, size: int, *trains):
-    """``trains`` in binary modes where ``spec.qtt`` asks and ``size`` is a
+def _quantized(spec: ExperimentSpec, *trains):
+    """``trains`` in binary modes where ``spec.qtt`` asks and ``spec.n`` is a
     power of two, else as they are."""
-    if not (spec.qtt and size >= 2 and (size & (size - 1)) == 0):
+    if not (spec.qtt and spec.n >= 2 and (spec.n & (spec.n - 1)) == 0):
         return trains
     return tuple(qtt_quantize(t, tol=1e-13) for t in trains)
 

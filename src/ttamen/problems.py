@@ -3,7 +3,7 @@
 Covers the discrete high-dimensional Poisson operator, the cascade gene
 regulatory chemical-master-equation generator, and the all-at-once time
 stepping system (Crank-Nicolson or implicit Euler) with time as an extra
-trailing mode.
+trailing mode, or as trailing binary modes on a binary space.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ def build_time_system(A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec) -> tup
     state feeding the first row's right-hand side; implicit Euler uses
     ``(I - tau A)`` on the diagonal and the identity below it.  The operator
     and right-hand side are rounded at ``_TIME_ROUND_TOL``.
+
+    If every mode of ``A`` has size 2 and ``n_steps = 2**L`` with L >= 1,
+    time is L binary modes, lowest bit first as ``qtt_quantize`` orders
+    them, and no dense ``n_steps x n_steps`` block is formed.  Otherwise
+    time is one mode.
     """
     if A.col_sizes != psi0.mode_sizes:
         raise ValueError("operator and initial state sizes differ")
@@ -163,17 +168,43 @@ def build_time_system(A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec) -> tup
     eye = ttmat_identity(A.row_sizes)
     P = tt_add(eye, A, 1.0, -half)  # diagonal-in-time blocks
     Q = tt_add(eye, A, 1.0, half if tspec.scheme == "crank_nicolson" else 0.0)
-    # M = P (x) I_t  -  Q (x) S_t, with the sign on the time core
-    time_eye = np.eye(nt)[None, :, :, None]
-    time_sub = np.eye(nt, k=-1)[None, :, :, None]
-    M = tt_add(TTMatrix(P.cores + [time_eye]), TTMatrix(Q.cores + [-time_sub]))
+    time_eye, time_sub, e0 = _time_axis(nt, set(A.row_sizes + A.col_sizes) == {2})
+    # M = P (x) I_t  -  Q (x) S_t, with the sign on the lowest time core
+    time_sub[0] = -time_sub[0]
+    M = tt_add(TTMatrix(P.cores + time_eye), TTMatrix(Q.cores + time_sub))
     M = ttmat_round(M, _TIME_ROUND_TOL)
 
     rhs_space = tt_matvec(Q, psi0)  # Q x_0 feeds the first step
-    e0 = np.zeros((rhs_space.ranks[-1], nt, 1))
-    e0[:, 0, 0] = 1.0
-    b = TTVector(rhs_space.cores + [e0])
+    b = TTVector(rhs_space.cores + e0)
     return M, tt_round(b, _TIME_ROUND_TOL)
+
+
+def _time_axis(nt: int, binary: bool) -> tuple[list, list, list]:
+    """Cores of the identity, the lower shift ``S[j + 1, j] = 1`` and ``e_0``
+    on ``nt`` steps.
+
+    Where ``binary`` is set and ``nt = 2**L``, L >= 1, each is L binary
+    cores: the identity and ``e_0`` have QTT rank 1, and the shift rank 2,
+    its bond the carry of ``j + 1`` from one bit to the next (Kazeev,
+    Khoromskij & Tyrtyshnikov, SISC 35(3), 2013).  Else each is one core.
+    """
+    L = int(nt).bit_length() - 1
+    if not (binary and L >= 1 and nt == 1 << L):
+        eye, shift = np.eye(nt)[None, :, :, None], np.eye(nt, k=-1)[None, :, :, None]
+        return [eye], [shift], [np.eye(1, nt).reshape(1, nt, 1)]
+    eye = np.eye(2)
+    up = np.eye(2, k=-1)  # bit 0 -> 1, no carry
+    down = up.T  # bit 1 -> 0, carry out
+    if L == 1:
+        shift = [up[None, :, :, None]]
+    else:
+        first = _block_core({(0, 0): up, (0, 1): down}, (1, 2, 2, 2))
+        mid = _block_core({(0, 0): eye, (1, 0): up, (1, 1): down}, (2, 2, 2, 2))
+        last = _block_core({(0, 0): eye, (1, 0): up}, (2, 2, 2, 1))
+        shift = [first] + [mid.copy() for _ in range(L - 2)] + [last]
+    # each core its own array, as in build_poisson
+    eyes = [np.eye(2)[None, :, :, None] for _ in range(L)]
+    return eyes, shift, [np.eye(1, 2).reshape(1, 2, 1) for _ in range(L)]
 
 
 def build_initial_state(spec: CascadeCMESpec) -> TTVector:

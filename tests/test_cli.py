@@ -200,6 +200,16 @@ class TestRunExperiment:
         assert A.row_sizes == (2,) * 7
         assert b.mode_sizes == (2,) * 7
 
+    def test_cme_time_on_a_non_binary_space_stays_unquantized(self, tmp_path):
+        # 3 states cannot be quantized, so the time axis stays one mode too
+        fields = {"problem": "cme_time", "d": 2, "n": 3, "n_steps": 8}
+        A, b = build_problem(ExperimentSpec(**fields))
+        assert A.row_sizes == A.col_sizes == (3, 3, 8)
+        assert b.mode_sizes == (3, 3, 8)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fields))
+        assert main(["solve", "--spec", str(spec), "--out", str(tmp_path / "run")]) == EXIT_OK
+
 
 class TestMain:
     def test_converged_run_exit_zero(self, tmp_path):

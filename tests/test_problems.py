@@ -1,7 +1,12 @@
 """Problem generators against independently assembled dense references."""
 
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from ttamen import (
 )
 
 from conftest import rel_err
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense_cme_generator(spec: CascadeCMESpec) -> np.ndarray:
@@ -264,6 +271,70 @@ class TestTimeSystem:
         M, b = build_time_system(A, psi0, TimeSystemSpec(tau=0.1, n_steps=8))
         assert M.row_sizes == (3, 3, 8)
         assert b.mode_sizes == (3, 3, 8)
+
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "implicit_euler"])
+    @pytest.mark.parametrize("nt", [2, 4, 8, 16])
+    def test_binary_time_axis_matches_dense_time_mode(self, nt, scheme):
+        spec = CascadeCMESpec(species=2, states=4)
+        A, psi0 = build_cme_operator(spec), build_initial_state(spec)
+        tspec = TimeSystemSpec(tau=0.1, n_steps=nt, scheme=scheme)
+        Aq, psi0q = qtt_quantize(A, tol=1e-13), qtt_quantize(psi0, tol=1e-13)
+        M, b = build_time_system(Aq, psi0q, tspec)
+        layout = Aq.row_sizes + (2,) * (nt.bit_length() - 1)
+        assert M.row_sizes == M.col_sizes == layout
+        assert b.mode_sizes == layout
+        # the unquantized operator keeps one dense time mode
+        Md, bd = build_time_system(A, psi0, tspec)
+        assert Md.row_sizes == (4, 4, nt)
+        assert rel_err(to_dense(M), to_dense(Md)) < 1e-13
+        assert rel_err(to_dense(b), to_dense(bd)) < 1e-13
+
+    @pytest.mark.parametrize("nt", [1, 6])
+    def test_binary_space_keeps_one_time_mode_off_powers_of_two(self, nt):
+        spec = CascadeCMESpec(species=2, states=4)
+        A = qtt_quantize(build_cme_operator(spec), tol=1e-13)
+        psi0 = qtt_quantize(build_initial_state(spec), tol=1e-13)
+        M, b = build_time_system(A, psi0, TimeSystemSpec(tau=0.1, n_steps=nt))
+        assert M.row_sizes == M.col_sizes == (2,) * 4 + (nt,)
+        assert b.mode_sizes == (2,) * 4 + (nt,)
+
+    def test_2_16_steps_solve_in_capped_memory(self):
+        """One species of 4 states, 65,536 Crank-Nicolson steps of 10/65,536,
+        built and solved in a child limited to 512 MiB of address space: a
+        dense time mode would ask for 32 GiB in ``np.eye(65536)``."""
+        nt, tau = 2**16, 10.0 / 2**16
+        code = (
+            "import json, resource\n"
+            "cap = 512 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "import numpy as np\n"
+            "from ttamen import *\n"
+            "spec = CascadeCMESpec(species=1, states=4)\n"
+            "A = qtt_quantize(build_cme_operator(spec), tol=1e-13)\n"
+            "psi0 = qtt_quantize(build_initial_state(spec), tol=1e-13)\n"
+            f"M, b = build_time_system(A, psi0, TimeSystemSpec(tau={tau!r}, n_steps={nt}))\n"
+            "x, log = amen_solve(M, b, config=SolverConfig(tol=1e-8, enrichment='als'))\n"
+            "v = np.ones((1, 1))\n"
+            "for core in reversed(x.cores[2:]):  # time bits, all 1 at the last step\n"
+            "    v = core[:, 1, :] @ v\n"
+            "last = to_dense(TTVector([x.cores[0], x.cores[1] @ v]))\n"
+            "print(json.dumps({'status': log.status, 'cores': len(M.cores), 'last': last.tolist()}))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["status"] == "converged" and out["cores"] == 2 + 16
+
+        Ad = to_dense(build_cme_operator(CascadeCMESpec(species=1, states=4)))
+        step = np.linalg.solve(np.eye(4) - 0.5 * tau * Ad, np.eye(4) + 0.5 * tau * Ad)
+        psi = np.eye(4)[:, 0]
+        for _ in range(nt):
+            psi = step @ psi
+        assert rel_err(out["last"], psi) < 1e-8
 
     def test_incompatible_sizes_rejected(self):
         spec = CascadeCMESpec(species=2, states=3)
