@@ -29,8 +29,10 @@ from .tt import (
     _check_fields,
     _contract,
     _matvec_core,
+    _qr,
     _qr_push_right,
     _sum_core,
+    _svd,
     _svd_trunc,
     orthogonalize,
     tt_add,  # unused here, but bench/tracing.py wraps it by this name
@@ -647,7 +649,7 @@ def _residual_sweep(A: TTMatrix, y: TTVector, x: TTVector):
     F[d] = np.ones((1, 1))
     for p in range(d - 1, 0, -1):
         T = _residual_block_product(A, y, x, p, F[p + 1])
-        F[p] = np.linalg.qr(T.reshape(T.shape[0], -1).T, mode="r").T
+        F[p] = _qr(T.reshape(T.shape[0], -1).T, mode="r").T
     ax = _matvec_core(A.cores[0], x.cores[0])
     head = _sum_core(y.cores[0], ax, 0, d, 1.0, -1.0)
     return F, float(np.linalg.norm(_unfold_first(head) @ F[1]))
@@ -673,8 +675,8 @@ def enrich_svd(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     X = _unfold_first(head) @ tail_factor
     if X.shape[1] > X.shape[0]:
         # a wide X = L Q^T has the left singular pairs of its square L factor
-        X = np.linalg.qr(X.T, mode="r").T
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
+        X = _qr(X.T, mode="r").T
+    U, s, _ = _svd(X)
     if s.size == 0 or s[0] <= 0:
         return None, {"sigma": s, "width": 0, "omega": 0.0}
     width = min(kickrank, int(np.sum(s > 1e-14 * s[0])))
@@ -706,7 +708,7 @@ def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
         return None, {"width": 0, "omega": _omega(0.0, total)}
     L = np.empty((MF.shape[0], width))
     L[piv] = R[:width].T
-    Q, _ = np.linalg.qr(L)
+    Q, _ = _qr(L)
     r0, n, _ = head.shape
     Z = unvec_core(Q.ravel(order="F"), (r0, n, width))
     return Z, {"width": width, "omega": _omega(float(np.sum(L**2)), total)}
@@ -809,7 +811,7 @@ class EnrichmentState:
             z_new = self.rng.standard_normal(z.cores[k0].shape)
         # keep the left part of z-tilde orthonormal for the next projection
         g0, n, g1 = z_new.shape
-        Q, _ = np.linalg.qr(z_new.reshape(g0 * n, g1))
+        Q, _ = _qr(z_new.reshape(g0 * n, g1))
         z.cores[k0] = Q.reshape(g0, n, -1)
         return degenerated
 

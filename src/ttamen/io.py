@@ -9,6 +9,7 @@ rank index, as little-endian IEEE-754 doubles.  Round-trips are byte-exact.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def tt_io_read(path):
         manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TTFormatError(f"bad manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TTFormatError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     for key in ("type", "mode_sizes", "ranks", "dtype", "core_order"):
         if key not in manifest:
             raise TTFormatError(f"manifest missing field {key!r}")
@@ -89,7 +92,7 @@ def tt_io_read(path):
         raise TTFormatError(f"unsupported core order {manifest['core_order']!r}")
 
     shapes = _core_shapes(manifest)
-    expected = sum(int(np.prod(s)) for s in shapes) * _DTYPE.itemsize
+    expected = sum(math.prod(s) for s in shapes) * _DTYPE.itemsize
     if len(blob) != expected:
         raise TTFormatError(
             f"payload has {len(blob)} bytes, manifest implies {expected}"
@@ -97,7 +100,7 @@ def tt_io_read(path):
     cores = []
     offset = 0
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         flat = np.frombuffer(blob, dtype=_DTYPE, count=n, offset=offset)
         cores.append(flat.reshape(shape, order="F").copy())
         offset += n * _DTYPE.itemsize

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "TTVector",
@@ -341,13 +342,57 @@ def frame_matrix(x: TTVector, k: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Dense QR and SVD
+# ----------------------------------------------------------------------
+#
+# Every dense QR and SVD of the package runs here, on the LAPACK gufuncs that
+# np.linalg.qr and np.linalg.svd call, with their signatures and error
+# callbacks but without their per-call type dispatch.  So each factor has the
+# bits and the memory layout of np.linalg's.
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _raise_svd_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+_LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _qr(a: np.ndarray, mode: str = "reduced"):
+    """``np.linalg.qr(a, mode)`` of a matrix for ``mode`` ``"r"`` or ``"reduced"``.
+
+    The gufunc factors a copy in place, which keeps ``a``'s memory order as
+    np.linalg.qr's copy does.  R is a fresh array with ``np.triu``'s values
+    and layout; the later products read it in that layout.
+    """
+    a = a.astype(np.float64, copy=True)
+    m, n = a.shape
+    mn = min(m, n)
+    with np.errstate(call=_raise_qr_error, **_LAPACK_ERRSTATE):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        if mode == "reduced":
+            q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    r = np.where(np.greater.outer(np.arange(mn), np.arange(n)), np.zeros(1), a[:mn])
+    return r if mode == "r" else (q, r)
+
+
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)`` of a matrix: ``(U, s, Vt)``."""
+    with np.errstate(call=_raise_svd_error, **_LAPACK_ERRSTATE):
+        return _umath_linalg.svd_s(a, signature="d->ddd")
+
+
+# ----------------------------------------------------------------------
 # Orthogonalization and rounding
 # ----------------------------------------------------------------------
 
 def _qr_push_right(cores, k):
     """Left-orthogonalize core k, absorbing the R factor into core k+1."""
     r, n, R = cores[k].shape
-    Q, Rf = np.linalg.qr(cores[k].reshape(r * n, R))
+    Q, Rf = _qr(cores[k].reshape(r * n, R))
     cores[k] = Q.reshape(r, n, -1)
     cores[k + 1] = np.einsum("ab,bnc->anc", Rf, cores[k + 1])
 
@@ -355,7 +400,7 @@ def _qr_push_right(cores, k):
 def _lq_push_left(cores, k):
     """Right-orthogonalize core k, absorbing the factor into core k-1."""
     r, n, R = cores[k].shape
-    Q, Rf = np.linalg.qr(cores[k].reshape(r, n * R).T)
+    Q, Rf = _qr(cores[k].reshape(r, n * R).T)
     cores[k] = Q.T.reshape(-1, n, R)
     cores[k - 1] = np.einsum("anb,cb->anc", cores[k - 1], Rf)
 
@@ -384,7 +429,7 @@ def orthogonalize(x: TTVector, direction: str, pivot: int) -> TTVector:
 
 def _svd_trunc(M: np.ndarray, budget: float, max_rank: Optional[int]):
     """SVD of M keeping the smallest rank whose discarded tail is <= budget."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = _svd(M)
     if budget > 0:
         tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
         # tail[k] is the Frobenius error if columns k..end are dropped
@@ -552,7 +597,7 @@ def tt_norm(x: TTVector) -> float:
     carry = np.ones((1, 1))
     for core in x.cores[:-1]:
         r, n, R = core.shape
-        carry = np.linalg.qr((carry @ core.reshape(r, n * R)).reshape(-1, R), mode="r")
+        carry = _qr((carry @ core.reshape(r, n * R)).reshape(-1, R), mode="r")
     last = x.cores[-1]
     return float(np.linalg.norm(carry @ last.reshape(last.shape[0], -1)))
 

@@ -992,7 +992,7 @@ class TestResidualSweep:
         real_sweep = ttamen.amen._residual_sweep
 
         def residual_sweep(A, y, x):
-            monkeypatch.setattr(ttamen.amen.np.linalg, "qr", failing_qr)
+            monkeypatch.setattr(ttamen.amen, "_qr", failing_qr)
             return real_sweep(A, y, x)
 
         monkeypatch.setattr(ttamen.amen, "_residual_sweep", residual_sweep)

@@ -278,7 +278,7 @@ class TestMain:
         real_sweep = ttamen.amen._residual_sweep
 
         def residual_sweep(A, y, x):
-            monkeypatch.setattr(ttamen.amen.np.linalg, "qr", failing_qr)
+            monkeypatch.setattr(ttamen.amen, "_qr", failing_qr)
             return real_sweep(A, y, x)
 
         monkeypatch.setattr(ttamen.amen, "_residual_sweep", residual_sweep)
@@ -319,6 +319,19 @@ class TestMain:
         )
         assert code == EXIT_INVALID
         assert "mode_sizes must be" in capsys.readouterr().err
+
+    def test_manifest_not_an_object_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tt"
+        fields = ["type", "mode_sizes", "ranks", "dtype", "core_order"]
+        bad.write_bytes(json.dumps(fields).encode() + b"\n")
+        code = main(
+            [
+                "solve", "--problem", "custom", "--matrix", str(bad),
+                "--rhs", str(bad), "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert "manifest must be a JSON object" in capsys.readouterr().err
 
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         code = main(

@@ -110,6 +110,28 @@ class TestValidation:
         with pytest.raises(TTFormatError):
             tt_io_read(path)
 
+    def test_manifest_not_an_object(self, tmp_path):
+        # valid JSON, but a list: its fields cannot be looked up by name
+        path = tmp_path / "x.tt"
+        fields = ["type", "mode_sizes", "ranks", "dtype", "core_order"]
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + b"\x00" * 8)
+        with pytest.raises(TTFormatError, match="manifest must be a JSON object"):
+            tt_io_read(path)
+
+    def test_implied_size_beyond_int64(self, tmp_path):
+        # 2**32 * 2**32 * 2**32 entries wrap to 0 in int64, the empty payload's size
+        manifest = {
+            "type": "ttvector",
+            "mode_sizes": [2**32, 2**32],
+            "ranks": [1, 2**32, 1],
+            "dtype": "f64le",
+            "core_order": "left_rank_fastest",
+        }
+        path = tmp_path / "x.tt"
+        path.write_bytes(json.dumps(manifest).encode() + b"\n")
+        with pytest.raises(TTFormatError, match="payload has 0 bytes, manifest implies"):
+            tt_io_read(path)
+
     def test_missing_field(self, rng, tmp_path):
         path = self._write(tmp_path, rng)
         header, _, blob = path.read_bytes().partition(b"\n")

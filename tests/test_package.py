@@ -67,3 +67,28 @@ def test_every_imported_name_is_read(path):
         patches = tracing._patches(tracing.Tracer())
         wrapped = {name for owner, name, _ in patches if owner is ttamen.amen}
     assert imported_names(tree) - read - wrapped == set()
+
+
+def _dotted(node) -> str:
+    """``np.linalg.qr`` for the expression of that name, else ``""``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+FACTORIZATIONS = {f"{np}.linalg.{f}" for np in ("np", "numpy") for f in ("qr", "svd")}
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+def test_factorizations_run_through_the_kernel(path):
+    # every dense QR and SVD goes through tt._qr/tt._svd, which call numpy's
+    # LAPACK gufuncs themselves; no module is exempt
+    tree = ast.parse(path.read_text())
+    calls = [
+        f"line {node.lineno}: {_dotted(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _dotted(node.func) in FACTORIZATIONS
+    ]
+    assert calls == []

@@ -36,7 +36,14 @@ from ttamen import (
     ttmat_transpose,
 )
 from ttamen.amen import vec_core
-from ttamen.tt import _contract, _contract_plan, _left_interface, _right_interface
+from ttamen.tt import (
+    _contract,
+    _contract_plan,
+    _left_interface,
+    _qr,
+    _right_interface,
+    _svd,
+)
 
 from conftest import rel_err, slow_dense_matrix, slow_dense_vector
 
@@ -785,3 +792,67 @@ class TestContract:
             _contract(a, b, ((1, 1), (0, 1)))  # duplicate axes
         with pytest.raises(ValueError):
             _contract(a, b, ((3,), (0,)))  # out of range
+
+
+# ----------------------------------------------------------------------
+# The dense QR and SVD kernel
+# ----------------------------------------------------------------------
+
+KERNEL_SHAPES = [(1, 1), (4, 2), (2, 4), (16, 8), (8, 16), (50, 25), (300, 120), (120, 300)]
+
+
+def _layouts(rng, shape):
+    """The matrix of ``shape`` C-ordered, Fortran-ordered, as a transposed
+    view and as a strided slice."""
+    m, n = shape
+    a = rng.standard_normal(shape)
+    return {
+        "c": a,
+        "fortran": np.asfortranarray(a),
+        "transposed": rng.standard_normal((n, m)).T,
+        "strided": rng.standard_normal((2 * m, 3 * n))[::2, 1::3],
+    }
+
+
+def _assert_same_factors(got, want):
+    """Equal values, dtypes and strides, factor by factor."""
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.strides == w.strides
+
+
+def _assert_kernel_matches_numpy(a):
+    before = a.copy()
+    _assert_same_factors([_qr(a, "r")], [np.linalg.qr(a, mode="r")])
+    _assert_same_factors(_qr(a, "reduced"), np.linalg.qr(a))
+    _assert_same_factors(_svd(a), np.linalg.svd(a, full_matrices=False))
+    assert np.array_equal(a, before, equal_nan=True)
+
+
+class TestKernel:
+    """``_qr`` and ``_svd`` give np.linalg's factors bit for bit, in its layout."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed", "strided"])
+    def test_matches_numpy(self, rng, shape, layout):
+        _assert_kernel_matches_numpy(_layouts(rng, shape)[layout])
+
+    def test_zero_and_rank_deficient(self, rng):
+        _assert_kernel_matches_numpy(np.zeros((5, 3)))
+        _assert_kernel_matches_numpy(np.zeros((3, 5)))
+        low = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 7))
+        _assert_kernel_matches_numpy(low)
+        _assert_kernel_matches_numpy(low.T)
+
+    def test_nan_input_fails_as_numpy_does(self, rng):
+        a = rng.standard_normal((6, 4))
+        a[2, 1] = np.nan
+        before = a.copy()
+        # numpy's QR returns NaNs without raising; its SVD raises
+        _assert_same_factors([_qr(a, "r")], [np.linalg.qr(a, mode="r")])
+        _assert_same_factors(_qr(a, "reduced"), np.linalg.qr(a))
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.svd(a, full_matrices=False)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _svd(a)
+        assert np.array_equal(a, before, equal_nan=True)
