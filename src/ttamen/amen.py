@@ -717,6 +717,8 @@ def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
 # the back-end that each enrichment method runs on its head and tail, by
 # name: the name is looked up at call time, so a patched one takes effect
 _BACK_ENDS = {"svd": "enrich_svd", "chol": "enrich_chol", "als": "enrich_svd"}
+# the methods whose tails are the residual sweep's factors
+_FACTOR_TAILS = ("svd", "chol")
 
 
 # ----------------------------------------------------------------------
@@ -759,7 +761,7 @@ class EnrichmentState:
         ``W = [right_rhs; right_op]`` for each core.
         """
         self.width = width
-        if self.method in ("svd", "chol"):
+        if self.method in _FACTOR_TAILS:
             self._tails = factors
             return
         z = self.residual_tt
@@ -951,7 +953,9 @@ def _run_alternating(A, y, x0, config, sweep_fn):
     ``state``; ``ens`` is the run's :class:`EnrichmentState` (None for
     ``enrichment="none"``).
     One residual sweep over each start iterate gives both the check of the
-    sweep before and the svd/chol tail factors of the sweep after.
+    sweep before and the svd/chol tail factors of the sweep after.  Only
+    svd/chol read the first start iterate's factors, and nothing reads its
+    norm, so the other runs skip that sweep.
     """
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
@@ -964,7 +968,9 @@ def _run_alternating(A, y, x0, config, sweep_fn):
     workspace = _Workspace()  # for every step of this solve, dropped with it
     t0 = time.perf_counter()
     x_next = orthogonalize(x, "right", 1)
-    factors = _residual_sweep(A, y, x_next)[0]
+    factors = None
+    if config.enrichment in _FACTOR_TAILS:
+        factors = _residual_sweep(A, y, x_next)[0]
     symmetric = _is_symmetric(A)
     width = config.kickrank
     for sweep in range(config.max_sweeps):

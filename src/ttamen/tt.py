@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy._core._multiarray_umath import c_einsum
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -348,7 +349,9 @@ def frame_matrix(x: TTVector, k: int) -> np.ndarray:
 # Every dense QR and SVD of the package runs here, on the LAPACK gufuncs that
 # np.linalg.qr and np.linalg.svd call, with their signatures and error
 # callbacks but without their per-call type dispatch.  So each factor has the
-# bits and the memory layout of np.linalg's.
+# bits and the memory layout of np.linalg's.  The QR pushes and the rounding
+# carry call c_einsum, the C function that np.einsum calls without its
+# dispatch, so their products keep np.einsum's bits too.
 
 def _raise_qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
@@ -360,13 +363,32 @@ def _raise_svd_error(err, flag):
 
 _LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
 
+# np.triu's below-diagonal masks of R, kept read-only for R of at most
+# _MASK_CACHE_COLS columns (528 masks of at most 1 KiB); larger ones, up to
+# the residual sweep's 489 x 489, are built per call and dropped
+_MASK_CACHE_COLS = 32
+_MASKS: dict[tuple[int, int], np.ndarray] = {}
+_ZERO = np.zeros(1)
+
+
+def _below_diagonal(mn: int, n: int) -> np.ndarray:
+    """``np.tri(mn, n, -1, dtype=bool)``, cached when ``n <= _MASK_CACHE_COLS``."""
+    mask = _MASKS.get((mn, n))
+    if mask is None:
+        mask = np.greater.outer(np.arange(mn), np.arange(n))
+        if n <= _MASK_CACHE_COLS:
+            mask.flags.writeable = False
+            _MASKS[mn, n] = mask
+    return mask
+
 
 def _qr(a: np.ndarray, mode: str = "reduced"):
     """``np.linalg.qr(a, mode)`` of a matrix for ``mode`` ``"r"`` or ``"reduced"``.
 
     The gufunc factors a copy in place, which keeps ``a``'s memory order as
     np.linalg.qr's copy does.  R is a fresh array with ``np.triu``'s values
-    and layout; the later products read it in that layout.
+    and layout (``np.where`` over the same mask); the later products read
+    it in that layout.
     """
     a = a.astype(np.float64, copy=True)
     m, n = a.shape
@@ -375,7 +397,7 @@ def _qr(a: np.ndarray, mode: str = "reduced"):
         tau = _umath_linalg.qr_r_raw(a, signature="d->d")
         if mode == "reduced":
             q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    r = np.where(np.greater.outer(np.arange(mn), np.arange(n)), np.zeros(1), a[:mn])
+    r = np.where(_below_diagonal(mn, n), _ZERO, a[:mn])
     return r if mode == "r" else (q, r)
 
 
@@ -394,7 +416,7 @@ def _qr_push_right(cores, k):
     r, n, R = cores[k].shape
     Q, Rf = _qr(cores[k].reshape(r * n, R))
     cores[k] = Q.reshape(r, n, -1)
-    cores[k + 1] = np.einsum("ab,bnc->anc", Rf, cores[k + 1])
+    cores[k + 1] = c_einsum("ab,bnc->anc", Rf, cores[k + 1])
 
 
 def _lq_push_left(cores, k):
@@ -402,7 +424,7 @@ def _lq_push_left(cores, k):
     r, n, R = cores[k].shape
     Q, Rf = _qr(cores[k].reshape(r, n * R).T)
     cores[k] = Q.T.reshape(-1, n, R)
-    cores[k - 1] = np.einsum("anb,cb->anc", cores[k - 1], Rf)
+    cores[k - 1] = c_einsum("anb,cb->anc", cores[k - 1], Rf)
 
 
 def orthogonalize(x: TTVector, direction: str, pivot: int) -> TTVector:
@@ -431,9 +453,9 @@ def _svd_trunc(M: np.ndarray, budget: float, max_rank: Optional[int]):
     """SVD of M keeping the smallest rank whose discarded tail is <= budget."""
     U, s, Vt = _svd(M)
     if budget > 0:
-        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-        # tail[k] is the Frobenius error if columns k..end are dropped
-        keep = int(np.searchsorted(-tail, -budget))
+        tail = np.sqrt((s[::-1] ** 2).cumsum())
+        # tail[j] is the Frobenius error if the last j+1 columns are dropped
+        keep = s.size - int(tail.searchsorted(budget, side="right"))
     else:
         smax = s[0] if s.size else 0.0
         keep = int(np.sum(s > 1e-14 * smax))
@@ -468,7 +490,7 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
         U, s, Vt = _svd_trunc(cores[k].reshape(r, n * R), budget, max_rank)
         cores[k] = Vt.reshape(-1, n, R)
         carry = U * s
-        cores[k - 1] = np.einsum("anb,bc->anc", cores[k - 1], carry)
+        cores[k - 1] = c_einsum("anb,bc->anc", cores[k - 1], carry)
     return TTVector(cores)
 
 
@@ -606,7 +628,9 @@ def tt_norm(x: TTVector) -> float:
 # QTT quantization
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _split_mode_axes(n: int, base: int) -> int:
+    """The L with ``base**L == n``; a ValueError where there is none."""
     L = int(round(np.log(n) / np.log(base)))
     if base**L != n:
         raise ValueError(f"mode size {n} is not a power of {base}")

@@ -1470,6 +1470,11 @@ def _enriches(solve, enrichment):
     return solve is amen_solve and enrichment != "none"
 
 
+def _reads_factors(solve, enrichment):
+    """Whether the run's enrichment takes the residual sweep's tail factors."""
+    return solve is amen_solve and enrichment in ("svd", "chol")
+
+
 # the keys of every local step's entry; an enriching step adds ENRICH_KEYS
 STEP_KEYS = {"k", "local_res_before", "local_res_after", "mu", "path", "products", "kept_guess"}
 ENRICH_KEYS = {"enrich_width", "omega_surrogate"}
@@ -1830,10 +1835,11 @@ class TestSweepPreparation:
         assert log.status == "converged"
         sweeps = len(log.records)
         als = solve is amen_solve and enrichment == "als"
-        # every method orthogonalizes and checks the start iterate and each
-        # sweep's result; the ALS set-up also orthogonalizes its approximant
+        # every method orthogonalizes the start iterate and each sweep's
+        # result, and checks each result; svd/chol also sweep the start
+        # iterate for its factors; the ALS set-up orthogonalizes its approximant
         assert len(orth) == sweeps + 1 + (sweeps if als else 0)
-        assert len(checks) == sweeps + 1
+        assert len(checks) == sweeps + _reads_factors(solve, enrichment)
         assert len(envs) == sweeps
         assert len(prep) == (sweeps if _enriches(solve, enrichment) else 0)
 
@@ -1847,8 +1853,9 @@ class TestSweepPreparation:
         config = SolverConfig(tol=1e-9, enrichment=enrichment, max_sweeps=10)
         x, log = amen_solve(A, y, x0=x0, config=config)
         assert len(log.records) > 1
-        # one sweep of the start iterate, then one per sweep's result
-        assert len(sweeps) == len(log.records) + 1
+        # one sweep per sweep's result, and one of the start iterate for the
+        # svd/chol factors
+        assert len(sweeps) == len(log.records) + _reads_factors(amen_solve, enrichment)
         # the sweep contracts the cores of A and x; y - A x is never built
         assert not adds and not products
 

@@ -37,12 +37,17 @@ from ttamen import (
 )
 from ttamen.amen import vec_core
 from ttamen.tt import (
+    _MASK_CACHE_COLS,
+    _MASKS,
     _contract,
     _contract_plan,
     _left_interface,
+    _lq_push_left,
     _qr,
+    _qr_push_right,
     _right_interface,
     _svd,
+    _svd_trunc,
 )
 
 from conftest import rel_err, slow_dense_matrix, slow_dense_vector
@@ -856,3 +861,83 @@ class TestKernel:
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             _svd(a)
         assert np.array_equal(a, before, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [_MASK_CACHE_COLS, _MASK_CACHE_COLS + 1])
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    def test_r_is_fresh_at_the_cache_bound(self, rng, n, layout):
+        a = _layouts(rng, (n + 3, n))[layout]
+        r = _qr(a, "r")
+        assert ((n, n) in _MASKS) == (n <= _MASK_CACHE_COLS)
+        want = np.linalg.qr(a, mode="r")  # np.triu of the factored copy
+        _assert_same_factors([r], [want])
+        assert r.flags.writeable and r.flags.owndata
+        r[:] = np.nan  # a write to one R reaches no mask and no later R
+        _assert_same_factors([_qr(a, "r"), _qr(a)[1]], [want, want])
+        assert all(not m.flags.writeable for m in _MASKS.values())
+
+    def test_masks_cached_only_up_to_the_bound(self, rng):
+        _qr(rng.standard_normal((489, 489)), "r")
+        _qr(rng.standard_normal((20, 40)))
+        assert (489, 489) not in _MASKS and (20, 40) not in _MASKS
+        assert all(n <= _MASK_CACHE_COLS for _, n in _MASKS)
+
+    @staticmethod
+    def keep_by_reversed_tail(s, budget, max_rank):
+        """The rank rule as it was, on the reversed, negated tail."""
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+        keep = max(int(np.searchsorted(-tail, -budget)), 1)
+        return keep if max_rank is None else min(keep, max_rank)
+
+    @pytest.mark.parametrize(
+        "budget, max_rank",
+        [
+            (3.0, None),  # a tie: dropping 3 leaves exactly 3
+            (5.0, None),  # a tie: dropping 4 and 3 leaves exactly 5
+            (13.0, None),  # a tie with the whole spectrum
+            (20.0, None),  # above the total: one column stays
+            (2.0, None),  # below sigma_min: every column stays
+            (2.0, 2),  # the max_rank cut
+            (3.0, 1),
+        ],
+    )
+    def test_svd_trunc_keeps_the_reversed_tail_rank(self, monkeypatch, budget, max_rank):
+        s = np.array([12.0, 4.0, 3.0])  # tails 3, 5 and 13, all exact
+        monkeypatch.setattr(ttamen.tt, "_svd", lambda M: (np.eye(3), s.copy(), np.eye(3)))
+        _, kept, _ = _svd_trunc(np.eye(3), budget, max_rank)
+        assert kept.size == self.keep_by_reversed_tail(s, budget, max_rank)
+
+    def test_svd_trunc_keeps_the_reversed_tail_rank_at_every_tie(self, rng):
+        M = rng.standard_normal((30, 12)) * np.logspace(0, -10, 12)
+        s = _svd(M)[1]
+        tails = np.sqrt(np.cumsum(s[::-1] ** 2))
+        for budget in [*tails, *np.nextafter(tails, 0), *np.nextafter(tails, np.inf)]:
+            for max_rank in (None, 5):
+                U, kept, Vt = _svd_trunc(M, budget, max_rank)
+                keep = self.keep_by_reversed_tail(s, budget, max_rank)
+                assert kept.size == U.shape[1] == Vt.shape[0] == keep
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_pushes_keep_einsums_bits(self, rng, layout):
+        def core(shape):
+            a = rng.standard_normal(shape)
+            if layout == "fortran":
+                return np.asfortranarray(a)
+            if layout == "strided":
+                return rng.standard_normal((2 * shape[0], shape[1], 3 * shape[2]))[::2, :, 1::3]
+            return a
+
+        cores = [core((3, 2, 5)), core((5, 4, 6)), core((6, 2, 1))]
+        pushed = list(cores)
+        _qr_push_right(pushed, 1)
+        Q, R = _qr(cores[1].reshape(20, 6))
+        _assert_same_factors(
+            [pushed[1], pushed[2]],
+            [Q.reshape(5, 4, -1), np.einsum("ab,bnc->anc", R, cores[2])],
+        )
+        pushed = list(cores)
+        _lq_push_left(pushed, 1)
+        Q, R = _qr(cores[1].reshape(5, 24).T)
+        _assert_same_factors(
+            [pushed[1], pushed[0]],
+            [Q.T.reshape(-1, 4, 6), np.einsum("anb,cb->anc", cores[0], R)],
+        )
