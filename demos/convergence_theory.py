@@ -17,8 +17,6 @@ or identity that predicts it:
    the one-site Galerkin solution is quasi-optimal in the chosen basis.
 """
 
-import numpy as np
-
 from ttamen import (
     PoissonSpec,
     build_poisson,

@@ -23,11 +23,6 @@ from .tt import (
     _qr,
     to_dense,
     tt_add,
-    tt_dot,
-    tt_matvec,
-    tt_norm,
-    tt_random,
-    tt_round,
     ttmat_identity,
 )
 
@@ -35,7 +30,6 @@ __all__ = [
     "RateReport",
     "AngleReport",
     "kantorovich_bound",
-    "tt_extreme_eigenvalues",
     "sd_step",
     "sd_run",
     "phi_d",
@@ -103,53 +97,12 @@ def _kantorovich_ratio(lam_min: float, lam_max: float) -> float:
 
 
 def kantorovich_bound(A) -> float:
-    """Worst-case one-step contraction of exact steepest descent on SPD A.
-
-    For a dense array the extreme eigenvalues are computed directly (symmetry
-    and positive definiteness are checked); for a TT operator they are
-    estimated by :func:`tt_extreme_eigenvalues`.
-    """
-    if isinstance(A, np.ndarray):
-        return _kantorovich_ratio(*_check_spd(A))
-    if isinstance(A, TTMatrix):
-        return _kantorovich_ratio(*tt_extreme_eigenvalues(A))
-    raise TypeError(f"expected ndarray or TTMatrix, got {type(A)}")
-
-
-def tt_extreme_eigenvalues(A: TTMatrix):
-    """Power-iteration estimates of the extreme eigenvalues of a symmetric A.
-
-    The largest eigenvalue comes from plain power iteration with rounding
-    after every operator application; the smallest from power iteration on
-    the spectrally shifted operator.  Each runs 100 steps from a random
-    rank-2 start (seed 0) and rounds every product at 1e-6, to rank 50 at most.
-    """
-    rng = np.random.default_rng(0)
-
-    def _power(M: TTMatrix) -> float:
-        v = tt_round(tt_random(M.col_sizes, 2, rng=rng), 0.0)
-        nrm = tt_norm(v)
-        v.cores[0] /= nrm
-        lam = 0.0
-        for _ in range(100):
-            w = tt_round(tt_matvec(M, v), 1e-6, max_rank=50)
-            nrm = tt_norm(w)
-            if nrm == 0:
-                return 0.0
-            w.cores[0] /= nrm
-            lam = _rayleigh(M, w)
-            v = w
-        return lam
-
-    lam_max = _power(A)
-    shift = abs(lam_max) * 1.05 + 1e-30
-    shifted = tt_add(ttmat_identity(A.row_sizes), A, shift, -1.0)
-    lam_min = shift - _power(shifted)
-    return float(lam_min), float(lam_max)
-
-
-def _rayleigh(M: TTMatrix, v: TTVector) -> float:
-    return float(tt_dot(v, tt_matvec(M, v)) / tt_dot(v, v))
+    """Worst-case one-step contraction of exact steepest descent on a dense
+    SPD array A, from its extreme eigenvalues (symmetry and positive
+    definiteness are checked); anything but an ndarray is a TypeError."""
+    if not isinstance(A, np.ndarray):
+        raise TypeError(f"expected ndarray, got {type(A)}")
+    return _kantorovich_ratio(*_check_spd(A))
 
 
 def sd_step(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -292,15 +245,6 @@ def dense_oracle_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Instrumented run: measure mu_k and omega_k densely
 # ----------------------------------------------------------------------
 
-def subtrain_dense(cores) -> np.ndarray:
-    """Dense vector of a core chain whose first core has left rank r > 1.
-
-    The leading rank is treated as an extra fastest mode, matching the
-    vectorization of the reduced problems.
-    """
-    return _left_interface(cores)[:, 0]
-
-
 def reduced_system(A: np.ndarray, y: np.ndarray, left_iface: np.ndarray, rest_size: int):
     """Project (A, y) onto kron(I_rest, L) for a left interface L."""
     X = np.kron(np.eye(rest_size), left_iface)
@@ -334,7 +278,9 @@ class _RateRecorder:
         rest = math.prod(x.mode_sizes[k0:])
         L = _left_interface(x.cores[:k0])
         Ak, yk, X = reduced_system(self.A, self.y, L, rest)
-        t_sub = subtrain_dense(x.cores[k0:])
+        # the subtrain's dense vector; its leading rank is the fastest mode,
+        # as in the reduced problem's vectorization
+        t_sub = _left_interface(x.cores[k0:])[:, 0]
         self._ctx = {
             "Ak": Ak,
             "X": X,
@@ -349,7 +295,7 @@ class _RateRecorder:
         Ak, xs, t_sub = ctx["Ak"], ctx["x_star_k"], ctx["t_sub"]
         # u-subtrain: the solved core with the tail cores as they were before
         # the expansion rescales core k0+1 by the QR factor
-        u_sub = subtrain_dense([u_core] + ctx["tail"])
+        u_sub = _left_interface([u_core] + ctx["tail"])[:, 0]
         d = x.d
         err_t = _a_err(Ak, xs, t_sub)
         err_u = _a_err(Ak, xs, u_sub)

@@ -6,9 +6,8 @@ operator (matrix with Kronecker structure) uses order-4 cores with shape
 ``(R[k-1], n[k], m[k], R[k])``.
 
 Vectorization is little-endian throughout: the first mode index runs fastest,
-``f = i1 + i2*n1 + i3*n1*n2 + ...`` (0-based internally; the public
-``flat_index``/``multi_index`` helpers follow the 1-based convention of their
-defining formula).  Combined rank/mode indices such as the row index
+``f = i1 + i2*n1 + i3*n1*n2 + ...`` (0-based; ``eval_entry`` alone takes a
+1-based multi-index).  Combined rank/mode indices such as the row index
 ``(alpha, i)`` of a core unfolding are ordered the same way, with ``alpha``
 fastest, which corresponds to Fortran-order reshapes of the core arrays.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,14 +26,9 @@ from numpy.linalg import _umath_linalg
 __all__ = [
     "TTVector",
     "TTMatrix",
-    "MultiIndex",
     "DenseSizeError",
-    "flat_index",
-    "multi_index",
     "eval_entry",
     "to_dense",
-    "interface_matrix",
-    "frame_matrix",
     "orthogonalize",
     "tt_round",
     "tt_add",
@@ -48,12 +41,10 @@ __all__ = [
     "tt_unit",
     "ttmat_random",
     "ttmat_identity",
-    "ttmat_from_factors",
     "ttmat_add",
     "ttmat_transpose",
     "ttmat_matmul",
     "ttmat_round",
-    "kron_le",
 ]
 
 #: Refuse to densify anything larger than this many entries.
@@ -147,21 +138,8 @@ class TTMatrix(_Train):
 
 
 # ----------------------------------------------------------------------
-# Multi-indexing
+# Argument checks and entries
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A 1-based multi-index ``(i_1, ..., i_d)`` with an endianness flag."""
-
-    indices: tuple[int, ...]
-    endianness: str = "little"
-
-    def __post_init__(self):
-        if self.endianness not in ("little", "big"):
-            raise ValueError(f"unknown endianness {self.endianness!r}")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
 
 def _check_bounds(indices, sizes):
     if len(indices) != len(sizes):
@@ -203,48 +181,10 @@ def _check_fields(owner, reals=(), **least):
         raise ValueError("; ".join(filter(None, bad)))
 
 
-def flat_index(mi, sizes) -> int:
-    """Map a 1-based multi-index to its 1-based flat index.
-
-    Little-endian: ``f = i1 + (i2-1)*n1 + ... + (id-1)*n1*...*n(d-1)``.
-    """
-    if isinstance(mi, MultiIndex):
-        indices, endianness = mi.indices, mi.endianness
-    else:
-        indices, endianness = tuple(mi), "little"
-    sizes = tuple(int(n) for n in sizes)
-    _check_bounds(indices, sizes)
-    if endianness == "big":
-        indices = indices[::-1]
-        sizes = sizes[::-1]
-    f = 0
-    stride = 1
-    for i, n in zip(indices, sizes):
-        f += (i - 1) * stride
-        stride *= n
-    return f + 1
-
-
-def multi_index(f: int, sizes, endianness: str = "little") -> MultiIndex:
-    """Inverse of :func:`flat_index` (both sides 1-based)."""
-    sizes = tuple(int(n) for n in sizes)
-    total = math.prod(sizes)
-    if not 1 <= f <= total:
-        raise IndexError(f"flat index {f} out of range [1, {total}]")
-    rem = f - 1
-    iter_sizes = sizes if endianness == "little" else sizes[::-1]
-    idx = []
-    for n in iter_sizes:
-        idx.append(rem % n + 1)
-        rem //= n
-    if endianness == "big":
-        idx = idx[::-1]
-    return MultiIndex(tuple(idx), endianness=endianness)
-
-
-def eval_entry(x: TTVector, mi) -> float:
-    """Evaluate one entry as the product of core slices (1-based index)."""
-    indices = mi.indices if isinstance(mi, MultiIndex) else tuple(mi)
+def eval_entry(x: TTVector, indices) -> float:
+    """The entry at the 1-based index tuple ``indices``, a product of core
+    slices; an IndexError for a wrong length or an index outside ``[1, n_k]``."""
+    indices = tuple(indices)
     _check_bounds(indices, x.mode_sizes)
     v = x.cores[0][:, indices[0] - 1, :]
     for k in range(1, x.d):
@@ -253,7 +193,7 @@ def eval_entry(x: TTVector, mi) -> float:
 
 
 # ----------------------------------------------------------------------
-# Densification and interfaces
+# Densification
 # ----------------------------------------------------------------------
 
 def _check_dense_cap(n_entries: int):
@@ -288,58 +228,6 @@ def _left_interface(cores) -> np.ndarray:
         T = (M @ core.reshape(r, n * R)).reshape(-1, n, R)
         M = T.transpose(1, 0, 2).reshape(-1, R)
     return M
-
-
-def _right_interface(cores) -> np.ndarray:
-    """Dense right interface, shape (r_k, n(k+1)*...*nd)."""
-    r = cores[0].shape[0] if cores else 1
-    return _left_interface(cores).reshape(r, -1, order="F")
-
-
-def interface_matrix(x: TTVector, k: int, side: str) -> np.ndarray:
-    """Interface matrix of the first k cores (``side="leq"``) or the rest.
-
-    ``k`` is 1-based.  ``side="leq"`` returns shape ``(n1*...*nk, r_k)``;
-    ``side="gt"`` returns ``(r_k, n(k+1)*...*nd)``.
-    """
-    if not 1 <= k <= x.d:
-        raise ValueError(f"position {k} out of range [1, {x.d}]")
-    if side == "leq":
-        size = math.prod(x.mode_sizes[:k]) * x.ranks[k]
-        _check_dense_cap(size)
-        return _left_interface(x.cores[:k])
-    if side == "gt":
-        size = math.prod(x.mode_sizes[k:]) * x.ranks[k]
-        _check_dense_cap(size)
-        return _right_interface(x.cores[k:])
-    raise ValueError(f"side must be 'leq' or 'gt', got {side!r}")
-
-
-def kron_le(*factors) -> np.ndarray:
-    """Little-endian Kronecker product: the FIRST factor's index runs fastest.
-
-    For matrices this is ``kron_le(A, B)[i + j*na, k + l*ma] = A[i,k] B[j,l]``.
-    """
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(f, out)
-    return out
-
-
-def frame_matrix(x: TTVector, k: int) -> np.ndarray:
-    """Dense frame matrix mapping a vectorized core k (1-based) to the vector.
-
-    Column index is the Fortran-order vectorization ``(alpha_{k-1}, i_k,
-    alpha_k)`` with ``alpha_{k-1}`` fastest.  This is an oracle helper: it
-    materializes a ``size x (r*n*r)`` matrix.
-    """
-    if not 1 <= k <= x.d:
-        raise ValueError(f"position {k} out of range [1, {x.d}]")
-    r0, n, r1 = x.cores[k - 1].shape
-    _check_dense_cap(x.size * r0 * n * r1)
-    left = _left_interface(x.cores[: k - 1])
-    right = _right_interface(x.cores[k:])
-    return kron_le(left, np.eye(n), right.T)
 
 
 # ----------------------------------------------------------------------
@@ -755,11 +643,6 @@ def ttmat_random(row_sizes, col_sizes, ranks, rng=None) -> TTMatrix:
 
 def ttmat_identity(mode_sizes) -> TTMatrix:
     return TTMatrix([np.eye(n).reshape(1, n, n, 1) for n in mode_sizes])
-
-
-def ttmat_from_factors(factors) -> TTMatrix:
-    """Rank-1 TT matrix from per-mode dense factors (little-endian Kronecker)."""
-    return TTMatrix([np.asarray(F)[None, :, :, None] for F in factors])
 
 
 def ttmat_transpose(A: TTMatrix) -> TTMatrix:

@@ -56,6 +56,28 @@ def slow_dense_matrix(A: TTMatrix) -> np.ndarray:
     return out
 
 
+def right_interface(cores) -> np.ndarray:
+    """Dense right interface of a chain ending at rank 1, shape
+    ``(r_0, n_1*...*n_k)`` with the first mode fastest; ``[[1]]`` if empty."""
+    M = np.ones((1, 1))
+    for core in reversed(cores):
+        M = np.einsum("aib,bj->aji", core, M).reshape(core.shape[0], -1)
+    return M
+
+
+def frame_matrix(x: TTVector, k: int) -> np.ndarray:
+    """Dense frame of core k (1-based): the matrix mapping the Fortran-order
+    vectorized core to the vector.  x is linear in that core, so column j is
+    the vector whose core k is the j-th unit core."""
+    shape = x.cores[k - 1].shape
+    columns = []
+    for unit in np.eye(int(np.prod(shape))):
+        cores = list(x.cores)
+        cores[k - 1] = unit.reshape(shape, order="F")
+        columns.append(slow_dense_vector(TTVector(cores)))
+    return np.column_stack(columns)
+
+
 def random_spd_system(d: int, n: int, rng):
     """Laplacian-plus-random-shift SPD TT system with a random low-rank rhs."""
     A, _ = build_poisson(PoissonSpec(dimension=d, grid_points=n))

@@ -32,7 +32,6 @@ from ttamen import (
     enrich_chol,
     enrich_svd,
     expand_and_orthogonalize,
-    frame_matrix,
     instrumented_amen_run,
     orthogonalize,
     qtt_quantize,
@@ -64,10 +63,10 @@ from ttamen.amen import (
     unvec_core,
     vec_core,
 )
-from ttamen.diagnostics import dense_oracle_solve, subtrain_dense
-from ttamen.tt import _left_interface, _right_interface, ttmat_to_tt
+from ttamen.diagnostics import dense_oracle_solve
+from ttamen.tt import _left_interface, ttmat_to_tt
 
-from conftest import random_spd_system, rel_err
+from conftest import frame_matrix, random_spd_system, rel_err, right_interface
 
 
 def dense_local_oracle(A, y, x, k):
@@ -169,8 +168,8 @@ class TestEnvironments:
                 ref = Lz.T @ to_dense(TTMatrix(head + [last[..., P : P + 1]])) @ Lx
                 assert rel_err(state.left_op[k][:, P, :], ref) < 1e-12
         for k in range(d - 1):  # right: cores k+1..d-1
-            Rz, Rx = _right_interface(z.cores[k + 1 :]), _right_interface(x.cores[k + 1 :])
-            assert rel_err(state.right_rhs[k], Rz @ _right_interface(y.cores[k + 1 :]).T) < 1e-12
+            Rz, Rx = right_interface(z.cores[k + 1 :]), right_interface(x.cores[k + 1 :])
+            assert rel_err(state.right_rhs[k], Rz @ right_interface(y.cores[k + 1 :]).T) < 1e-12
             first, *tail = A.cores[k + 1 :]
             for Q in range(first.shape[0]):
                 ref = Rz @ to_dense(TTMatrix([first[Q : Q + 1]] + tail)) @ Rx.T
@@ -820,9 +819,8 @@ class TestResidualBlocks:
         u_core = rng.standard_normal(x.cores[k - 1].shape)
         head = _residual_first_block(state, u_core, k - 1, _Workspace())
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
-        z = subtrain_dense([head] + chain.cores[k:])
+        z = _left_interface([head] + chain.cores[k:])[:, 0]
         # reference: project y - A*(left-interface (x) [u, tail cores])
-        from ttamen.tt import _left_interface
         xu = x.copy()
         xu.cores[k - 1] = u_core
         L = _left_interface(x.cores[: k - 1])
@@ -841,7 +839,7 @@ class TestResidualBlocks:
         _prepare(ens, A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for k in range(1, d):
-            R = _right_interface(chain.cores[k:])
+            R = right_interface(chain.cores[k:])
             F = ens._tails[k]
             assert rel_err(F @ F.T, R @ R.T) < 1e-12
 
@@ -857,7 +855,7 @@ class TestResidualBlocks:
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         z = ens.residual_tt
         for p in range(1, d):
-            ref = _right_interface(chain.cores[p:]) @ _right_interface(z.cores[p:]).T
+            ref = right_interface(chain.cores[p:]) @ right_interface(z.cores[p:]).T
             assert rel_err(ens._tails[p], ref) < 1e-12
 
 
@@ -903,7 +901,7 @@ class TestResidualSweep:
         assert len(F) == d + 1 and F[0] is None and F[d].tolist() == [[1.0]]
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for p in range(1, d):
-            R = _right_interface(chain.cores[p:])
+            R = right_interface(chain.cores[p:])
             assert rel_err(F[p] @ F[p].T, R @ R.T) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -937,7 +935,7 @@ class TestResidualSweep:
         F, norm = _residual_sweep(A, y, x)
         chain = tt_add(y, tt_matvec(A, x), 1.0, -1.0)
         for p in range(1, d):
-            R = _right_interface(chain.cores[p:])
+            R = right_interface(chain.cores[p:])
             assert rel_err(F[p] @ F[p].T, R @ R.T) < 1e-12
         dense = np.linalg.norm(to_dense(y) - to_dense(tt_matvec(A, x)))
         assert abs(norm - dense) <= 1e-10 * dense

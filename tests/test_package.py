@@ -1,5 +1,5 @@
 """The package's names: each star-imported module's ``__all__`` is its share,
-and each module reads every name it imports.
+and each module, demo and test file reads every name it imports.
 
 ``ttamen/__init__.py`` star-imports its modules, so a name listed in two
 modules' ``__all__`` would silently bind the later module's object.
@@ -19,6 +19,8 @@ import ttamen.amen
 from conftest import load_tracing
 
 MODULE_FILES = sorted(Path(ttamen.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT_FILES = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def star_imported_modules() -> list:
@@ -56,7 +58,11 @@ def imported_names(tree: ast.Module) -> set:
     return names
 
 
-@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULE_FILES + SCRIPT_FILES,
+    ids=lambda p: p.name if p in MODULE_FILES else f"{p.parent.name}/{p.name}",
+)
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text())
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}

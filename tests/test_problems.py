@@ -22,12 +22,10 @@ from ttamen import (
     build_poisson,
     build_time_system,
     eval_entry,
-    kron_le,
     laplace_1d,
     qtt_quantize,
     to_dense,
     tt_norm,
-    ttmat_add,
 )
 
 from conftest import rel_err
@@ -93,7 +91,7 @@ class TestPoisson:
         A, _ = build_poisson(PoissonSpec(dimension=d, grid_points=n))
         L, I = laplace_1d(n), np.eye(n)
         dense = (
-            kron_le(L, I, I) + kron_le(I, L, I) + kron_le(I, I, L)
+            np.kron(I, np.kron(I, L)) + np.kron(I, np.kron(L, I)) + np.kron(L, np.kron(I, I))
         )
         from ttamen import tt_matvec, tt_random
         x = tt_random([n] * d, 2, rng=rng)

@@ -8,15 +8,9 @@ import pytest
 import ttamen.tt
 from ttamen import (
     DenseSizeError,
-    MultiIndex,
     TTMatrix,
     TTVector,
     eval_entry,
-    flat_index,
-    frame_matrix,
-    interface_matrix,
-    kron_le,
-    multi_index,
     orthogonalize,
     qtt_quantize,
     to_dense,
@@ -28,7 +22,6 @@ from ttamen import (
     tt_random,
     tt_round,
     tt_unit,
-    ttmat_from_factors,
     ttmat_identity,
     ttmat_matmul,
     ttmat_random,
@@ -45,12 +38,11 @@ from ttamen.tt import (
     _lq_push_left,
     _qr,
     _qr_push_right,
-    _right_interface,
     _svd,
     _svd_trunc,
 )
 
-from conftest import rel_err, slow_dense_matrix, slow_dense_vector
+from conftest import frame_matrix, rel_err, right_interface, slow_dense_matrix, slow_dense_vector
 
 
 def random_sizes(rng, d_max=4, n_max=5):
@@ -58,55 +50,9 @@ def random_sizes(rng, d_max=4, n_max=5):
     return [int(rng.integers(2, n_max + 1)) for _ in range(d)]
 
 
-# ----------------------------------------------------------------------
-# Multi-indexing
-# ----------------------------------------------------------------------
-
-class TestIndexing:
-    def test_single_mode_identity(self):
-        assert flat_index(MultiIndex((3,)), (5,)) == 3
-
-    def test_formula_second_index_one(self):
-        assert flat_index(MultiIndex((2, 1)), (2, 3)) == 2
-
-    def test_enumerated_bijection(self):
-        sizes = (2, 3)
-        seen = set()
-        for i1 in range(1, 3):
-            for i2 in range(1, 4):
-                f = flat_index(MultiIndex((i1, i2)), sizes)
-                assert multi_index(f, sizes).indices == (i1, i2)
-                seen.add(f)
-        assert seen == set(range(1, 7))
-        assert flat_index(MultiIndex((1, 3)), sizes) == 5
-
-    def test_bijection_random_sizes(self, rng):
-        for _ in range(20):
-            sizes = tuple(random_sizes(rng))
-            total = int(np.prod(sizes))
-            for f in range(1, total + 1):
-                assert flat_index(multi_index(f, sizes), sizes) == f
-
-    def test_big_endian_flag(self):
-        sizes = (2, 3)
-        # big-endian: the last index runs fastest
-        assert flat_index(MultiIndex((1, 3), endianness="big"), sizes) == 3
-        assert multi_index(3, sizes, endianness="big").indices == (1, 3)
-
-    def test_endianness_agree_on_symmetric_sizes(self, rng):
-        sizes = (3, 3, 3)
-        for f in range(1, 28):
-            little = multi_index(f, sizes).indices
-            big = multi_index(f, sizes, endianness="big").indices
-            assert little == big[::-1]
-
-    def test_out_of_bounds(self):
-        with pytest.raises(IndexError):
-            flat_index(MultiIndex((3, 1)), (2, 3))
-        with pytest.raises(IndexError):
-            multi_index(7, (2, 3))
-        with pytest.raises(IndexError):
-            multi_index(0, (2, 3))
+def one_based(f, sizes):
+    """The 1-based multi-index of the 1-based flat index f, first mode fastest."""
+    return tuple(int(i) + 1 for i in np.unravel_index(f - 1, sizes, order="F"))
 
 
 # ----------------------------------------------------------------------
@@ -123,13 +69,19 @@ class TestEvalAndDense:
     def test_all_ones_rank_one(self):
         x = tt_ones([2, 3, 2])
         for f in range(1, 13):
-            assert eval_entry(x, multi_index(f, (2, 3, 2))) == 1.0
+            assert eval_entry(x, one_based(f, (2, 3, 2))) == 1.0
 
     def test_matches_brute_force_contraction(self, rng):
         x = tt_random([2, 2, 2], 2, rng=rng)
         dense = slow_dense_vector(x)
         for f in range(1, 9):
-            assert abs(eval_entry(x, multi_index(f, (2, 2, 2))) - dense[f - 1]) < 1e-13
+            assert abs(eval_entry(x, one_based(f, (2, 2, 2))) - dense[f - 1]) < 1e-13
+
+    def test_eval_entry_out_of_bounds(self):
+        x = tt_ones([2, 3])
+        for indices in [(0, 1), (2, 4), (1,), (1, 1, 1)]:
+            with pytest.raises(IndexError):
+                eval_entry(x, indices)
 
     def test_to_dense_matches_eval_entry(self, rng):
         for _ in range(10):
@@ -137,7 +89,7 @@ class TestEvalAndDense:
             x = tt_random(sizes, 3, rng=rng)
             dense = to_dense(x)
             for f in range(1, x.size + 1):
-                assert abs(dense[f - 1] - eval_entry(x, multi_index(f, sizes))) < 1e-12
+                assert abs(dense[f - 1] - eval_entry(x, one_based(f, sizes))) < 1e-12
 
     def test_rank_one_outer_product(self, rng):
         a = rng.standard_normal(3)
@@ -181,7 +133,7 @@ class TestEvalAndDense:
             ref = np.einsum("aib,bjc->jiac", *cores).reshape(-1, last_rank)
             assert rel_err(_left_interface(cores), ref) < 1e-14
         # a right chain ends at rank 1: (alpha_0, modes) with the modes fastest
-        R = _right_interface(cores)
+        R = right_interface(cores)
         assert rel_err(R, np.einsum("aib,bjc->ajic", *cores).reshape(3, 10)) < 1e-14
 
 
@@ -202,31 +154,22 @@ class TestExactSizes:
         assert tt_random([16] * 17, 3).ranks == (1,) + (3,) * 16 + (1,)
         assert tt_random([2] * 64, 5).ranks == (1, 2, 4) + (5,) * 59 + (4, 2, 1)
 
-    def test_multi_index(self):
-        assert multi_index(2**64, [2] * 64).indices == (2,) * 64
-
 
 # ----------------------------------------------------------------------
 # Interfaces and frames
 # ----------------------------------------------------------------------
 
 class TestInterfaces:
-    def test_full_left_interface_is_dense_vector(self, rng):
-        x = tt_random([3, 2, 3], 2, rng=rng)
-        M = interface_matrix(x, x.d, "leq")
-        assert M.shape == (18, 1)
-        assert rel_err(M[:, 0], to_dense(x)) < 1e-13
-
     def test_left_orthogonal_interface_has_orthonormal_columns(self, rng):
         x = tt_random([3, 3, 3], 2, rng=rng)
         x = orthogonalize(x, "left", pivot=3)
-        M = interface_matrix(x, 2, "leq")
+        M = _left_interface(x.cores[:2])
         assert np.linalg.norm(M.T @ M - np.eye(M.shape[1])) < 1e-12
 
     def test_interface_product_equals_unfolding(self, rng):
         x = tt_random([2, 3, 4], 3, rng=rng)
-        L = interface_matrix(x, 2, "leq")
-        R = interface_matrix(x, 2, "gt")
+        L = _left_interface(x.cores[:2])
+        R = right_interface(x.cores[2:])
         # unfolding: row index (i1, i2) little-endian, column index i3
         unf = to_dense(x).reshape(4, 6).T
         assert rel_err(L @ R, unf) < 1e-12
@@ -236,17 +179,6 @@ class TestInterfaces:
         for k in range(1, 4):
             F = frame_matrix(x, k)
             assert rel_err(F @ vec_core(x.cores[k - 1]), to_dense(x)) < 1e-12
-
-    def test_kron_le_first_factor_fastest(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        B = np.array([[10.0, 20.0], [30.0, 40.0]])
-        K = kron_le(A, B)
-        # K[i + j*2, k + l*2] = A[i,k] * B[j,l]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert K[i + 2 * j, k + 2 * l] == A[i, k] * B[j, l]
 
 
 # ----------------------------------------------------------------------
@@ -412,10 +344,12 @@ class TestAlgebra:
         n = 4
         L = rng.standard_normal((n, n))
         from ttamen import ttmat_add
+        I = np.eye(n)
         A = ttmat_add(
-            ttmat_from_factors([L, np.eye(n)]), ttmat_from_factors([np.eye(n), L])
+            TTMatrix([L[None, :, :, None], I[None, :, :, None]]),
+            TTMatrix([I[None, :, :, None], L[None, :, :, None]]),
         )
-        dense = kron_le(L, np.eye(n)) + kron_le(np.eye(n), L)
+        dense = np.kron(I, L) + np.kron(L, I)
         x = tt_random([n, n], 3, rng=rng)
         assert rel_err(to_dense(tt_matvec(A, x)), dense @ to_dense(x)) < 1e-12
 
