@@ -53,7 +53,6 @@ __all__ = [
     "solve_local",
     "enrich_svd",
     "enrich_chol",
-    "expand_and_orthogonalize",
     "amen_sweep",
     "amen_solve",
     "als_solve",
@@ -82,7 +81,11 @@ class SolverConfig:
     The default cap of 512 is where the matrix-free solve starts to win:
     summed over a solve of the benchmark's CME and Poisson systems, it takes
     4 to 16 times less time than the LU from 512 unknowns up, and up to 9
-    times more below 256.
+    times more below 256.  A run stops after at most ``max_sweeps`` sweeps.
+    ``max_rank`` caps only what AMEn's expansion adds, so a start iterate
+    above the cap keeps its ranks; DMRG's split truncates to the cap.
+    ``seed`` draws the default start (a random rank-1 train) and the ALS
+    approximant.
     """
 
     tol: float = 1e-5
@@ -220,6 +223,12 @@ class SweepState:
         self.right_rhs[k - 1] = _contract(T, yc, axes=((1, 2), (1, 2)))
 
 
+def _check_sizes(A: TTMatrix, y: TTVector, x: TTVector):
+    """Refuse a system whose ``A``, ``y`` and ``x`` differ in core count or mode sizes."""
+    if A.col_sizes != x.mode_sizes or A.row_sizes != y.mode_sizes:
+        raise ValueError("operator / vector sizes are inconsistent")
+
+
 def build_environments(
     A: TTMatrix, y: TTVector, x: TTVector, symmetric: Optional[bool] = None
 ) -> SweepState:
@@ -228,8 +237,7 @@ def build_environments(
     ``symmetric`` says whether ``A`` is symmetric (see :func:`_is_symmetric`);
     when omitted, ``A`` is probed.
     """
-    if A.col_sizes != x.mode_sizes or A.row_sizes != y.mode_sizes:
-        raise ValueError("operator / vector sizes are inconsistent")
+    _check_sizes(A, y, x)
     state = SweepState(A, y, _is_symmetric(A) if symmetric is None else symmetric)
     for k in range(x.d - 1, 0, -1):
         state.advance_right(k, x)
@@ -465,23 +473,16 @@ class _LocalOperator:
         self._M1 = workspace.M(L, Ac)  # (a i Q, b j)
         self._M2 = np.ascontiguousarray(R.reshape(c, Q * d))
 
-    def apply(self, v_core: np.ndarray) -> np.ndarray:
-        if self.factored:
-            return unvec_core(self.matvec(vec_core(v_core)), self.out_shape)
-        r0l, n, r1l = self.out_shape
-        r0r, m, r1r = self.in_shape
-        W = self._M1 @ v_core.reshape(r0r * m, r1r)
-        W = W.reshape(r0l * n, self._Q * r1r)
-        return (W @ self._M2.T).reshape(r0l, n, r1l)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.products += 1
-        if not self.factored:
-            return vec_core(self.apply(unvec_core(v, self.in_shape)))
-        # the Fortran vector of (b,j,d) is the C array [d,j,b]
         a, i, c = self.out_shape
         b, j, d = self.in_shape
         P, Q = self._P, self._Q
+        if not self.factored:
+            W = self._M1 @ unvec_core(v, self.in_shape).reshape(b * j, d)
+            W = W.reshape(a * i, Q * d)
+            return vec_core((W @ self._M2.T).reshape(a, i, c))
+        # the Fortran vector of (b,j,d) is the C array [d,j,b]
         T = self._R @ np.reshape(v, (d, j * b))  # [c,Q,j,b]
         T = T.reshape(c, Q * j, b).transpose(1, 0, 2).reshape(Q * j, c * b)
         T = self._A @ T  # [P,i,c,b]
@@ -714,9 +715,8 @@ def enrich_chol(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     return Z, {"width": width, "omega": _omega(float(np.sum(L**2)), total)}
 
 
-# the back-end that each enrichment method runs on its head and tail, by
-# name: the name is looked up at call time, so a patched one takes effect
-_BACK_ENDS = {"svd": "enrich_svd", "chol": "enrich_chol", "als": "enrich_svd"}
+# the back-end that each enrichment method runs on its head and tail
+_BACK_ENDS = {"svd": enrich_svd, "chol": enrich_chol, "als": enrich_svd}
 # the methods whose tails are the residual sweep's factors
 _FACTOR_TAILS = ("svd", "chol")
 
@@ -789,7 +789,7 @@ class EnrichmentState:
         """
         head = _residual_first_block(state, u_core, k0, workspace or _Workspace())
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
-        Z, info = globals()[_BACK_ENDS[self.method]](head, tail, self.width)
+        Z, info = _BACK_ENDS[self.method](head, tail, self.width)
         if self.method == "als":
             info = {"width": info["width"]}
             if self._update_residual_core(u_core, k0):
@@ -827,21 +827,10 @@ class EnrichmentState:
 # Basis expansion
 # ----------------------------------------------------------------------
 
-def expand_and_orthogonalize(x: TTVector, k: int, Z: Optional[np.ndarray]) -> TTVector:
-    """Widen core k (1-based) by Z, zero-pad core k+1, recover orthogonality.
-
-    The represented vector is unchanged: the appended columns multiply zero
-    rows of the next core, and the QR factor is absorbed rightwards.
-    """
-    if not 1 <= k < x.d:
-        raise ValueError(f"expansion position {k} must be in [1, d-1]")
-    out = x.copy()
-    _expand(out.cores, k - 1, Z)
-    return out
-
-
 def _expand(cores: list, k0: int, Z: Optional[np.ndarray]):
-    if Z is not None and Z.shape[2] > 0:
+    """Widen core k0 by Z, zero-pad core k0+1 and push the QR factor right: the
+    vector is unchanged, as the new columns meet zero rows of the next core."""
+    if Z is not None:
         cores[k0] = np.concatenate([cores[k0], Z], axis=2)
         pad = np.zeros((Z.shape[2],) + cores[k0 + 1].shape[1:])
         cores[k0 + 1] = np.concatenate([cores[k0 + 1], pad], axis=0)
@@ -959,6 +948,7 @@ def _run_alternating(A, y, x0, config, sweep_fn):
     """
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
+    _check_sizes(A, y, x)
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
@@ -1076,7 +1066,7 @@ def _dmrg_sweep(x, state, ens, config, workspace):
         W, entry = _solve_local_problem(state, x, k0, 2, config, workspace)
         r0, n1, _ = x.cores[k0].shape
         _, n2, r2 = x.cores[k0 + 1].shape
-        budget = config.tol * np.linalg.norm(W) / np.sqrt(max(d - 1, 1))
+        budget = config.tol * np.linalg.norm(W) / np.sqrt(d - 1)
         U, s, Vt = _svd_trunc(W.reshape(r0 * n1, n2 * r2, order="F"), budget, config.max_rank)
         keep = s.size
         x.cores[k0] = U.reshape(r0, n1, keep, order="F")

@@ -26,14 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .amen import SolverConfig, amen_solve, dmrg_solve
+from .amen import SolverConfig, als_solve, amen_solve, dmrg_solve
 from .diagnostics import (
     dense_oracle_solve,
     run_fom_check,
     run_kantorovich_check,
     run_rate_check,
 )
-from .io import TTFormatError, tt_io_read, tt_io_write
+from .io import tt_io_read, tt_io_write
 from .problems import (
     CascadeCMESpec,
     PoissonSpec,
@@ -68,7 +68,7 @@ SOLVERS = {
     "amen_svd": (amen_solve, "svd"),
     "amen_chol": (amen_solve, "chol"),
     "amen_als": (amen_solve, "als"),
-    "als": (amen_solve, "none"),
+    "als": (als_solve, "none"),
     "dmrg": (dmrg_solve, "none"),
 }
 PROBLEMS = ("poisson", "cme", "cme_time", "custom")
@@ -159,6 +159,9 @@ def build_problem(spec: ExperimentSpec):
     y = tt_io_read(spec.rhs)
     if not isinstance(A, TTMatrix) or not isinstance(y, TTVector):
         raise SpecError("custom problem needs a ttmatrix file and a ttvector file")
+    for path, train in ((spec.matrix, A), (spec.rhs, y)):
+        if not all(np.isfinite(core).all() for core in train.cores):
+            raise SpecError(f"{path} holds a non-finite entry")
     return A, y
 
 
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
         # a ValueError subclass, so it must be caught before invalid input
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SpecError, ValueError, TTFormatError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # SpecError, TTFormatError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -1,9 +1,9 @@
 """Numerical checks of the solver's convergence theory.
 
-Contains the worst-case steepest-descent contraction bound, the per-sweep
-rate formula built from measured local progress factors, dense instrumented
-runs that verify the rate formula as an identity, and angle-based one-step
-bounds for Galerkin projection on nonsymmetric systems.
+Contains the worst-case steepest-descent contraction bound of a dense SPD
+matrix, the per-sweep rate formula built from measured local progress
+factors, dense instrumented runs that verify it as an identity, and the
+angle-based one-step bound for Galerkin projection on nonsymmetric systems.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "sd_run",
     "phi_d",
     "angle_quantities",
-    "fom_chain_bound",
     "dense_oracle_solve",
     "instrumented_amen_run",
 ]
@@ -46,12 +45,12 @@ class RateReport:
 
     ``sweeps`` holds one record per sweep with the measured per-core progress
     factors ``mu``, the projector angles ``omega``, the predicted squared rate
-    ``phi_sq``, the realized energy ratio ``j_ratio``, and their gap.
+    ``phi_sq``, the realized energy ratio ``j_ratio``, and their gap
+    ``identity_gap``.  ``j_trace`` is the error energy after every local
+    update; ``max_violation`` is its largest rise relative to its largest
+    value, and ``monotone`` says whether that rise is at most 1e-10.
     """
 
-    lambda_min: float
-    lambda_max: float
-    omega_bound: float
     sweeps: list = field(default_factory=list)
     j_trace: list = field(default_factory=list)
     monotone: bool = True
@@ -89,20 +88,15 @@ def _check_spd(A: np.ndarray, tol: float = 1e-10):
     return float(w[0]), float(w[-1])
 
 
-def _kantorovich_ratio(lam_min: float, lam_max: float) -> float:
-    """``(lam_max - lam_min) / (lam_max + lam_min)`` for a positive ``lam_min``."""
-    if lam_min <= 0:
-        raise ValueError(f"lambda_min={lam_min:.3e} is not positive")
-    return (lam_max - lam_min) / (lam_max + lam_min)
-
-
 def kantorovich_bound(A) -> float:
     """Worst-case one-step contraction of exact steepest descent on a dense
-    SPD array A, from its extreme eigenvalues (symmetry and positive
-    definiteness are checked); anything but an ndarray is a TypeError."""
+    SPD array A, ``(lam_max - lam_min) / (lam_max + lam_min)`` (symmetry and
+    positive definiteness are checked); anything but an ndarray is a
+    TypeError."""
     if not isinstance(A, np.ndarray):
         raise TypeError(f"expected ndarray, got {type(A)}")
-    return _kantorovich_ratio(*_check_spd(A))
+    lam_min, lam_max = _check_spd(A)
+    return (lam_max - lam_min) / (lam_max + lam_min)
 
 
 def sd_step(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,22 +134,16 @@ def sd_run(A: np.ndarray, y: np.ndarray, x0: np.ndarray):
     return np.asarray(ratios)
 
 
-def _progress_factors(mu, omega):
-    """``mu`` and ``omega`` as float arrays, checked to be 1-D and of equal length."""
-    mu = np.asarray(mu, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if mu.shape != omega.shape or mu.ndim != 1:
-        raise ValueError("mu and omega must be 1-D sequences of equal length")
-    return mu, omega
-
-
 def phi_d(mu, omega) -> float:
     """Predicted per-sweep contraction from local progress factors.
 
     ``phi**2 = sum_k omega_k^2 prod_{j<k}(1-omega_j^2) prod_{j<=k} mu_j^2``
     over k = 1..d-1; both sequences have length d-1 with entries in [0, 1].
     """
-    mu, omega = _progress_factors(mu, omega)
+    mu = np.asarray(mu, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    if mu.shape != omega.shape or mu.ndim != 1:
+        raise ValueError("mu and omega must be 1-D sequences of equal length")
     if np.any((mu < 0) | (mu > 1)) or np.any((omega < 0) | (omega > 1)):
         raise ValueError("entries must lie in [0, 1]")
     total = 0.0
@@ -164,23 +152,6 @@ def phi_d(mu, omega) -> float:
         total += w**2 * lead * m**2
         lead *= (1.0 - w**2) * m**2
     return float(np.sqrt(min(max(total, 0.0), 1.0 + 1e-15)))
-
-
-def fom_chain_bound(mu, omega) -> float:
-    """Accumulated one-sweep residual bound for the nonsymmetric analysis.
-
-    ``sum_k omega_k mu_k prod_{m<k} mu_m / sqrt(1-omega_m^2)``; requires all
-    ``omega_k < 1``.
-    """
-    mu, omega = _progress_factors(mu, omega)
-    if np.any(omega >= 1):
-        raise ValueError("bound requires all omega < 1")
-    total = 0.0
-    lead = 1.0
-    for m, w in zip(mu, omega):
-        total += w * m * lead
-        lead *= m / np.sqrt(1.0 - w**2)
-    return float(total)
 
 
 def angle_quantities(A: np.ndarray, V: np.ndarray, z: np.ndarray) -> AngleReport:
@@ -327,8 +298,8 @@ def instrumented_amen_run(
 
     The run is ``amen_solve``'s own loop (``amen._run_alternating``) with
     exact (direct) local solves and a dense recorder attached to each
-    :func:`~ttamen.amen.amen_sweep`, on a problem small enough to
-    materialize.  It records the energy after every local update, the
+    :func:`~ttamen.amen.amen_sweep`, on an SPD problem (checked) small
+    enough to materialize.  It records the energy after every local update, the
     measured progress ``mu_k`` and the projector angle ``omega_k`` of each
     finalized core.  With these definitions the measured per-sweep energy
     ratio matches the predicted rate exactly, up to round-off from the final
@@ -338,7 +309,7 @@ def instrumented_amen_run(
     """
     A_dense = to_dense(A)
     y_dense = to_dense(y)
-    lam_min, lam_max = _check_spd(A_dense)
+    _check_spd(A_dense)
     config = _amen.SolverConfig(
         tol=1e-14,
         max_sweeps=sweeps,
@@ -348,11 +319,7 @@ def instrumented_amen_run(
         seed=seed,
     )
     rec = _RateRecorder(A_dense, y_dense)
-    report = RateReport(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        omega_bound=_kantorovich_ratio(lam_min, lam_max),
-    )
+    report = RateReport()
 
     def recorded_sweep(x, state, ens, config, workspace):
         out = _amen.amen_sweep(x, state, ens, config, workspace, recorder=rec)

@@ -31,7 +31,6 @@ from ttamen import (
     dmrg_solve,
     enrich_chol,
     enrich_svd,
-    expand_and_orthogonalize,
     instrumented_amen_run,
     orthogonalize,
     qtt_quantize,
@@ -50,6 +49,7 @@ from ttamen import (
 from ttamen.amen import (
     _LOCAL_MAXITER,
     _WIDEN_ABOVE,
+    _expand,
     _is_symmetric,
     _LocalOperator,
     _merge_op_cores,
@@ -184,7 +184,7 @@ class TestEnvironments:
         B, _ = assemble_local(state, x, 1)
         v = x.cores[0]
         loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
-        out = loc.apply(v)
+        out = unvec_core(loc.matvec(vec_core(v)), loc.out_shape)
         assert rel_err(vec_core(out), B @ vec_core(v)) < 1e-12
 
 
@@ -228,7 +228,7 @@ class TestLocalOperator:
         v = rng.standard_normal(B.shape[1])
         assert rel_err(loc.matvec(v), B @ v) < 1e-12
         core = rng.standard_normal(loc.in_shape)  # C-ordered, unlike a vector view
-        out = loc.apply(core)
+        out = unvec_core(loc.matvec(vec_core(core)), loc.out_shape)
         assert out.shape == loc.out_shape
         assert rel_err(vec_core(out), B @ vec_core(core)) < 1e-12
 
@@ -1155,7 +1155,8 @@ class TestExpansion:
         ref = to_dense(x)
         for k in [1, 2]:
             Z = rng.standard_normal((x.cores[k - 1].shape[0], 3, 2))
-            y = expand_and_orthogonalize(x, k, Z)
+            y = x.copy()
+            _expand(y.cores, k - 1, Z)
             # widened by 2, but QR caps the rank at the unfolding's row count
             cap = x.cores[k - 1].shape[0] * x.cores[k - 1].shape[1]
             assert y.ranks[k] == min(x.ranks[k] + 2, cap)
@@ -1166,14 +1167,10 @@ class TestExpansion:
 
     def test_none_block_only_orthogonalizes(self, rng):
         x = tt_random([3, 3], 2, rng=rng)
-        y = expand_and_orthogonalize(x, 1, None)
+        y = x.copy()
+        _expand(y.cores, 0, None)
         assert y.ranks == x.ranks
         assert rel_err(to_dense(y), to_dense(x)) < 1e-12
-
-    def test_invalid_position(self, rng):
-        x = tt_random([3, 3], 2, rng=rng)
-        with pytest.raises(ValueError):
-            expand_and_orthogonalize(x, 2, None)
 
 
 # ----------------------------------------------------------------------
@@ -1331,6 +1328,16 @@ class TestSolvers:
         )
         assert max(x.ranks) <= 3
 
+    def test_max_rank_caps_only_the_expansion(self, rng):
+        # AMEn keeps a start iterate's ranks above the cap; DMRG's split cuts them
+        A, y = build_poisson(PoissonSpec(dimension=4, grid_points=4))
+        x0 = tt_random(A.col_sizes, 3, rng=rng)
+        config = SolverConfig(tol=1e-8, max_rank=2)
+        x, log = amen_solve(A, y, x0, config)
+        assert log.status == "converged" and x.ranks == (1, 3, 3, 3, 1)
+        x, log = dmrg_solve(A, y, x0, config)
+        assert log.status == "stalled" and x.ranks == (1, 2, 2, 2, 1)
+
     def test_als_fixed_ranks(self, rng):
         A, y = random_spd_system(3, 4, rng)
         x0 = tt_random(A.col_sizes, 3, rng=rng)
@@ -1476,6 +1483,24 @@ def _reads_factors(solve, enrichment):
 # the keys of every local step's entry; an enriching step adds ENRICH_KEYS
 STEP_KEYS = {"k", "local_res_before", "local_res_after", "mu", "path", "products", "kept_guess"}
 ENRICH_KEYS = {"enrich_width", "omega_surrogate"}
+
+
+class TestSizeCheck:
+    """Every solve refuses a system of mismatched sizes before its first sweep."""
+
+    @pytest.mark.parametrize("case", ["x0_modes", "x0_cores", "y_modes"])
+    @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
+    def test_mismatched_sizes_refused(self, rng, solve, enrichment, case):
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        x0 = None
+        if case == "x0_modes":
+            x0 = tt_random([4, 5, 4], 2, rng=rng)
+        elif case == "x0_cores":
+            x0 = tt_random([4, 4], 2, rng=rng)
+        else:
+            y = tt_random([4, 4, 5], 2, rng=rng)
+        with pytest.raises(ValueError, match="operator / vector sizes are inconsistent"):
+            solve(A, y, x0, SolverConfig(enrichment=enrichment))
 
 
 class TestSweepRecord:

@@ -259,7 +259,7 @@ class TestMain:
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(ttamen.amen, "enrich_svd", failing_svd)
+        monkeypatch.setitem(ttamen.amen._BACK_ENDS, "svd", failing_svd)
         code = main(
             [
                 "solve", "--problem", "poisson", "--d", "3", "--n", "4",
@@ -332,6 +332,41 @@ class TestMain:
         )
         assert code == EXIT_INVALID
         assert "manifest must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rhs_sizes", [[4, 4], [4, 4, 5]], ids=["two_cores", "mode_of_5"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_mismatched_rhs_exit_three(self, tmp_path, capsys, solver, rhs_sizes):
+        # refused before any sweep, whatever the solver
+        A, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        tt_io_write(A, tmp_path / "A.tt")
+        tt_io_write(tt_random(rhs_sizes, 2, rng=np.random.default_rng(0)), tmp_path / "y.tt")
+        code = main(
+            [
+                "solve", "--problem", "custom", "--matrix", str(tmp_path / "A.tt"),
+                "--rhs", str(tmp_path / "y.tt"), "--solver", solver,
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert "operator / vector sizes are inconsistent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, value", [("matrix", np.nan), ("rhs", np.inf)])
+    def test_non_finite_custom_input_exit_three(self, tmp_path, capsys, which, value):
+        # invalid input, not a numerical failure inside the run
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        trains = {"matrix": A, "rhs": y}
+        trains[which].cores[1] = trains[which].cores[1].copy()
+        trains[which].cores[1].flat[0] = value
+        for name, train in trains.items():
+            tt_io_write(train, tmp_path / f"{name}.tt")
+        code = main(
+            [
+                "solve", "--problem", "custom", "--matrix", str(tmp_path / "matrix.tt"),
+                "--rhs", str(tmp_path / "rhs.tt"), "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert f"{tmp_path / f'{which}.tt'} holds a non-finite entry" in capsys.readouterr().err
 
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         code = main(

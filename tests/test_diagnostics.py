@@ -9,7 +9,6 @@ from ttamen import (
     angle_quantities,
     build_poisson,
     dense_oracle_solve,
-    fom_chain_bound,
     instrumented_amen_run,
     kantorovich_bound,
     phi_d,
@@ -92,13 +91,6 @@ class TestRateFormulas:
             phi_d([0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             phi_d([1.5], [0.5])
-
-    def test_fom_chain_bound_single_term(self):
-        assert abs(fom_chain_bound([0.8], [0.6]) - 0.48) < 1e-14
-
-    def test_fom_chain_bound_rejects_omega_one(self):
-        with pytest.raises(ValueError):
-            fom_chain_bound([0.5, 0.5], [0.5, 1.0])
 
 
 class TestAngleQuantities:

@@ -75,6 +75,53 @@ def test_every_imported_name_is_read(path):
     assert imported_names(tree) - read - wrapped == set()
 
 
+# public names that only the tests read, kept on purpose
+UNREAD_EXPORTS = {
+    "assemble_local",  # README names it as the way to inspect a local system
+    "ttmat_random",  # tests/test_acceptance.py imports it
+    "ttmat_transpose",  # tests/test_acceptance.py imports it
+    "ttmat_matmul",  # tests/test_acceptance.py imports it
+}
+
+
+def _reads(tree: ast.Module) -> set:
+    """The names code reads: ``Name`` and ``Attribute`` loads and string
+    constants, outside the ``__all__`` list and the read name's own
+    ``def`` or ``class``."""
+    reads = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in inside:
+            reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # bench/workloads.py looks its solvers up by string, hence the constants
+    paths = MODULE_FILES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    read = set().union(*(_reads(ast.parse(path.read_text())) for path in paths))
+    exported = {name for module in star_imported_modules() for name in module.__all__}
+    assert exported - read - UNREAD_EXPORTS == set()
+    assert UNREAD_EXPORTS <= exported
+
+
 def _dotted(node) -> str:
     """``np.linalg.qr`` for the expression of that name, else ``""``."""
     parts = []
