@@ -27,6 +27,7 @@ from .tt import (
     TTMatrix,
     TTVector,
     _check_fields,
+    _check_finite,
     _contract,
     _matvec_core,
     _qr,
@@ -670,8 +671,7 @@ def enrich_svd(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
     ``T`` the right residual chain.  Any ``tail_factor`` ``F`` with
     ``F @ F.T == T @ T.T`` (the solver passes the residual sweep's ``F``)
     gives the same left singular subspace, so the SVD runs on ``M @ F``.
-    ``info`` holds the singular values, the width taken and its ``omega``
-    (see :func:`_omega`).
+    ``info`` holds the width taken and its ``omega`` (see :func:`_omega`).
     """
     X = _unfold_first(head) @ tail_factor
     if X.shape[1] > X.shape[0]:
@@ -679,10 +679,9 @@ def enrich_svd(head: np.ndarray, tail_factor: np.ndarray, kickrank: int):
         X = _qr(X.T, mode="r").T
     U, s, _ = _svd(X)
     if s.size == 0 or s[0] <= 0:
-        return None, {"sigma": s, "width": 0, "omega": 0.0}
+        return None, {"width": 0, "omega": 0.0}
     width = min(kickrank, int(np.sum(s > 1e-14 * s[0])))
     info = {
-        "sigma": s,
         "width": width,
         "omega": _omega(float(np.sum(s[:width] ** 2)), float(np.sum(s**2))),
     }
@@ -880,10 +879,7 @@ def amen_sweep(
                     entry["note"] = einfo["note"]
                 if Z is not None and config.max_rank is not None:
                     room = config.max_rank - x.cores[k0].shape[2]
-                    if room <= 0:
-                        Z = None
-                    elif Z.shape[2] > room:
-                        Z = Z[:, :, :room]
+                    Z = Z[:, :, :room] if room > 0 else None
             _expand(x.cores, k0, Z)
             state.advance_left(k0, x)  # the last core reads left_op[d-1]
             if ens is not None and k0 < d - 2:
@@ -948,6 +944,8 @@ def _run_alternating(A, y, x0, config, sweep_fn):
     """
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
+    for name, train in (("A", A), ("y", y), ("x0", x)):
+        _check_finite(name, train)
     _check_sizes(A, y, x)
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0

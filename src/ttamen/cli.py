@@ -47,6 +47,8 @@ from .tt import (
     DenseSizeError,
     TTMatrix,
     TTVector,
+    _bits,
+    _check_finite,
     _count_error,
     _real_error,
     qtt_quantize,
@@ -160,15 +162,14 @@ def build_problem(spec: ExperimentSpec):
     if not isinstance(A, TTMatrix) or not isinstance(y, TTVector):
         raise SpecError("custom problem needs a ttmatrix file and a ttvector file")
     for path, train in ((spec.matrix, A), (spec.rhs, y)):
-        if not all(np.isfinite(core).all() for core in train.cores):
-            raise SpecError(f"{path} holds a non-finite entry")
+        _check_finite(path, train)
     return A, y
 
 
 def _quantized(spec: ExperimentSpec, *trains):
     """``trains`` in binary modes where ``spec.qtt`` asks and ``spec.n`` is a
     power of two, else as they are."""
-    if not (spec.qtt and spec.n >= 2 and (spec.n & (spec.n - 1)) == 0):
+    if not spec.qtt or _bits(spec.n) is None:
         return trains
     return tuple(qtt_quantize(t, tol=1e-13) for t in trains)
 
@@ -350,6 +351,8 @@ def _run_solve(args) -> int:
 
 
 def _run_diag(args) -> int:
+    if bad := _count_error("trials", args.trials, 1):
+        raise SpecError(bad)
     if args.check == "kantorovich":
         report = run_kantorovich_check(trials=args.trials, seed=args.seed)
     elif args.check == "rate":

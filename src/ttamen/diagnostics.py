@@ -78,9 +78,9 @@ class AngleReport:
 # Contraction bounds
 # ----------------------------------------------------------------------
 
-def _check_spd(A: np.ndarray, tol: float = 1e-10):
+def _check_spd(A: np.ndarray):
     nrm = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > tol * max(nrm, 1e-300):
+    if np.linalg.norm(A - A.T) > 1e-10 * max(nrm, 1e-300):
         raise ValueError("matrix is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     if w[0] <= 0:

@@ -15,6 +15,7 @@ import numpy as np
 from .tt import (
     TTMatrix,
     TTVector,
+    _bits,
     _check_fields,
     tt_add,
     tt_matvec,
@@ -188,10 +189,10 @@ def _time_axis(nt: int, binary: bool) -> tuple[list, list, list]:
     its bond the carry of ``j + 1`` from one bit to the next (Kazeev,
     Khoromskij & Tyrtyshnikov, SISC 35(3), 2013).  Else each is one core.
     """
-    L = int(nt).bit_length() - 1
-    if not (binary and L >= 1 and nt == 1 << L):
-        eye, shift = np.eye(nt)[None, :, :, None], np.eye(nt, k=-1)[None, :, :, None]
-        return [eye], [shift], [np.eye(1, nt).reshape(1, nt, 1)]
+    L = _bits(nt) if binary else None
+    if not L:  # None, or 0 where nt = 1: one core
+        shift = np.eye(nt, k=-1)[None, :, :, None]
+        return ttmat_identity([nt]).cores, [shift], tt_unit([nt]).cores
     eye = np.eye(2)
     up = np.eye(2, k=-1)  # bit 0 -> 1, no carry
     down = up.T  # bit 1 -> 0, carry out
@@ -202,9 +203,7 @@ def _time_axis(nt: int, binary: bool) -> tuple[list, list, list]:
         mid = _block_core({(0, 0): eye, (1, 0): up, (1, 1): down}, (2, 2, 2, 2))
         last = _block_core({(0, 0): eye, (1, 0): up}, (2, 2, 2, 1))
         shift = [first] + [mid.copy() for _ in range(L - 2)] + [last]
-    # each core its own array, as in build_poisson
-    eyes = [np.eye(2)[None, :, :, None] for _ in range(L)]
-    return eyes, shift, [np.eye(1, 2).reshape(1, 2, 1) for _ in range(L)]
+    return ttmat_identity([2] * L).cores, shift, tt_unit([2] * L).cores
 
 
 def build_initial_state(spec: CascadeCMESpec) -> TTVector:

@@ -181,6 +181,12 @@ def _check_fields(owner, reals=(), **least):
         raise ValueError("; ".join(filter(None, bad)))
 
 
+def _check_finite(name: str, train: _Train):
+    """A ValueError naming ``name`` where a core of ``train`` is not finite."""
+    if not all(np.isfinite(core).all() for core in train.cores):
+        raise ValueError(f"{name} holds a non-finite entry")
+
+
 def eval_entry(x: TTVector, indices) -> float:
     """The entry at the 1-based index tuple ``indices``, a product of core
     slices; an IndexError for a wrong length or an index outside ``[1, n_k]``."""
@@ -353,7 +359,7 @@ def _svd_trunc(M: np.ndarray, budget: float, max_rank: Optional[int]):
     return U[:, :keep], s[:keep], Vt[:keep]
 
 
-def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVector:
+def tt_round(x: TTVector, tol: float) -> TTVector:
     """Compress ranks so that ``norm(x - result) <= tol * norm(x)``.
 
     Left-orthogonalizes first, then truncates by SVD right-to-left with a
@@ -361,8 +367,6 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     right-orthogonal from core 2 on.
     """
     if bad := _real_error("tol", tol, zero=True):
-        raise ValueError(bad)
-    if max_rank is not None and (bad := _count_error("max_rank", max_rank, 1)):
         raise ValueError(bad)
     d = x.d
     if d == 1:
@@ -375,7 +379,7 @@ def tt_round(x: TTVector, tol: float, max_rank: Optional[int] = None) -> TTVecto
     budget = tol * nrm / np.sqrt(d - 1)
     for k in range(d - 1, 0, -1):
         r, n, R = cores[k].shape
-        U, s, Vt = _svd_trunc(cores[k].reshape(r, n * R), budget, max_rank)
+        U, s, Vt = _svd_trunc(cores[k].reshape(r, n * R), budget, None)
         cores[k] = Vt.reshape(-1, n, R)
         carry = U * s
         cores[k - 1] = c_einsum("anb,bc->anc", cores[k - 1], carry)
@@ -516,13 +520,11 @@ def tt_norm(x: TTVector) -> float:
 # QTT quantization
 # ----------------------------------------------------------------------
 
-@functools.cache
-def _split_mode_axes(n: int, base: int) -> int:
-    """The L with ``base**L == n``; a ValueError where there is none."""
-    L = int(round(np.log(n) / np.log(base)))
-    if base**L != n:
-        raise ValueError(f"mode size {n} is not a power of {base}")
-    return L
+def _bits(n) -> Optional[int]:
+    """The L with ``2**L == n``, or None where ``n`` is no power of two."""
+    n = int(n)
+    L = n.bit_length() - 1
+    return L if n > 0 and n == 1 << L else None
 
 
 def _split_chain(t: np.ndarray, mode_sizes: list[int]) -> list[np.ndarray]:
@@ -550,8 +552,8 @@ def _split_chain(t: np.ndarray, mode_sizes: list[int]) -> list[np.ndarray]:
     return cores
 
 
-def qtt_quantize(x, base: int = 2, tol: float = 0.0):
-    """Split every mode of size ``base**L`` into L modes of size ``base``.
+def qtt_quantize(x, tol: float = 0.0):
+    """Split every mode of size ``2**L`` into L binary modes (of size 2).
 
     Bit order within a mode is little-endian (lowest bit first); an
     operator's modes must be square, and bit j of its row index is paired
@@ -562,24 +564,26 @@ def qtt_quantize(x, base: int = 2, tol: float = 0.0):
     """
     if not isinstance(x, (TTVector, TTMatrix)):
         raise TypeError(f"expected TTVector or TTMatrix, got {type(x)}")
-    if bad := _count_error("base", base, 2) or _real_error("tol", tol, zero=True):
+    if bad := _real_error("tol", tol, zero=True):
         raise ValueError(bad)
     new_cores = []
     for core in x.cores:
         r0, *phys, r1 = core.shape
-        L, p = _split_mode_axes(phys[0], base), len(phys)
+        L, p = _bits(phys[0]), len(phys)
+        if L is None:
+            raise ValueError(f"mode size {phys[0]} is not a power of 2")
         if phys.count(phys[0]) != p:
             raise ValueError("matrix quantization requires square mode sizes")
-        if L <= 1:  # a mode of size 1 or base stays as it is
+        if L <= 1:  # a mode of size 1 or 2 stays as it is
             new_cores.append(core.copy())
             continue
-        t = core.reshape((r0,) + (base,) * (L * p) + (r1,))
+        t = core.reshape((r0,) + (2,) * (L * p) + (r1,))
         # numpy puts an index's lowest bit in its last split axis: take the
         # bits lowest first, each row bit followed by its column bit
         bits = [1 + axis * L + L - 1 - j for j in range(L) for axis in range(p)]
-        t = t.transpose([0] + bits + [L * p + 1]).reshape((r0,) + (base**p,) * L + (r1,))
-        chain = _split_chain(t, [base**p] * L)
-        new_cores.extend(c.reshape((c.shape[0],) + (base,) * p + (c.shape[2],)) for c in chain)
+        t = t.transpose([0] + bits + [L * p + 1]).reshape((r0,) + (2**p,) * L + (r1,))
+        chain = _split_chain(t, [2**p] * L)
+        new_cores.extend(c.reshape((c.shape[0],) + (2,) * p + (c.shape[2],)) for c in chain)
     out = type(x)(new_cores)
     if tol == 0:
         return out
@@ -616,17 +620,9 @@ def tt_ones(mode_sizes) -> TTVector:
     return TTVector([np.ones((1, n, 1)) for n in mode_sizes])
 
 
-def tt_unit(mode_sizes, indices=None) -> TTVector:
-    """Rank-1 unit vector; default is the first unit vector in every mode."""
-    d = len(mode_sizes)
-    if indices is None:
-        indices = [0] * d
-    cores = []
-    for n, i in zip(mode_sizes, indices):
-        c = np.zeros((1, n, 1))
-        c[0, i, 0] = 1.0
-        cores.append(c)
-    return TTVector(cores)
+def tt_unit(mode_sizes) -> TTVector:
+    """The rank-1 first unit vector ``e_0``: the first unit vector in every mode."""
+    return TTVector([np.eye(1, n).reshape(1, n, 1) for n in mode_sizes])
 
 
 def ttmat_random(row_sizes, col_sizes, ranks, rng=None) -> TTMatrix:
@@ -670,8 +666,8 @@ def ttmat_to_tt(A: TTMatrix) -> TTVector:
     )
 
 
-def ttmat_round(A: TTMatrix, tol: float, max_rank: Optional[int] = None) -> TTMatrix:
+def ttmat_round(A: TTMatrix, tol: float) -> TTMatrix:
     """Rank compression of an operator via its fused vector view."""
-    v = tt_round(ttmat_to_tt(A), tol, max_rank=max_rank)
+    v = tt_round(ttmat_to_tt(A), tol)
     sizes = zip(v.cores, A.row_sizes, A.col_sizes)
     return TTMatrix([c.reshape(c.shape[0], n, m, c.shape[2]) for c, n, m in sizes])

@@ -1108,7 +1108,7 @@ class TestEnrichmentSubspaces:
         X = head.reshape(6, 10, order="F") @ F
         U, s, _ = np.linalg.svd(X, full_matrices=False)
         Z, info = enrich_svd(head, F, 3)
-        assert rel_err(info["sigma"], s) < 1e-12
+        assert abs(info["omega"] - np.sqrt(1 - np.sum(s[:3] ** 2) / np.sum(s**2))) < 1e-12
         Zm = Z.reshape(-1, 3, order="F")
         assert np.linalg.norm(Zm @ Zm.T - U[:, :3] @ U[:, :3].T) < 1e-12
 
@@ -1486,7 +1486,8 @@ ENRICH_KEYS = {"enrich_width", "omega_surrogate"}
 
 
 class TestSizeCheck:
-    """Every solve refuses a system of mismatched sizes before its first sweep."""
+    """Every solve refuses a system of mismatched sizes or with a non-finite
+    entry before its first sweep."""
 
     @pytest.mark.parametrize("case", ["x0_modes", "x0_cores", "y_modes"])
     @pytest.mark.parametrize("solve, enrichment", ALL_SOLVERS)
@@ -1501,6 +1502,17 @@ class TestSizeCheck:
             y = tt_random([4, 4, 5], 2, rng=rng)
         with pytest.raises(ValueError, match="operator / vector sizes are inconsistent"):
             solve(A, y, x0, SolverConfig(enrichment=enrichment))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["A", "y", "x0"])
+    @pytest.mark.parametrize("solve", [amen_solve, als_solve, dmrg_solve])
+    def test_non_finite_entry_refused(self, rng, solve, name, value):
+        # a ValueError naming the input, not an SVD failure or a converged run
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        trains = {"A": A, "y": y, "x0": tt_random([4, 4, 4], 2, rng=rng)}
+        trains[name].cores[1].flat[0] = value
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry$"):
+            solve(trains["A"], trains["y"], trains["x0"])
 
 
 class TestSweepRecord:

@@ -482,6 +482,13 @@ class TestMain:
         code = main(["diag", "--check", "fom", "--trials", "50", "--out", str(out)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    @pytest.mark.parametrize("check", ["kantorovich", "rate", "fom"])
+    def test_diag_without_trials_exit_three(self, capsys, check, trials):
+        # a check of no trials has checked nothing, so it cannot pass
+        assert main(["diag", "--check", check, "--trials", str(trials)]) == EXIT_INVALID
+        assert f"trials={trials} (must be >= 1)" in capsys.readouterr().err
+
 
 class TestParser:
     def test_readme_command_lines_parse(self):

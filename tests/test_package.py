@@ -122,6 +122,46 @@ def test_every_public_name_is_read_outside_the_tests():
     assert UNREAD_EXPORTS <= exported
 
 
+# defaulted parameters that no call outside the tests passes, kept on purpose:
+# the drivers share amen_solve's signature, and the CLI's SOLVERS table and
+# the benchmark call them through a name they look up
+UNSET_DEFAULTS = {("als_solve", "x0"), ("als_solve", "config"), ("dmrg_solve", "x0")}
+
+
+def _passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
+    """Whether ``call`` may set ``param``, the parameter at ``position``: by
+    keyword, by position, or through ``*`` or ``**``."""
+    if any(keyword.arg in (param.name, None) for keyword in call.keywords):
+        return True
+    if param.kind is not param.POSITIONAL_OR_KEYWORD:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_set_outside_the_tests():
+    # a parameter that no caller sets is a constant; a call counts where its
+    # callee has the function's name (or an alias's), plain or as an attribute
+    paths = MODULE_FILES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    exported = {name: getattr(m, name) for m in star_imported_modules() for name in m.__all__}
+    unset = set()
+    for name, function in exported.items():
+        if name in UNREAD_EXPORTS or not inspect.isfunction(function):
+            continue
+        aliases = [alias for alias, other in exported.items() if other is function]
+        for position, param in enumerate(inspect.signature(function).parameters.values()):
+            if param.default is not param.empty and not any(
+                _passes(call, param, position) for alias in aliases for call in calls.get(alias, [])
+            ):
+                unset.add((name, param.name))
+    assert unset == UNSET_DEFAULTS
+
+
 def _dotted(node) -> str:
     """``np.linalg.qr`` for the expression of that name, else ``""``."""
     parts = []
