@@ -96,26 +96,25 @@ class ExperimentSpec:
     matrix: Optional[str] = None
     rhs: Optional[str] = None
     reference: str = "dense"
-    # time-system knobs (cme_time), overridable through --spec
+    # time-system knobs (cme_time), overridable through --spec; cme and
+    # cme_time quantize the species modes where n is a power of two
     n_steps: int = 256
     t_final: float = 10.0
     scheme: str = "crank_nicolson"
-    qtt: bool = True
 
     def validate(self):
         bad = []
-        kinds = {str: "a string", bool: "a bool"}
 
-        def check(name, kind, allowed=lambda value: True, why=""):
-            """The type of the field first, then its value."""
+        def check(name, allowed=lambda value: True, why=""):
+            """A string first, then its value."""
             value = getattr(self, name)
-            if not isinstance(value, kind):
-                bad.append(f"{name}={value!r} (must be {kinds[kind]})")
+            if not isinstance(value, str):
+                bad.append(f"{name}={value!r} (must be a string)")
             elif not allowed(value):
                 bad.append(f"{name}={value!r} ({why})")
 
-        check("problem", str, lambda v: v in PROBLEMS, f"one of {PROBLEMS}")
-        check("solver", str, lambda v: v in SOLVERS, f"one of {tuple(SOLVERS)}")
+        check("problem", lambda v: v in PROBLEMS, f"one of {PROBLEMS}")
+        check("solver", lambda v: v in SOLVERS, f"one of {tuple(SOLVERS)}")
         # the counts and the least value each takes (see tt._count_error)
         ints = [("d", 1), ("n", 2), ("kickrank", 1), ("max_sweeps", 1), ("max_rank", 1),
                 ("seed", 0), ("n_steps", 1)]
@@ -127,16 +126,15 @@ class ExperimentSpec:
         if tol_bad is None and self.tol >= 1:
             tol_bad = f"tol={self.tol!r} (must be < 1)"
         bad += [tol_bad, _real_error("t_final", self.t_final)]
-        check("reference", str, lambda v: v in ("dense", "tight", "none"), "one of dense|tight|none")
-        check("out", str)
+        check("reference", lambda v: v in ("dense", "none"), "one of dense|none")
+        check("out")
         for name in ("matrix", "rhs"):
             if getattr(self, name) is not None:
-                check(name, str)
+                check(name)
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
-        check("scheme", str, lambda v: v in ("crank_nicolson", "implicit_euler"),
+        check("scheme", lambda v: v in ("crank_nicolson", "implicit_euler"),
               "one of crank_nicolson|implicit_euler")
-        check("qtt", bool)
         bad = [complaint for complaint in bad if complaint]
         if bad:
             raise SpecError("invalid experiment fields: " + "; ".join(bad))
@@ -167,9 +165,9 @@ def build_problem(spec: ExperimentSpec):
 
 
 def _quantized(spec: ExperimentSpec, *trains):
-    """``trains`` in binary modes where ``spec.qtt`` asks and ``spec.n`` is a
-    power of two, else as they are."""
-    if not spec.qtt or _bits(spec.n) is None:
+    """``trains`` in binary modes where ``spec.n`` is a power of two, else as
+    they are."""
+    if _bits(spec.n) is None:
         return trains
     return tuple(qtt_quantize(t, tol=1e-13) for t in trains)
 
@@ -194,20 +192,19 @@ def run_experiment(spec: ExperimentSpec):
 
 
 def _reference_error(spec: ExperimentSpec, A, y, x) -> Optional[float]:
-    """Relative error against a dense or tighter-tolerance reference."""
+    """Relative error against the dense solution, or against a
+    tighter-tolerance solve where the system is above tt.DEFAULT_DENSE_CAP."""
     if spec.reference == "none":
         return None
-    if spec.reference == "dense":
-        try:
-            xs = dense_oracle_solve(to_dense(A), to_dense(y))
-        except DenseSizeError:  # above tt.DEFAULT_DENSE_CAP
-            return _tight_reference_error(spec, A, y, x)
-        except np.linalg.LinAlgError:
-            return None
-        xd = to_dense(x)
-        denom = np.linalg.norm(xs)
-        return float(np.linalg.norm(xd - xs) / (denom if denom > 0 else 1.0))
-    return _tight_reference_error(spec, A, y, x)
+    try:
+        xs = dense_oracle_solve(to_dense(A), to_dense(y))
+    except DenseSizeError:
+        return _tight_reference_error(spec, A, y, x)
+    except np.linalg.LinAlgError:
+        return None
+    xd = to_dense(x)
+    denom = np.linalg.norm(xs)
+    return float(np.linalg.norm(xd - xs) / (denom if denom > 0 else 1.0))
 
 
 def _tight_reference_error(spec: ExperimentSpec, A, y, x) -> Optional[float]:
@@ -296,8 +293,8 @@ def make_parser() -> _Parser:
     ps.add_argument("--out", help="artifact path prefix")
     ps.add_argument("--matrix", help="TT operator file (custom)")
     ps.add_argument("--rhs", help="TT right-hand side file (custom)")
-    ps.add_argument("--reference", choices=("dense", "tight", "none"))
-    ps.add_argument("--spec", help="JSON experiment file overriding flags")
+    ps.add_argument("--reference", choices=("dense", "none"))
+    ps.add_argument("--spec", help="JSON experiment object overriding flags")
 
     pd = sub.add_parser("diag", help="randomized convergence-theory checks")
     pd.add_argument("--check", choices=("kantorovich", "rate", "fom"), required=True)
@@ -310,48 +307,34 @@ def make_parser() -> _Parser:
 _SPEC_KEYS = {f for f in ExperimentSpec.__dataclass_fields__}
 
 
-def _spec_from_args(args) -> list[ExperimentSpec]:
-    base = {key: value for key, value in vars(args).items() if key in _SPEC_KEYS}
-    if "spec" not in vars(args):
-        return [ExperimentSpec(**base)]
-    with open(args.spec) as fh:
-        data = json.load(fh)
-    entries = data if isinstance(data, list) else [data]
-    specs = []
-    for i, entry in enumerate(entries):
+def _spec_from_args(args) -> ExperimentSpec:
+    fields = {key: value for key, value in vars(args).items() if key in _SPEC_KEYS}
+    if "spec" in vars(args):
+        with open(args.spec) as fh:
+            entry = json.load(fh)
         if not isinstance(entry, dict):
-            raise SpecError(f"spec entry {i} is not an object")
+            raise SpecError("a spec file holds one JSON object")
         unknown = sorted(set(entry) - _SPEC_KEYS)
         if unknown:
             raise SpecError(f"unknown spec fields: {', '.join(unknown)}")
-        merged = dict(base)
-        merged.update(entry)
-        if len(entries) > 1 and "out" not in entry:
-            merged["out"] = f"{base.get('out', ExperimentSpec.out)}_{i}"
-        specs.append(ExperimentSpec(**merged))
-    return specs
+        fields.update(entry)
+    return ExperimentSpec(**fields)
 
 
 def _run_solve(args) -> int:
-    specs = _spec_from_args(args)
-    for spec in specs:
-        spec.validate()
-    results = [run_experiment(s) for s in specs]
-    worst = EXIT_OK
-    for spec, (x, log) in zip(specs, results):
-        converged = log.status == "converged"
-        print(
-            f"{spec.problem} {spec.solver}: {log.status} after "
-            f"{len(log.records)} sweeps, residual {log.final_residual:.3e}, "
-            f"artifacts at {spec.out}.{{csv,json,tt}}"
-        )
-        if not converged:
-            worst = EXIT_NOT_CONVERGED
-    return worst
+    spec = _spec_from_args(args)
+    x, log = run_experiment(spec)
+    print(
+        f"{spec.problem} {spec.solver}: {log.status} after "
+        f"{len(log.records)} sweeps, residual {log.final_residual:.3e}, "
+        f"artifacts at {spec.out}.{{csv,json,tt}}"
+    )
+    return EXIT_OK if log.status == "converged" else EXIT_NOT_CONVERGED
 
 
 def _run_diag(args) -> int:
-    if bad := _count_error("trials", args.trials, 1):
+    counts = [_count_error("trials", args.trials, 1), _count_error("seed", args.seed, 0)]
+    if bad := "; ".join(filter(None, counts)):
         raise SpecError(bad)
     if args.check == "kantorovich":
         report = run_kantorovich_check(trials=args.trials, seed=args.seed)

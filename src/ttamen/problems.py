@@ -55,13 +55,14 @@ class CascadeCMESpec:
 
     species: int
     states: int = 64
-    alpha0: float = 0.7
-    delta: float = 0.07
-    beta: float = 1.0
-    gamma: float = 5.0
+    # the cascade model's rates (Hegland et al., J. Comput. Appl. Math. 205(2), 2007)
+    alpha0 = 0.7
+    delta = 0.07
+    beta = 1.0
+    gamma = 5.0
 
     def __post_init__(self):
-        _check_fields(self, ("alpha0", "delta", "beta", "gamma"), species=1, states=2)
+        _check_fields(self, species=1, states=2)
 
 
 @dataclass

@@ -409,8 +409,10 @@ class TestMain:
     @pytest.mark.parametrize(
         "problem, fields, complaints",
         [
-            ("poisson", {"qtt": "no"}, ["qtt='no' (must be a bool)"]),
-            ("cme_time", {"qtt": 0}, ["qtt=0 (must be a bool)"]),
+            # n alone decides quantization: an input naming qtt fails rather
+            # than run a route it did not ask for
+            ("poisson", {"qtt": True}, ["unknown spec fields: qtt"]),
+            ("cme_time", {"qtt": False}, ["unknown spec fields: qtt"]),
             ("poisson", {"tol": "1e-5"}, ["tol='1e-5' (must be a real number)"]),
             ("poisson", {"tol": True}, ["tol=True (must be a real number)"]),
             ("cme_time", {"t_final": "1"}, ["t_final='1' (must be a real number)"]),
@@ -448,25 +450,18 @@ class TestMain:
         assert main(["solve", "--spec", str(spec)]) == EXIT_INVALID
         capsys.readouterr()
 
-    def test_spec_file_list_with_jobs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "entries",
+        [[], [{"problem": "poisson", "d": 2, "n": 4}, {"problem": "poisson", "d": 3, "n": 4}]],
+        ids=["empty", "two_entries"],
+    )
+    def test_spec_file_holding_a_list_exit_three(self, tmp_path, capsys, entries):
+        # a run takes one spec; an empty list must not pass having run nothing
         spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps(
-                [
-                    {"problem": "poisson", "d": 2, "n": 4, "tol": 1e-6},
-                    {"problem": "poisson", "d": 3, "n": 4, "tol": 1e-6},
-                ]
-            )
-        )
-        code = main(
-            [
-                "solve", "--spec", str(spec),
-                "--out", str(tmp_path / "batch"),
-            ]
-        )
-        assert code == EXIT_OK
-        assert (tmp_path / "batch_0.csv").exists()
-        assert (tmp_path / "batch_1.csv").exists()
+        spec.write_text(json.dumps(entries))
+        assert main(["solve", "--spec", str(spec), "--out", str(tmp_path / "run")]) == EXIT_INVALID
+        assert "a spec file holds one JSON object" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run*"))
 
     def test_diag_subcommand(self, tmp_path):
         out = tmp_path / "diag.json"
@@ -489,6 +484,11 @@ class TestMain:
         assert main(["diag", "--check", check, "--trials", str(trials)]) == EXIT_INVALID
         assert f"trials={trials} (must be >= 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["kantorovich", "rate", "fom"])
+    def test_diag_with_a_negative_seed_exit_three(self, capsys, check):
+        assert main(["diag", "--check", check, "--seed", "-1"]) == EXIT_INVALID
+        assert "seed=-1 (must be >= 0)" in capsys.readouterr().err
+
 
 class TestParser:
     def test_readme_command_lines_parse(self):
@@ -500,7 +500,7 @@ class TestParser:
             make_parser().parse_args(shlex.split(line)[1:])
 
     def test_solve_without_flags_is_the_default_spec(self):
-        assert _spec_from_args(make_parser().parse_args(["solve"])) == [ExperimentSpec()]
+        assert _spec_from_args(make_parser().parse_args(["solve"])) == ExperimentSpec()
 
     def test_removed_solver_lists_the_table(self, capsys):
         assert main(["solve", "--solver", "amen_sym"]) == EXIT_INVALID
@@ -518,6 +518,20 @@ class TestParser:
         for extra in (["--symmetrize"], ["--spec", str(spec)]):
             assert main(args + extra) == EXIT_INVALID
             assert "symmetrize" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run*"))
+
+    def test_tight_reference_is_refused(self, tmp_path, capsys):
+        # below the dense cap the dense reference is exact; above it, it
+        # already takes the tighter solve
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"reference": "tight"}))
+        args = [
+            "solve", "--problem", "poisson", "--d", "2", "--n", "4",
+            "--out", str(tmp_path / "run"),
+        ]
+        for extra in (["--reference", "tight"], ["--spec", str(spec)]):
+            assert main(args + extra) == EXIT_INVALID
+            assert "'tight'" in capsys.readouterr().err
         assert not list(tmp_path.glob("run*"))
 
 

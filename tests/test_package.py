@@ -140,7 +140,9 @@ def _passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
 
 def test_every_default_is_set_outside_the_tests():
     # a parameter that no caller sets is a constant; a call counts where its
-    # callee has the function's name (or an alias's), plain or as an attribute
+    # callee has the function's name (or an alias's), plain or as an attribute.
+    # The classes that check their settings in __post_init__ count too, with
+    # their constructor's parameters
     paths = MODULE_FILES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
     calls = {}
     for path in paths:
@@ -151,7 +153,8 @@ def test_every_default_is_set_outside_the_tests():
     exported = {name: getattr(m, name) for m in star_imported_modules() for name in m.__all__}
     unset = set()
     for name, function in exported.items():
-        if name in UNREAD_EXPORTS or not inspect.isfunction(function):
+        checked = inspect.isclass(function) and "__post_init__" in vars(function)
+        if name in UNREAD_EXPORTS or not (inspect.isfunction(function) or checked):
             continue
         aliases = [alias for alias, other in exported.items() if other is function]
         for position, param in enumerate(inspect.signature(function).parameters.values()):
