@@ -15,8 +15,10 @@ each local assembly O(1) in the dimension.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -273,37 +275,40 @@ def assemble_local(state: SweepState, x: TTVector, k: int):
     Row/column ordering is the Fortran vectorization of the core, i.e. the
     left rank index fastest.
     """
-    L, Ac, R, b, _ = _local_problem(state, x, k - 1, 1)
+    L, (Ac,), R, b, _ = _local_problem(state, x, k - 1, 1)
     return _Workspace().build(L, Ac, R), b
 
 
 def _local_problem(state: SweepState, x, k0: int, sites: int):
-    """The local system on cores ``k0 .. k0+sites-1``: ``(L, Ac, R, b, core)``.
+    """The local system on cores ``k0 .. k0+sites-1``: ``(L, cores, R, b, core)``.
 
-    ``L``, ``Ac`` and ``R`` make up the operator, ``b`` is the vectorized
-    right-hand side (see :func:`_local_rhs`) and ``core`` the current
-    iterate (the guess).  For two sites the operator, right-hand side and
-    iterate cores are merged into one core with a fused mode.
+    ``L``, the tuple ``cores`` of the step's operator cores and ``R`` make up
+    the operator, ``b`` is the vectorized right-hand side (see
+    :func:`_local_rhs`) and ``core`` the current iterate (the guess).  For
+    two sites the right-hand side and iterate cores are merged into one core
+    with a fused mode; the two operator cores are not (see
+    :class:`_LocalOperator`).
     """
     k1 = k0 + sites - 1
-    A, y = state.A, state.y
-    Ac, yc, core = A.cores[k0], y.cores[k0], x.cores[k0]
+    y, yc, core = state.y, state.y.cores[k0], x.cores[k0]
     if sites == 2:
-        Ac = _merge_op_cores(Ac, A.cores[k1])
         # a vector core is an operator core with a unit column axis
         yc, core = (
             _merge_op_cores(c[:, :, None], t.cores[k1][:, :, None])[:, :, 0]
             for c, t in ((yc, y), (core, x))
         )
     b = vec_core(_local_rhs(state.left_rhs[k0], yc, state.right_rhs[k1]))
-    return state.left_op[k0], Ac, state.right_op[k1], b, core
+    return state.left_op[k0], tuple(state.A.cores[k0 : k1 + 1]), state.right_op[k1], b, core
 
 
 def _merge_op_cores(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """Contract two neighboring operator cores into one with fused modes.
 
     The fused row index pairs (i,k) with i fastest, matching the Fortran
-    vectorization of a merged two-site block; likewise for columns.
+    vectorization of a merged two-site block; likewise for columns.  The
+    merged core of Poisson n has ``n^4`` entries per rank pair, so a
+    two-site step forms it only where it is used: on a direct step, whose
+    size cap bounds it, and in :class:`_LocalOperator`'s merged order.
     """
     RP, n1, m1, _ = A1.shape
     _, n2, m2, RS = A2.shape
@@ -429,15 +434,21 @@ def solve_local(B: np.ndarray, b: np.ndarray):
 
 
 class _LocalOperator:
-    """Matrix-free local operator ``L · Ac · R`` on cores (a,i,c) <- (b,j,d).
+    """Matrix-free local operator ``L · A_k ⋯ · R`` on cores (a,i,c) <- (b,j,d).
 
-    ``L`` is (a,P,b), ``Ac`` is (P,i,j,Q), ``R`` is (c,Q,d).  A product runs
-    in one of two orders, picked once from the shapes:
+    ``L`` is (a,P,b), ``R`` is (c,Q,d) and ``cores`` the step's operator
+    cores, left to right: one for AMEn and ALS, two neighbors for DMRG.
+    Core t is (P_t, i_t, j_t, Q_t), from ``P_0 = P`` to the last ``Q_t =
+    Q``; ``i`` and ``j`` fuse the cores' modes as :func:`_merge_op_cores`
+    does.  A product runs in one of two orders, picked once from the shapes:
 
-    - factored: three GEMMs, ``R`` first, then ``Ac``, then ``L``, at
+    - factored: a chain of GEMMs, ``R`` first, then each core over its
+      ``(Q_t, j_t)`` from right to left, then ``L``.  One core costs
       ``bcQdj + bcPiQj + bcaiP`` multiply-adds (O(n r^3 R + n^2 r^2 R^2));
-    - merged: ``M1 = L·Ac`` of shape (a i Q, b j) is contracted once, then
-      each product is two GEMMs at ``aiQd(bj + c)`` (O(n^2 r^3 R)).
+    - merged: ``M1 = L·Ac``, with ``Ac`` the cores merged into one, of shape
+      (a i Q, b j) is contracted once, then each product is two GEMMs at
+      ``aiQd(bj + c)`` (O(n^2 r^3 R); O(n^4) in the mode size for two cores,
+      where the chain is O(n^3)).
 
     The factored order runs only where it needs at most half the merged
     order's flops.  Large modes (n = 32 Poisson, ratio 4.4-5.6) take it; at
@@ -445,50 +456,65 @@ class _LocalOperator:
     (n = 2, ratio below 2) keep the merged order.  On the CME benchmark's
     shapes the factored order ranges from 1.5x slower to 2.2x faster per
     product (22% less time summed over them), and the CME runs' sweep
-    counts are sensitive to the round-off a change of order brings.
+    counts are sensitive to the round-off a change of order brings.  Two
+    Poisson n = 8 cores at ranks 4 and 2 cost 82k multiply-adds a product
+    in the chain and 532k merged, and the merged core (2, 4096, 4096, 2)
+    of n = 64 takes 537 MB, which the chain never forms.
 
     ``shape`` and ``dtype`` let the Krylov solvers take it as it is;
     ``products`` counts the products made.  The merged order takes ``M1``
     from ``workspace`` (see :class:`_Workspace`).
     """
 
-    def __init__(self, L, Ac, R, workspace: _Workspace):
+    def __init__(self, L, cores, R, workspace: _Workspace):
         a, P, b = L.shape
-        _, i, j, Q = Ac.shape
-        c, _, d = R.shape
+        c, Q, d = R.shape
+        outs = [core.shape[1] for core in cores]
+        ins = [core.shape[2] for core in cores]
+        i, j = math.prod(outs), math.prod(ins)
         self.out_shape = (a, i, c)
         self.in_shape = (b, j, d)
         self.shape = (a * i * c, b * j * d)
-        self.dtype = np.result_type(L, Ac, R)
+        self.dtype = np.result_type(L, R, *cores)
         self.products = 0
         merged = a * i * Q * d * (b * j + c)
-        factored = b * c * (Q * d * j + P * i * Q * j + a * i * P)
-        self.factored = 2 * factored <= merged
-        self._P, self._Q = P, Q
+        # core t meets (Q_t j_t) x (c i_{t+1}⋯ j_{t-1}⋯ b) of the product
+        core_gemms = sum(
+            Pt * it * Qt * jt * math.prod(outs[t + 1 :]) * math.prod(ins[:t])
+            for t, (Pt, it, jt, Qt) in enumerate(core.shape for core in cores)
+        )
+        self.factored = 2 * b * c * (Q * d * j + core_gemms + a * i * P) <= merged
         if self.factored:
             self._R = np.ascontiguousarray(R).reshape(c * Q, d)
-            A_t = Ac.transpose(0, 1, 3, 2)  # (P,i,Q,j)
-            self._A = np.ascontiguousarray(A_t).reshape(P * i, Q * j)
+            # right to left: each core as (P_t i_t, Q_t j_t), with its shape
+            self._chain = []
+            for core in reversed(cores):
+                A_t = np.ascontiguousarray(core.transpose(0, 1, 3, 2))  # (P,i,Q,j)
+                self._chain.append((A_t.reshape(A_t.shape[0] * A_t.shape[1], -1), core.shape))
             self._L = np.ascontiguousarray(L.transpose(1, 2, 0)).reshape(P * b, a)
             return
-        self._M1 = workspace.M(L, Ac)  # (a i Q, b j)
+        self._M1 = workspace.M(L, reduce(_merge_op_cores, cores))  # (a i Q, b j)
         self._M2 = np.ascontiguousarray(R.reshape(c, Q * d))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.products += 1
         a, i, c = self.out_shape
         b, j, d = self.in_shape
-        P, Q = self._P, self._Q
         if not self.factored:
             W = self._M1 @ unvec_core(v, self.in_shape).reshape(b * j, d)
-            W = W.reshape(a * i, Q * d)
+            W = W.reshape(a * i, -1)  # (a i, Q d)
             return vec_core((W @ self._M2.T).reshape(a, i, c))
-        # the Fortran vector of (b,j,d) is the C array [d,j,b]
-        T = self._R @ np.reshape(v, (d, j * b))  # [c,Q,j,b]
-        T = T.reshape(c, Q * j, b).transpose(1, 0, 2).reshape(Q * j, c * b)
-        T = self._A @ T  # [P,i,c,b]
-        T = T.reshape(P, i, c, b).transpose(2, 1, 0, 3).reshape(c * i, P * b)
-        return (T @ self._L).ravel()  # [c,i,a]: the Fortran vector of (a,i,c)
+        # the Fortran vector of (b,j,d) is the C array [d,j_last..j_0,b]
+        T = self._R @ np.reshape(v, (d, j * b))  # [c,Q,j..,b]
+        rows = c  # the output indices made so far: [c,i_last..i_{t+1}]
+        for A, (Pt, it, jt, Qt) in self._chain:
+            # [rows,Q_t,j_t,rest] -> [Q_t,j_t,rows,rest]
+            T = T.reshape(rows, Qt * jt, -1).transpose(1, 0, 2).reshape(Qt * jt, -1)
+            T = A @ T  # [P_t,i_t,rows,rest]
+            T = T.reshape(Pt, it, rows, -1).transpose(2, 1, 0, 3)  # [rows,i_t,P_t,rest]
+            rows *= it
+        # [c,i_last..i_0,a]: the Fortran vector of (a,i,c)
+        return (T.reshape(rows, -1) @ self._L).ravel()
 
 
 # cap on the products of one CG or GMRES local solve
@@ -544,18 +570,18 @@ def _solve_local_problem(state: SweepState, x, k0: int, sites: int, config, work
     The step's ``L·Ac`` block and the direct matrix go into ``workspace``
     (see :class:`_Workspace`).
     """
-    L, Ac, R, b, core = _local_problem(state, x, k0, sites)
+    L, cores, R, b, core = _local_problem(state, x, k0, sites)
     guess = vec_core(core)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
     kept_guess = False
     if b.size <= config.max_direct_size:
-        B = workspace.build(L, Ac, R)
+        B = workspace.build(L, reduce(_merge_op_cores, cores), R)
         res_before = np.linalg.norm(b - B @ guess) / scale
         u, info = solve_local(B, b)
         path, products = ("lstsq" if info["fallback"] else "direct"), 0
     else:
-        loc = _LocalOperator(L, Ac, R, workspace)
+        loc = _LocalOperator(L, cores, R, workspace)
         u, info = _solve_local_iterative(loc, b, guess, config.tol / 100, state.symmetric)
         kept_guess = bool(info["residual"] > info["residual_before"])
         if kept_guess:

@@ -183,13 +183,17 @@ class TestEnvironments:
         state = build_environments(A, y, x)
         B, _ = assemble_local(state, x, 1)
         v = x.cores[0]
-        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
+        loc = _LocalOperator(state.left_op[0], (A.cores[0],), state.right_op[0], _Workspace())
         out = unvec_core(loc.matvec(vec_core(v)), loc.out_shape)
         assert rel_err(vec_core(out), B @ vec_core(v)) < 1e-12
 
 
 def _local_operator_case(case, rng):
-    """(local operator, its dense matrix) for one of three shape regimes."""
+    """(local operator, its dense matrix) for one of four shape regimes.
+
+    The two-site operators take their two cores unmerged; their dense matrix
+    is the one of the merged core.
+    """
     if case == "two_site":
         d, n = 5, 4
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
@@ -198,9 +202,14 @@ def _local_operator_case(case, rng):
         state = build_environments(A, y, x)
         for p in range(2):
             state.advance_left(p, x)
-        L, R = state.left_op[2], state.right_op[3]
-        A12 = _merge_op_cores(A.cores[2], A.cores[3])
-        return _LocalOperator(L, A12, R, _Workspace()), _Workspace().build(L, A12, R)
+        L, (A1, A2), R = state.left_op[2], A.cores[2:4], state.right_op[3]
+    elif case == "two_site_uneven":  # modes 5 and 7, ranks P, S, Q = 2, 3, 4
+        L = rng.standard_normal((3, 2, 4))  # (a, P, b)
+        A1, A2 = rng.standard_normal((2, 5, 5, 3)), rng.standard_normal((3, 7, 7, 4))
+        R = rng.standard_normal((8, 4, 6))  # (c, Q, d), with a c = b d
+    if case.startswith("two_site"):
+        dense = _Workspace().build(L, _merge_op_cores(A1, A2), R)
+        return _LocalOperator(L, (A1, A2), R, _Workspace()), dense
     if case == "large_mode":  # core (8, 32, 4), operator ranks 2
         d, n, ranks, op_rank = 3, 32, [1, 8, 4, 1], 2
     else:  # QTT: core (8, 2, 8), operator ranks 4
@@ -214,7 +223,7 @@ def _local_operator_case(case, rng):
         state.advance_left(p, x)
     B, _ = assemble_local(state, x, k)
     L, Ac, R = state.left_op[k - 1], A.cores[k - 1], state.right_op[k - 1]
-    return _LocalOperator(L, Ac, R, _Workspace()), B
+    return _LocalOperator(L, (Ac,), R, _Workspace()), B
 
 
 class TestLocalOperator:
@@ -238,6 +247,16 @@ class TestLocalOperator:
     def test_order_follows_flop_ratio(self, rng, case, factored):
         loc, _ = _local_operator_case(case, rng)
         assert loc.factored is factored
+
+    def test_two_site_chain_on_uneven_shapes(self, rng):
+        # every core meets its own ranks and modes: n1 != n2, P != S != Q,
+        # a != c and b != d
+        loc, B = _local_operator_case("two_site_uneven", rng)
+        assert loc.factored and loc.shape == B.shape == (840, 840)
+        for count in range(1, 4):
+            v = rng.standard_normal(B.shape[1])
+            assert rel_err(loc.matvec(v), B @ v) < 1e-13
+            assert loc.products == count
 
     def test_iterative_solve_on_large_modes(self):
         A, y = build_poisson(PoissonSpec(dimension=4, grid_points=32))
@@ -290,7 +309,7 @@ class TestLocalSolvers:
         state = build_environments(A, y, x)
         B, b = assemble_local(state, x, 1)
         ref = np.linalg.solve(B, b)
-        loc = _LocalOperator(state.left_op[0], A.cores[0], state.right_op[0], _Workspace())
+        loc = _LocalOperator(state.left_op[0], (A.cores[0],), state.right_op[0], _Workspace())
         u, info = _solve_local_iterative(loc, b, np.zeros_like(b), 1e-12, symmetric=True)
         assert rel_err(u, ref) < 1e-8
 
@@ -455,7 +474,7 @@ class TestLocalProblemLayer:
         M = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
         b = rng.standard_normal(n)
         one = np.ones((1, 1, 1))
-        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
+        loc = _LocalOperator(one, (M.reshape(1, n, n, 1),), one, _Workspace())
         u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-10, symmetric=False)
         assert np.abs(u).max() > 1e15 and info["residual"] > info["residual_before"]
         # the local-problem layer keeps the guess and says so
@@ -477,7 +496,7 @@ class TestLocalProblemLayer:
         M = M @ M.T if symmetric else np.hstack([M, np.zeros((n, 1))])
         b = np.linalg.svd(M)[0][:, -1] + rng.standard_normal(n)  # leaves the range
         one = np.ones((1, 1, 1))
-        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
+        loc = _LocalOperator(one, (M.reshape(1, n, n, 1),), one, _Workspace())
         krylov, _, _ = self.spy(monkeypatch)
         u, info = _solve_local_iterative(loc, b, np.zeros(n), 1e-12, symmetric=symmetric)
         assert info["gmres_info"] > 0
@@ -642,7 +661,7 @@ class TestWorkspace:
         if direct:
             B = workspace.build(L, Ac, R)
             assert np.array_equal(B, _local_matrix_ref(L, Ac, R))
-        loc = _LocalOperator(L, Ac, R, workspace)
+        loc = _LocalOperator(L, (Ac,), R, workspace)
         if not loc.factored:
             assert np.array_equal(loc._M1, _merged_m1_ref(L, Ac))
         # the solver hands the head the Fortran view of the solved vector

@@ -144,7 +144,7 @@ class TestLocalSolve:
         M = M @ M.T
         b = np.linalg.svd(M)[0][:, -1] + rng.standard_normal(n)
         one = np.ones((1, 1, 1))
-        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
+        loc = _LocalOperator(one, (M.reshape(1, n, n, 1),), one, _Workspace())
         seen = {}
 
         class Spy:
@@ -171,7 +171,7 @@ class TestLocalSolve:
         n = 50
         M = spd(rng, n) if symmetric else nonsymmetric(rng, n)
         one = np.ones((1, 1, 1))
-        loc = _LocalOperator(one, M.reshape(1, n, n, 1), one, _Workspace())
+        loc = _LocalOperator(one, (M.reshape(1, n, n, 1),), one, _Workspace())
         b, guess = rng.standard_normal(n), rng.standard_normal(n)
         u, info = _solve_local_iterative(loc, b, guess, 1e-10, symmetric=symmetric)
         assert info["path"] == ("cg" if symmetric else "gmres")

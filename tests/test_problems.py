@@ -33,6 +33,25 @@ from conftest import rel_err
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _run_in_capped_memory(body: str) -> dict:
+    """Run ``body`` in a child limited to 512 MiB of address space and one
+    BLAS thread, after ``from ttamen import *``; return the JSON it prints."""
+    code = (
+        "import json, resource\n"
+        "cap = 512 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "import numpy as np\n"
+        "from ttamen import *\n"
+    ) + body
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def dense_cme_generator(spec: CascadeCMESpec) -> np.ndarray:
     """Direct dense assembly of the cascade generator from the rate formula.
 
@@ -97,6 +116,20 @@ class TestPoisson:
         x = tt_random([n] * d, 2, rng=rng)
         assert rel_err(to_dense(tt_matvec(A, x)), dense @ to_dense(x)) < 1e-12
         assert rel_err(to_dense(A), dense) < 1e-12
+
+    def test_dmrg_on_64_cubed_solves_in_capped_memory(self):
+        """Two-site DMRG on d=3, n=64 in a child limited to 512 MiB of address
+        space: the merged core of two neighbors, (2, 4096, 4096, 2), would
+        alone take 537 MB, and the matrix-free steps never form it."""
+        out = _run_in_capped_memory(
+            "A, y = build_poisson(PoissonSpec(dimension=3, grid_points=64))\n"
+            "x, log = dmrg_solve(A, y, config=SolverConfig(tol=1e-5, seed=0))\n"
+            "print(json.dumps({'status': log.status, 'sweeps': len(log.records),\n"
+            "                  'ranks': list(x.ranks), 'residual': log.final_residual}))\n"
+        )
+        assert out["status"] == "stalled" and out["sweeps"] == 4
+        assert out["ranks"] == [1, 5, 5, 1]
+        assert abs(out["residual"] - 9.5334e-4) < 1e-8
 
     def test_operator_ranks_bounded(self):
         A, _ = build_poisson(PoissonSpec(dimension=5, grid_points=4))
@@ -301,12 +334,7 @@ class TestTimeSystem:
         built and solved in a child limited to 512 MiB of address space: a
         dense time mode would ask for 32 GiB in ``np.eye(65536)``."""
         nt, tau = 2**16, 10.0 / 2**16
-        code = (
-            "import json, resource\n"
-            "cap = 512 * 2**20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-            "import numpy as np\n"
-            "from ttamen import *\n"
+        out = _run_in_capped_memory(
             "spec = CascadeCMESpec(species=1, states=4)\n"
             "A = qtt_quantize(build_cme_operator(spec), tol=1e-13)\n"
             "psi0 = qtt_quantize(build_initial_state(spec), tol=1e-13)\n"
@@ -318,13 +346,6 @@ class TestTimeSystem:
             "last = to_dense(TTVector([x.cores[0], x.cores[1] @ v]))\n"
             "print(json.dumps({'status': log.status, 'cores': len(M.cores), 'last': last.tolist()}))\n"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
         assert out["status"] == "converged" and out["cores"] == 2 + 16
 
         Ad = to_dense(build_cme_operator(CascadeCMESpec(species=1, states=4)))
