@@ -56,7 +56,6 @@ __all__ = [
     "solve_local",
     "enrich_svd",
     "enrich_chol",
-    "amen_sweep",
     "amen_solve",
     "als_solve",
     "dmrg_solve",
@@ -802,17 +801,17 @@ class EnrichmentState:
 
     # -- per-step enrichment ----------------------------------------------
 
-    def enrich(self, state: SweepState, u_core, k0: int, workspace=None):
+    def enrich(self, state: SweepState, u_core, k0: int, workspace: _Workspace):
         """Enrichment block for 0-based core k0 (< d-1); may update z-tilde.
 
-        The head takes the step's ``L·A_k`` block from ``workspace`` (see
-        :func:`_residual_first_block`; a fresh one without it).  The tail
+        The head takes the step's ``L·A_k`` block from the solve's
+        ``workspace`` (see :func:`_residual_first_block`).  The tail
         used is dropped, so the list is released as the sweep goes, while
         the next sweep's is built.
         ALS then updates z's core k0; it reports only the width, and a
         ``note`` when that core was redrawn.
         """
-        head = _residual_first_block(state, u_core, k0, workspace or _Workspace())
+        head = _residual_first_block(state, u_core, k0, workspace)
         tail, self._tails[k0 + 1] = self._tails[k0 + 1], None
         Z, info = _BACK_ENDS[self.method](head, tail, self.width)
         if self.method == "als":
@@ -866,48 +865,51 @@ def _expand(cores: list, k0: int, Z: Optional[np.ndarray]):
 # Sweeps
 # ----------------------------------------------------------------------
 
-def amen_sweep(
-    x: TTVector,
-    state: SweepState,
-    ens: Optional[EnrichmentState],
-    config: SolverConfig,
-    workspace: Optional[_Workspace] = None,
-    recorder=None,
-):
-    """One left-to-right AMEn pass; returns (x, per-core stats).
+def _sweep(x, state, ens, config, workspace, sites, recorder=None):
+    """One left-to-right pass, ``sites`` cores a step; returns (x, per-step stats).
 
-    Expects ``x`` right-orthogonal from position 2 with fresh environments
-    of the system in ``state`` and, when ``ens`` is given,
-    ``ens.prepare_sweep`` already called.  Each step's ``L·A_k`` block is
-    built once, into ``workspace`` (a solve passes its own; without one the
-    sweep makes one for itself).  A ``recorder`` (see
-    ``diagnostics._RateRecorder``) is told of each step: its
-    ``on_core_start(k0, x)`` runs before core k0 is solved, and
-    ``on_core_done(k0, x, u_core)`` once the core is final, with the solved
-    core as it was before the expansion.
+    Expects ``x`` right-orthogonal from position 2, fresh environments in
+    ``state`` and, when ``ens`` is given, ``ens.prepare_sweep`` called.
+    Each step's ``L·A_k`` block goes into the solve's ``workspace``.  A
+    two-site step splits the merged core ``W`` by a truncated SVD at
+    ``tol·‖W‖/√(d−1)`` and ``max_rank``; a one-site step below the last
+    core widens it by ``ens``'s enrichment, trimmed to ``max_rank``, and
+    pushes its QR factor right.  A ``recorder`` (see
+    ``diagnostics._RateRecorder``) hears ``on_core_start(k0, x)`` before
+    core k0 is solved and ``on_core_done(k0, x, u_core)`` once it is final,
+    with the solved core as it was before the expansion.
     """
-    workspace = workspace or _Workspace()
     x = x.copy()
     d = x.d
     stats = []
-    for k0 in range(d):
+    for k0 in range(d + 1 - sites):
         if recorder is not None:
             recorder.on_core_start(k0, x)
-        u_core, entry = _solve_local_problem(state, x, k0, 1, config, workspace)
-        x.cores[k0] = u_core
-        if k0 < d - 1:
-            Z = None
-            if ens is not None:
-                Z, einfo = ens.enrich(state, u_core, k0, workspace)
-                entry["enrich_width"] = einfo["width"]
-                entry["omega_surrogate"] = einfo.get("omega")
-                if "note" in einfo:
-                    entry["note"] = einfo["note"]
-                if Z is not None and config.max_rank is not None:
-                    room = config.max_rank - x.cores[k0].shape[2]
-                    Z = Z[:, :, :room] if room > 0 else None
-            _expand(x.cores, k0, Z)
-            state.advance_left(k0, x)  # the last core reads left_op[d-1]
+        u_core, entry = _solve_local_problem(state, x, k0, sites, config, workspace)
+        if sites == 2:
+            r0, n1, _ = x.cores[k0].shape
+            _, n2, r2 = x.cores[k0 + 1].shape
+            budget = config.tol * np.linalg.norm(u_core) / np.sqrt(d - 1)
+            W = u_core.reshape(r0 * n1, n2 * r2, order="F")
+            U, s, Vt = _svd_trunc(W, budget, config.max_rank)
+            x.cores[k0] = U.reshape(r0, n1, s.size, order="F")
+            x.cores[k0 + 1] = (s[:, None] * Vt).reshape(s.size, n2, r2, order="F")
+        else:
+            x.cores[k0] = u_core
+            if k0 < d - 1:
+                Z = None
+                if ens is not None:
+                    Z, einfo = ens.enrich(state, u_core, k0, workspace)
+                    entry["enrich_width"] = einfo["width"]
+                    entry["omega_surrogate"] = einfo.get("omega")
+                    if "note" in einfo:
+                        entry["note"] = einfo["note"]
+                    if Z is not None and config.max_rank is not None:
+                        room = config.max_rank - x.cores[k0].shape[2]
+                        Z = Z[:, :, :room] if room > 0 else None
+                _expand(x.cores, k0, Z)
+        if k0 + sites < d:  # only the next step reads left_op[k0+1]; a sweep builds a new state
+            state.advance_left(k0, x)
             if ens is not None and k0 < d - 2:
                 # z's update runs only below d-1, so nothing reads its last one
                 ens.advance(x, k0)
@@ -954,14 +956,13 @@ def _next_width(width: int, rel: float, prev_rel: Optional[float], kickrank: int
     return min(_WIDEN_FACTOR * width, _WIDEN_FACTOR * kickrank)
 
 
-def _run_alternating(A, y, x0, config, sweep_fn):
+def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     """Sweep until the check stops the run; return the iterate of ``log.best``.
 
     The package's one sweep loop: every solver runs through it, and so does
-    the dense rate check (``diagnostics.instrumented_amen_run``), whose
-    ``sweep_fn`` is :func:`amen_sweep` plus a recorder.  ``sweep_fn`` is
-    called as ``(x, state, ens, config, workspace)``, with the system in
-    ``state``; ``ens`` is the run's :class:`EnrichmentState` (None for
+    the dense rate check (``diagnostics.instrumented_amen_run``), which
+    passes its ``recorder``.  Each sweep is a :func:`_sweep` over ``sites``
+    cores a step, with the run's :class:`EnrichmentState` (None for
     ``enrichment="none"``).
     One residual sweep over each start iterate gives both the check of the
     sweep before and the svd/chol tail factors of the sweep after.  Only
@@ -991,7 +992,7 @@ def _run_alternating(A, y, x0, config, sweep_fn):
         if ens is not None:
             ens.prepare_sweep(A, y, x_next, factors, width)
         state = build_environments(A, y, x_next, symmetric)
-        x, stats = sweep_fn(x_next, state, ens, config, workspace)
+        x, stats = _sweep(x_next, state, ens, config, workspace, sites, recorder)
         x_next = orthogonalize(x, "right", 1)
         factors, res = _residual_sweep(A, y, x_next)
         rel = res / yscale
@@ -1055,7 +1056,7 @@ def amen_solve(
     (see :func:`_next_width`); ``als`` projects onto a rank-``kickrank``
     approximant ``z`` through a :class:`SweepState` over ``(z; A, y; x)``.
     """
-    return _run_alternating(A, y, x0, config or SolverConfig(), amen_sweep)
+    return _run_alternating(A, y, x0, config or SolverConfig())
 
 
 def als_solve(
@@ -1074,28 +1075,8 @@ def dmrg_solve(
     x0: Optional[TTVector] = None,
     config: Optional[SolverConfig] = None,
 ):
-    """Two-site baseline: merged neighboring cores, SVD split at ``tol``."""
-    config = config or SolverConfig()
-    if A.d < 2:
-        return amen_solve(A, y, x0, config)
-    return _run_alternating(A, y, x0, replace(config, enrichment="none"), _dmrg_sweep)
+    """Two-site baseline: merged neighboring cores, SVD split at ``tol``
+    (one site, without enrichment, on a one-core train)."""
+    config = replace(config or SolverConfig(), enrichment="none")
+    return _run_alternating(A, y, x0, config, sites=min(2, A.d))
 
-
-def _dmrg_sweep(x, state, ens, config, workspace):
-    """One left-to-right two-site pass; ``ens`` is None (DMRG does not enrich)."""
-    x = x.copy()
-    d = x.d
-    stats = []
-    for k0 in range(d - 1):
-        W, entry = _solve_local_problem(state, x, k0, 2, config, workspace)
-        r0, n1, _ = x.cores[k0].shape
-        _, n2, r2 = x.cores[k0 + 1].shape
-        budget = config.tol * np.linalg.norm(W) / np.sqrt(d - 1)
-        U, s, Vt = _svd_trunc(W.reshape(r0 * n1, n2 * r2, order="F"), budget, config.max_rank)
-        keep = s.size
-        x.cores[k0] = U.reshape(r0, n1, keep, order="F")
-        x.cores[k0 + 1] = (s[:, None] * Vt).reshape(keep, n2, r2, order="F")
-        if k0 < d - 2:  # the next sweep builds a new state, so none reads left_op[d-1]
-            state.advance_left(k0, x)
-        stats.append(entry)
-    return x, stats

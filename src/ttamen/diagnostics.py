@@ -228,6 +228,8 @@ class _RateRecorder:
     All quantities are computed densely, so this is meant for small systems
     only.  The projector angle at core k uses the finalized (expanded and
     orthogonalized) core, the progress factor the exact local reference.
+    Each sweep's last core closes its record in ``sweeps`` (see
+    :class:`RateReport`).
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray):
@@ -237,6 +239,7 @@ class _RateRecorder:
         self.mu = []
         self.omega = []
         self.j_trace = []
+        self.sweeps = []
         self.sweep_start_j = None
         self._ctx = None
 
@@ -283,6 +286,20 @@ class _RateRecorder:
             denom = float(c @ (Ak @ c))
             frac = float(c @ (Ak @ Rc)) / denom if denom > 0 else 1.0
             self.omega.append(float(np.sqrt(min(max(1.0 - frac, 0.0), 1.0))))
+        else:
+            j_start = self.sweep_start_j
+            ratio = self.j_trace[-1] / j_start if j_start > 0 else 0.0
+            # the last core's progress is absorbed by its exact solve
+            phi = phi_d(np.clip(self.mu[:-1], 0, 1), np.clip(self.omega, 0, 1))
+            self.sweeps.append(
+                {
+                    "mu": list(self.mu),
+                    "omega": list(self.omega),
+                    "phi_sq": phi**2,
+                    "j_ratio": ratio,
+                    "identity_gap": abs(ratio - phi**2),
+                }
+            )
         self._ctx = None
 
 
@@ -298,12 +315,12 @@ def instrumented_amen_run(
 
     The run is ``amen_solve``'s own loop (``amen._run_alternating``) with
     exact (direct) local solves and a dense recorder attached to each
-    :func:`~ttamen.amen.amen_sweep`, on an SPD problem (checked) small
-    enough to materialize.  It records the energy after every local update, the
-    measured progress ``mu_k`` and the projector angle ``omega_k`` of each
-    finalized core.  With these definitions the measured per-sweep energy
-    ratio matches the predicted rate exactly, up to round-off from the final
-    core's direct solve.  It starts from ``amen_solve``'s default guess and
+    sweep, on an SPD problem (checked) small enough to materialize.  It
+    records the energy after every local update, the measured progress
+    ``mu_k`` and the projector angle ``omega_k`` of each finalized core.
+    With these definitions the measured per-sweep energy ratio matches the
+    predicted rate exactly, up to round-off from the final core's direct
+    solve.  It starts from ``amen_solve``'s default guess and
     stops where ``amen_solve`` with the same settings stops: at a relative
     residual of 1e-14, on a stall or after ``sweeps``.
     """
@@ -319,27 +336,8 @@ def instrumented_amen_run(
         seed=seed,
     )
     rec = _RateRecorder(A_dense, y_dense)
-    report = RateReport()
-
-    def recorded_sweep(x, state, ens, config, workspace):
-        out = _amen.amen_sweep(x, state, ens, config, workspace, recorder=rec)
-        j_start = rec.sweep_start_j
-        ratio = rec.j_trace[-1] / j_start if j_start > 0 else 0.0
-        # the last core's progress is absorbed by its exact solve
-        phi = phi_d(np.clip(rec.mu[:-1], 0, 1), np.clip(rec.omega, 0, 1))
-        report.sweeps.append(
-            {
-                "mu": list(rec.mu),
-                "omega": list(rec.omega),
-                "phi_sq": phi**2,
-                "j_ratio": ratio,
-                "identity_gap": abs(ratio - phi**2),
-            }
-        )
-        return out
-
-    _amen._run_alternating(A, y, None, config, recorded_sweep)
-    report.j_trace = list(rec.j_trace)
+    _amen._run_alternating(A, y, None, config, recorder=rec)
+    report = RateReport(sweeps=rec.sweeps, j_trace=rec.j_trace)
     diffs = np.diff(report.j_trace)
     scale = max(report.j_trace) if report.j_trace else 1.0
     report.max_violation = float(max(diffs.max(initial=0.0), 0.0) / max(scale, 1e-300))

@@ -21,7 +21,6 @@ from ttamen import (
     TimeSystemSpec,
     als_solve,
     amen_solve,
-    amen_sweep,
     assemble_local,
     build_cme_operator,
     build_environments,
@@ -59,6 +58,7 @@ from ttamen.amen import (
     _residual_sweep,
     _solve_local_iterative,
     _solve_local_problem,
+    _sweep,
     _Workspace,
     unvec_core,
     vec_core,
@@ -1226,7 +1226,7 @@ class TestSweep:
         config = SolverConfig(tol=1e-12, max_direct_size=1 << 16)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
-        amen_sweep(x, state, ens, config, recorder=Rec())
+        _sweep(x, state, ens, config, _Workspace(), 1, recorder=Rec())
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9 * max(energies))
 
@@ -1242,10 +1242,13 @@ class TestSweep:
             tol=1e-14, max_sweeps=5, kickrank=1, enrichment=enrichment,
             max_direct_size=1 << 16, seed=0,
         )
-        x, _ = amen_solve(A, y, config=config)
+        x, log = amen_solve(A, y, config=config)
         Ad = to_dense(A)
         e = np.linalg.solve(Ad, to_dense(y)) - to_dense(x)
         assert rep.j_trace[-1] == pytest.approx(e @ (Ad @ e), rel=1e-10)
+        # the recorder closes each sweep's record itself, at its last core
+        assert len(rep.sweeps) == len(log.records)
+        assert len(rep.j_trace) == len(log.records) * (A.d + 1)
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol", "als"])
     def test_tail_factors_released_as_used(self, rng, enrichment):
@@ -1256,7 +1259,7 @@ class TestSweep:
         ens = EnrichmentState(enrichment, 2, rng=rng)
         _prepare(ens, A, y, x)
         assert all(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
-        amen_sweep(x, state, ens, SolverConfig(tol=1e-8))
+        _sweep(x, state, ens, SolverConfig(tol=1e-8), _Workspace(), 1)
         assert not any(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
 
     def test_no_enrichment_on_last_core(self, rng):
@@ -1265,7 +1268,7 @@ class TestSweep:
         state = build_environments(A, y, x)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
-        out, stats = amen_sweep(x, state, ens, SolverConfig(tol=1e-8))
+        out, stats = _sweep(x, state, ens, SolverConfig(tol=1e-8), _Workspace(), 1)
         assert "enrich_width" in stats[0] and "omega_surrogate" in stats[0]
         assert "enrich_width" not in stats[-1] and "omega_surrogate" not in stats[-1]
 
@@ -1474,8 +1477,9 @@ class TestSolvers:
         A, y = build_poisson(PoissonSpec(dimension=1, grid_points=8))
         config = SolverConfig(tol=1e-10)
         x, log = dmrg_solve(A, y, config=config)
-        x_ref, _ = amen_solve(A, y, config=config)
+        x_ref, log_ref = amen_solve(A, y, config=config)
         assert log.status == "converged" and len(log.records) == 1
+        assert (log.status, log.stop_reason) == (log_ref.status, log_ref.stop_reason)
         assert x.cores[0].tobytes() == x_ref.cores[0].tobytes()
 
 
@@ -1717,15 +1721,14 @@ class TestStopRule:
     def test_returns_the_iterate_of_the_best_check(self, rng, monkeypatch, solve, enrichment):
         self.script(monkeypatch, [0.5, 0.1, 0.3])
         results = []
-        for name in ("amen_sweep", "_dmrg_sweep"):
-            real = getattr(ttamen.amen, name)
+        real = ttamen.amen._sweep
 
-            def sweep(*args, _real=real, **kwargs):
-                out = _real(*args, **kwargs)
-                results.append(out[0])
-                return out
+        def sweep(*args, **kwargs):
+            out = real(*args, **kwargs)
+            results.append(out[0])
+            return out
 
-            monkeypatch.setattr(ttamen.amen, name, sweep)
+        monkeypatch.setattr(ttamen.amen, "_sweep", sweep)
         A, y = random_spd_system(3, 4, rng)
         config = SolverConfig(tol=1e-6, max_sweeps=3, enrichment=enrichment)
         x, log = solve(A, y, config=config)

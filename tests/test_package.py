@@ -188,3 +188,19 @@ def test_factorizations_run_through_the_kernel(path):
         if isinstance(node, ast.Call) and _dotted(node.func) in FACTORIZATIONS
     ]
     assert calls == []
+
+
+def test_one_sweep_solves_every_local_problem():
+    # one-site and two-site steps run through one sweep: a second function
+    # that solves local problems would be a second sweep
+    callers = set()
+    for path in MODULE_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call)
+                and "_solve_local_problem"
+                in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                for call in ast.walk(node)
+            ):
+                callers.add(f"{path.stem}.{node.name}")
+    assert callers == {"amen._sweep"}
