@@ -21,8 +21,8 @@ from ttamen import (
     PoissonSpec,
     build_poisson,
     instrumented_amen_run,
+    tt_add,
     tt_ones,
-    ttmat_add,
     ttmat_identity,
 )
 from ttamen.diagnostics import run_fom_check, run_kantorovich_check
@@ -31,7 +31,7 @@ from ttamen.diagnostics import run_fom_check, run_kantorovich_check
 def rate_identity():
     print("1. per-sweep contraction identity")
     A, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))
-    A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)  # shift off zero
+    A = tt_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)  # shift off zero
     rep = instrumented_amen_run(A, tt_ones([4, 4, 4]), sweeps=3, kickrank=2)
     print(f"   energy error monotone: {rep.monotone}")
     print("   sweep  measured ratio   predicted phi^2   gap")

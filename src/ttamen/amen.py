@@ -2,7 +2,7 @@
 
 Provides the rank-adaptive AMEn solver with three residual-enrichment
 back-ends (SVD, unfinished Cholesky, auxiliary low-rank ALS), plus the
-fixed-rank one-site ALS and the two-site DMRG baselines.
+two-site DMRG baseline; with enrichment off it is the fixed-rank one-site ALS.
 
 Each sweep walks the cores left to right.  At core k the global system is
 Galerkin-projected onto the frame spanned by all other cores, the small
@@ -57,7 +57,6 @@ __all__ = [
     "enrich_svd",
     "enrich_chol",
     "amen_solve",
-    "als_solve",
     "dmrg_solve",
 ]
 
@@ -72,18 +71,20 @@ class SolverConfig:
 
     ``tol`` is the relative Frobenius residual target.  ``enrichment``
     selects the residual approximation back-end for AMEn (``"svd"``,
-    ``"chol"`` or ``"als"``).  ``kickrank`` is the floor of the basis
-    expansion's width: ``svd``/``chol`` start at it and may double it once,
-    to ``2·kickrank``, after a sweep that contracts the residual too little
-    (see :func:`_next_width`); ``als`` keeps it, as the rank of its residual
-    approximant.  Local systems up to ``max_direct_size`` unknowns are
+    ``"chol"`` or ``"als"``); ``"none"`` makes it one-site ALS.
+    ``kickrank`` is the floor of the basis expansion's width: ``svd``/``chol``
+    start at it and may double it once, to ``2·kickrank``, after a sweep
+    that contracts the residual too little (see :func:`_next_width`);
+    ``als`` keeps it, as the rank of its residual approximant.  Local systems up to ``max_direct_size`` unknowns are
     factorized directly, larger ones are solved matrix-free by CG or GMRES
     to a relative residual of ``tol/100``; ``max_direct_size=0`` sends every
     local system to the matrix-free path.
-    The default cap of 512 is where the matrix-free solve starts to win:
-    summed over a solve of the benchmark's CME and Poisson systems, it takes
-    4 to 16 times less time than the LU from 512 unknowns up, and up to 9
-    times more below 256.  A run stops after at most ``max_sweeps`` sweeps.
+    The default cap of 512 is where the matrix-free solve starts to win on
+    one-site steps: summed over a solve of the benchmark's CME and Poisson
+    systems, it takes 4 to 16 times less time than the LU from 512 unknowns
+    up, and up to 9 times more below 256.  It was not measured on two-site
+    steps, where cap 0 ran the benchmark's Poisson DMRG solve about 30%
+    faster.  A run stops after at most ``max_sweeps`` sweeps.
     ``max_rank`` caps only what AMEn's expansion adds, so a start iterate
     above the cap keeps its ranks; DMRG's split truncates to the cap.
     ``seed`` draws the default start (a random rank-1 train) and the ALS
@@ -344,19 +345,17 @@ class _Workspace:
     Poisson n = 32).  Made afresh at every step, glibc hands it back to the
     kernel and faults it in again at the next: 10.6k minor faults per
     ``poisson-amen`` solve, 4.8k per ``poisson-dmrg`` solve.  The buffer
-    grows when a step needs more room and never shrinks; ``allocations``
-    counts the grows.  One buffer rather than several: the old one is freed
-    before its successor is made, and glibc can hand its pages on only
-    while nothing was allocated after it.  ``_run_alternating`` makes one
-    workspace per solve, so nothing is kept once the solve returns.  A
-    fresh workspace gives fresh arrays.
+    grows when a step needs more room and never shrinks.  One buffer rather
+    than several: the old one is freed before its successor is made, and
+    glibc can hand its pages on only while nothing was allocated after it.
+    ``_run_alternating`` makes one workspace per solve, so nothing is kept
+    once the solve returns.  A fresh workspace gives fresh arrays.
     """
 
     def __init__(self):
         self._buffer = None  # M, one panel, then the direct matrix
         self._step = None  # the (L, Ac) that _M was built from
         self._M = None
-        self.allocations = 0
 
     def _reserve(self, n: int) -> np.ndarray:
         """The buffer, with room for ``n`` float64 items (the cores' type)."""
@@ -365,7 +364,6 @@ class _Workspace:
             # freed first, so that its successor can take its pages
             self._buffer = buf = None
             self._buffer = buf = np.empty(n)
-            self.allocations += 1
         return buf
 
     @staticmethod
@@ -538,7 +536,7 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
             return u, info
         guess, r0 = u, None  # a failed CG hands its iterate to GMRES
     restart = min(b.size, 200)
-    u, code, info["residual"] = spla.gmres(
+    u, _, info["residual"] = spla.gmres(
         loc,
         b,
         x0=guess,
@@ -547,7 +545,6 @@ def _solve_local_iterative(loc: _LocalOperator, b, guess, rtol, symmetric: bool)
         maxiter=max(1, _LOCAL_MAXITER // restart),
         restart=restart,
     )
-    info["gmres_info"] = int(code)
     info["path"] = "cg+gmres" if symmetric else "gmres"
     return u, info
 
@@ -559,7 +556,7 @@ def _solve_local_problem(state: SweepState, x, k0: int, sites: int, config, work
     solved directly, larger ones matrix-free.  Returns the solved core (the
     merged one for two sites) and its stats entry: the 1-based ``k`` of its
     first core, the local residuals before and after, scaled by ``norm(b)``,
-    their ratio ``mu`` (at most 1), the ``path`` taken (``direct``,
+    the ``path`` taken (``direct``,
     ``lstsq`` where the direct solve fell back to least squares, ``cg``,
     ``gmres`` or ``cg+gmres``), the local operator's
     ``products`` (0 on the direct path; the initial residual's counts) and
@@ -588,12 +585,10 @@ def _solve_local_problem(state: SweepState, x, k0: int, sites: int, config, work
         res_before = info["residual_before"] / scale
         path, products = info["path"], loc.products
     res_after = info["residual"] / scale
-    mu = res_after / res_before if res_before > 0 else 1.0
     entry = {
         "k": k0 + 1,
         "local_res_before": float(res_before),
         "local_res_after": float(res_after),
-        "mu": float(min(mu, 1.0) if np.isfinite(mu) else 1.0),
         "path": path,
         "products": products,
         "kept_guess": kept_guess,
@@ -1057,16 +1052,6 @@ def amen_solve(
     approximant ``z`` through a :class:`SweepState` over ``(z; A, y; x)``.
     """
     return _run_alternating(A, y, x0, config or SolverConfig())
-
-
-def als_solve(
-    A: TTMatrix,
-    y: TTVector,
-    x0: Optional[TTVector] = None,
-    config: Optional[SolverConfig] = None,
-):
-    """Fixed-rank one-site baseline: AMEn with enrichment disabled."""
-    return amen_solve(A, y, x0, replace(config or SolverConfig(), enrichment="none"))
 
 
 def dmrg_solve(

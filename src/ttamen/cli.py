@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amen import SolverConfig, als_solve, amen_solve, dmrg_solve
+from .amen import SolverConfig, amen_solve, dmrg_solve
 from .diagnostics import (
     dense_oracle_solve,
     run_fom_check,
@@ -70,7 +70,7 @@ SOLVERS = {
     "amen_svd": (amen_solve, "svd"),
     "amen_chol": (amen_solve, "chol"),
     "amen_als": (amen_solve, "als"),
-    "als": (als_solve, "none"),
+    "als": (amen_solve, "none"),
     "dmrg": (dmrg_solve, "none"),
 }
 PROBLEMS = ("poisson", "cme", "cme_time", "custom")
@@ -226,7 +226,9 @@ def _tight_reference_error(spec: ExperimentSpec, A, y, x) -> Optional[float]:
 def write_log(log, path, err=None):
     """CSV convergence log, one row per sweep.  ``err``, the reference error
     of the returned iterate, fills the error field of ``log.best``'s row; the
-    field is empty elsewhere."""
+    field is empty elsewhere.  Despite its name, ``a_norm_error`` holds the
+    relative Euclidean (2-norm) error against the reference (see
+    :func:`_reference_error`), not an A-norm error."""
     best = log.best
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

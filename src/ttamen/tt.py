@@ -41,7 +41,6 @@ __all__ = [
     "tt_unit",
     "ttmat_random",
     "ttmat_identity",
-    "ttmat_add",
     "ttmat_transpose",
     "ttmat_matmul",
     "ttmat_round",
@@ -391,16 +390,13 @@ def tt_round(x: TTVector, tol: float) -> TTVector:
 # ----------------------------------------------------------------------
 
 def tt_add(x: _Train, y: _Train, alpha: float = 1.0, beta: float = 1.0) -> _Train:
-    """Exact ``alpha*x + beta*y`` of two vectors or of two operators (``ttmat_add``
-    is this function) with the same physical sizes; ranks add."""
+    """Exact ``alpha*x + beta*y`` of two vectors or of two operators with the
+    same physical sizes; ranks add."""
     xs, ys = ([c.shape[1:-1] for c in t.cores] for t in (x, y))
     if xs != ys:
         raise ValueError(f"physical sizes differ: {xs} vs {ys}")
     pairs = enumerate(zip(x.cores, y.cores))
     return type(x)([_sum_core(xc, yc, k, x.d, alpha, beta) for k, (xc, yc) in pairs])
-
-
-ttmat_add = tt_add
 
 
 def _sum_core(xc: np.ndarray, yc: np.ndarray, k: int, d: int, alpha=1.0, beta=1.0):

@@ -18,8 +18,8 @@ from ttamen import (
     TTMatrix,
     TTVector,
     build_poisson,
+    tt_add,
     tt_random,
-    ttmat_add,
     ttmat_identity,
 )
 
@@ -82,7 +82,7 @@ def random_spd_system(d: int, n: int, rng):
     """Laplacian-plus-random-shift SPD TT system with a random low-rank rhs."""
     A, _ = build_poisson(PoissonSpec(dimension=d, grid_points=n))
     shift = float(rng.uniform(0.5, 2.0))
-    A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, shift)
+    A = tt_add(A, ttmat_identity(A.row_sizes), 1.0, shift)
     y = tt_random([n] * d, 2, rng=rng)
     return A, y
 

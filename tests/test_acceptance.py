@@ -42,7 +42,6 @@ from ttamen import (
     tt_ones,
     tt_random,
     tt_round,
-    ttmat_add,
     ttmat_identity,
     ttmat_matmul,
     ttmat_random,
@@ -218,7 +217,7 @@ class TestAcceptance:
 
     def test_05_monotonicity_and_rate_identity(self):
         A, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))
-        A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)
+        A = tt_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)
         rep = instrumented_amen_run(A, tt_ones([4, 4, 4]), sweeps=3, kickrank=2)
         gap = max(s["identity_gap"] for s in rep.sweeps)
         report(

@@ -15,12 +15,14 @@ import ttamen.tt
 from ttamen import (
     ConvergenceLog,
     PoissonSpec,
+    SolverConfig,
     TTVector,
+    amen_solve,
     build_poisson,
+    tt_add,
     tt_io_read,
     tt_io_write,
     tt_random,
-    ttmat_add,
     ttmat_identity,
     ttmat_random,
 )
@@ -137,7 +139,7 @@ class TestRunExperiment:
         # far above its best check, whose iterate it returns
         rng = np.random.default_rng(1234)
         noise = ttmat_random([4] * 4, [4] * 4, 2, rng=rng)
-        tt_io_write(ttmat_add(ttmat_identity([4] * 4), noise, 8.0, 1.0), tmp_path / "A.tt")
+        tt_io_write(tt_add(ttmat_identity([4] * 4), noise, 8.0, 1.0), tmp_path / "A.tt")
         tt_io_write(tt_random([4] * 4, 2, rng=rng), tmp_path / "y.tt")
         spec = ExperimentSpec(
             problem="custom",
@@ -248,6 +250,21 @@ class TestMain:
             ]
         )
         assert code == EXIT_NOT_CONVERGED
+
+    def test_als_route_runs_amen_without_enrichment(self, tmp_path):
+        # the run stalls, so its bytes and ranks tell the route, not its exit
+        args = ["--problem", "poisson", "--d", "3", "--n", "4", "--solver", "als"]
+        main(["solve", *args, "--out", str(tmp_path / "run")])
+        spec = ExperimentSpec()
+        config = SolverConfig(
+            tol=spec.tol, max_sweeps=spec.max_sweeps, kickrank=spec.kickrank,
+            max_rank=spec.max_rank, seed=spec.seed, enrichment="none",
+        )
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        x, _ = amen_solve(A, y, config=config)
+        tt_io_write(x, tmp_path / "ref.tt")
+        assert (tmp_path / "run.tt").read_bytes() == (tmp_path / "ref.tt").read_bytes()
+        assert tt_io_read(tmp_path / "run.tt").ranks == (1, 1, 1, 1)
 
     def test_invalid_arguments_exit_three(self, tmp_path, capsys):
         assert main(["solve", "--solver", "bogus"]) == EXIT_INVALID

@@ -14,7 +14,7 @@ from ttamen import (
     phi_d,
     sd_run,
     sd_step,
-    ttmat_add,
+    tt_add,
     ttmat_identity,
 )
 from ttamen.diagnostics import (
@@ -152,7 +152,7 @@ class TestInstrumentedRun:
     @pytest.mark.parametrize("kickrank", [1, 2, 4])
     def test_rate_identity_and_monotonicity(self, kickrank):
         A, _ = build_poisson(PoissonSpec(dimension=3, grid_points=4))
-        A = ttmat_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)
+        A = tt_add(A, ttmat_identity(A.row_sizes), 1.0, 1.0)
         from ttamen import tt_ones
         rep = instrumented_amen_run(A, tt_ones([4, 4, 4]), sweeps=2, kickrank=kickrank)
         assert rep.monotone

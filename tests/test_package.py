@@ -36,12 +36,15 @@ def star_imported_modules() -> list:
 def test_each_name_is_listed_once_and_bound_to_its_object():
     modules = star_imported_modules()
     assert modules
-    owner = {}
+    owner, named = {}, {}
     for module in modules:
         for name in module.__all__:
             assert name not in owner, f"{name} is in {owner[name]} and {module.__name__}"
             owner[name] = module.__name__
             assert getattr(ttamen, name) is getattr(module, name)
+            # one name per object: a second name is a second way to say it
+            other = named.setdefault(id(getattr(module, name)), name)
+            assert other == name, f"{other} and {name} name one object"
     public = {name for name in vars(ttamen) if not name.startswith("_")}
     submodules = {n for n in public if isinstance(getattr(ttamen, n), types.ModuleType)}
     assert public - submodules == set(owner)
@@ -123,9 +126,9 @@ def test_every_public_name_is_read_outside_the_tests():
 
 
 # defaulted parameters that no call outside the tests passes, kept on purpose:
-# the drivers share amen_solve's signature, and the CLI's SOLVERS table and
-# the benchmark call them through a name they look up
-UNSET_DEFAULTS = {("als_solve", "x0"), ("als_solve", "config"), ("dmrg_solve", "x0")}
+# dmrg_solve shares amen_solve's signature, and the CLI's SOLVERS table and
+# the benchmark call it through a name they look up, with no start iterate
+UNSET_DEFAULTS = {("dmrg_solve", "x0")}
 
 
 def _passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
@@ -140,7 +143,7 @@ def _passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
 
 def test_every_default_is_set_outside_the_tests():
     # a parameter that no caller sets is a constant; a call counts where its
-    # callee has the function's name (or an alias's), plain or as an attribute.
+    # callee has the function's name, plain or as an attribute.
     # The classes that check their settings in __post_init__ count too, with
     # their constructor's parameters
     paths = MODULE_FILES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
@@ -156,10 +159,9 @@ def test_every_default_is_set_outside_the_tests():
         checked = inspect.isclass(function) and "__post_init__" in vars(function)
         if name in UNREAD_EXPORTS or not (inspect.isfunction(function) or checked):
             continue
-        aliases = [alias for alias, other in exported.items() if other is function]
         for position, param in enumerate(inspect.signature(function).parameters.values()):
             if param.default is not param.empty and not any(
-                _passes(call, param, position) for alias in aliases for call in calls.get(alias, [])
+                _passes(call, param, position) for call in calls.get(name, [])
             ):
                 unset.add((name, param.name))
     assert unset == UNSET_DEFAULTS

@@ -317,9 +317,8 @@ class TestAlgebra:
         # d=2 operator L (x) I + I (x) L against the dense Kronecker oracle
         n = 4
         L = rng.standard_normal((n, n))
-        from ttamen import ttmat_add
         I = np.eye(n)
-        A = ttmat_add(
+        A = tt_add(
             TTMatrix([L[None, :, :, None], I[None, :, :, None]]),
             TTMatrix([I[None, :, :, None], L[None, :, :, None]]),
         )
@@ -513,8 +512,7 @@ class TestStructure:
 
     def test_ttmat_round_compresses_duplicate_sum(self, rng):
         A = ttmat_random([3, 3, 3], [3, 3, 3], 2, rng=rng)
-        from ttamen import ttmat_add
-        S = ttmat_add(A, A)
+        S = tt_add(A, A)
         R = ttmat_round(S, 1e-13)
         assert R.ranks == A.ranks
         assert rel_err(to_dense(R), 2 * to_dense(A)) < 1e-11
