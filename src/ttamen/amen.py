@@ -951,6 +951,29 @@ def _next_width(width: int, rel: float, prev_rel: Optional[float], kickrank: int
     return min(_WIDEN_FACTOR * width, _WIDEN_FACTOR * kickrank)
 
 
+# y is zero up to round-off where a step of its left QR sweep gives a product
+# carry @ G_k of norm at most _ROUND_OFF·d·eps·‖carry‖·‖G_k‖, its own round-off
+# (as in y - y); taken core by core, since the product of all the cores' norms
+# can exceed ‖y‖ by about √r a core at rank r (README, Status)
+_ROUND_OFF = 10
+
+
+def _is_round_off(y: TTVector) -> bool:
+    """Whether ``y`` is zero up to round-off (see ``_ROUND_OFF``); ``carry``
+    and each core are scaled to a largest entry of 1, so no norm underflows."""
+    bound = _ROUND_OFF * y.d * np.finfo(float).eps
+    carry = np.ones((1, 1))
+    for core in y.cores:
+        G = core.reshape(core.shape[0], -1)
+        G = G / (np.abs(G).max() or 1.0)
+        T = carry @ G
+        if np.linalg.norm(T) <= bound * np.linalg.norm(carry) * np.linalg.norm(G):
+            return True
+        T = T.reshape(-1, core.shape[2])
+        carry = _qr(T / np.abs(T).max(), mode="r")
+    return False
+
+
 def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     """Sweep until the check stops the run; return the iterate of ``log.best``.
 
@@ -969,6 +992,8 @@ def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     for name, train in (("A", A), ("y", y), ("x0", x)):
         _check_finite(name, train)
     _check_sizes(A, y, x)
+    if _is_round_off(y):
+        y = TTVector([np.zeros_like(c) for c in y.cores])
     ynorm = tt_norm(y)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()

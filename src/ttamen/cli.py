@@ -100,7 +100,6 @@ class ExperimentSpec:
     # cme_time quantize the species modes where n is a power of two
     n_steps: int = 256
     t_final: float = 10.0
-    scheme: str = "crank_nicolson"
 
     def validate(self):
         bad = []
@@ -133,8 +132,6 @@ class ExperimentSpec:
                 check(name)
         if self.problem == "custom" and (self.matrix is None or self.rhs is None):
             bad.append("matrix/rhs (required for problem=custom)")
-        check("scheme", lambda v: v in ("crank_nicolson", "implicit_euler"),
-              "one of crank_nicolson|implicit_euler")
         bad = [complaint for complaint in bad if complaint]
         if bad:
             raise SpecError("invalid experiment fields: " + "; ".join(bad))
@@ -149,9 +146,7 @@ def build_problem(spec: ExperimentSpec):
         A, psi0 = _quantized(spec, build_cme_operator(cspec), build_initial_state(cspec))
         if spec.problem == "cme":
             return A, psi0
-        tspec = TimeSystemSpec(
-            tau=spec.t_final / spec.n_steps, n_steps=spec.n_steps, scheme=spec.scheme
-        )
+        tspec = TimeSystemSpec(tau=spec.t_final / spec.n_steps, n_steps=spec.n_steps)
         # binary time cores where A is binary and n_steps a power of two
         return build_time_system(A, psi0, tspec)
     # custom

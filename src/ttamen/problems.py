@@ -1,9 +1,9 @@
 """Benchmark problem generators in TT form.
 
 Covers the discrete high-dimensional Poisson operator, the cascade gene
-regulatory chemical-master-equation generator, and the all-at-once time
-stepping system (Crank-Nicolson or implicit Euler) with time as an extra
-trailing mode, or as trailing binary modes on a binary space.
+regulatory chemical-master-equation generator, and the all-at-once
+Crank-Nicolson time stepping system with time as an extra trailing mode, or
+as trailing binary modes on a binary space.
 """
 
 from __future__ import annotations
@@ -67,16 +67,14 @@ class CascadeCMESpec:
 
 @dataclass
 class TimeSystemSpec:
-    """All-at-once time discretization: tau step size, n_steps steps."""
+    """All-at-once Crank-Nicolson discretization: tau step size, n_steps
+    steps."""
 
     tau: float
     n_steps: int
-    scheme: str = "crank_nicolson"
 
     def __post_init__(self):
         _check_fields(self, ("tau",), n_steps=1)
-        if self.scheme not in ("crank_nicolson", "implicit_euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def laplace_1d(n: int) -> np.ndarray:
@@ -154,9 +152,8 @@ def build_time_system(A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec) -> tup
 
     The unknown stacks the states at t_1..t_{n_steps}.  Crank-Nicolson rows
     read ``(I - tau/2 A) x_m - (I + tau/2 A) x_{m-1} = 0`` with the initial
-    state feeding the first row's right-hand side; implicit Euler uses
-    ``(I - tau A)`` on the diagonal and the identity below it.  The operator
-    and right-hand side are rounded at ``_TIME_ROUND_TOL``.
+    state feeding the first row's right-hand side.  The operator and
+    right-hand side are rounded at ``_TIME_ROUND_TOL``.
 
     If every mode of ``A`` has size 2 and ``n_steps = 2**L`` with L >= 1,
     time is L binary modes, lowest bit first as ``qtt_quantize`` orders
@@ -166,10 +163,10 @@ def build_time_system(A: TTMatrix, psi0: TTVector, tspec: TimeSystemSpec) -> tup
     if A.col_sizes != psi0.mode_sizes:
         raise ValueError("operator and initial state sizes differ")
     tau, nt = tspec.tau, tspec.n_steps
-    half = 0.5 * tau if tspec.scheme == "crank_nicolson" else tau
+    half = 0.5 * tau
     eye = ttmat_identity(A.row_sizes)
     P = tt_add(eye, A, 1.0, -half)  # diagonal-in-time blocks
-    Q = tt_add(eye, A, 1.0, half if tspec.scheme == "crank_nicolson" else 0.0)
+    Q = tt_add(eye, A, 1.0, half)
     time_eye, time_sub, e0 = _time_axis(nt, set(A.row_sizes + A.col_sizes) == {2})
     # M = P (x) I_t  -  Q (x) S_t, with the sign on the lowest time core
     time_sub[0] = -time_sub[0]

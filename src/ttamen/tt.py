@@ -41,8 +41,6 @@ __all__ = [
     "tt_unit",
     "ttmat_random",
     "ttmat_identity",
-    "ttmat_transpose",
-    "ttmat_matmul",
     "ttmat_round",
 ]
 
@@ -635,24 +633,6 @@ def ttmat_random(row_sizes, col_sizes, ranks, rng=None) -> TTMatrix:
 
 def ttmat_identity(mode_sizes) -> TTMatrix:
     return TTMatrix([np.eye(n).reshape(1, n, n, 1) for n in mode_sizes])
-
-
-def ttmat_transpose(A: TTMatrix) -> TTMatrix:
-    return TTMatrix([c.transpose(0, 2, 1, 3) for c in A.cores])
-
-
-def ttmat_matmul(A: TTMatrix, B: TTMatrix) -> TTMatrix:
-    """Exact operator product ``A @ B``; ranks multiply."""
-    if A.col_sizes != B.row_sizes:
-        raise ValueError("inner sizes differ")
-    cores = []
-    for ac, bc in zip(A.cores, B.cores):
-        Ra0, n, m, Ra1 = ac.shape
-        Rb0, _, p, Rb1 = bc.shape
-        c = _contract(ac, bc, axes=(2, 1))  # (a,i,b,c,k,d)
-        c = np.ascontiguousarray(c.transpose(0, 3, 1, 4, 2, 5))
-        cores.append(c.reshape(Ra0 * Rb0, n, p, Ra1 * Rb1))
-    return TTMatrix(cores)
 
 
 def ttmat_to_tt(A: TTMatrix) -> TTVector:

@@ -43,9 +43,7 @@ from ttamen import (
     tt_random,
     tt_round,
     ttmat_identity,
-    ttmat_matmul,
     ttmat_random,
-    ttmat_transpose,
 )
 from ttamen.diagnostics import (
     dense_oracle_solve,
@@ -109,15 +107,12 @@ class TestAcceptance:
             x = tt_random(sizes, r, rng=rng)
             y = tt_random(sizes, r, rng=rng)
             A = ttmat_random(sizes, sizes, 2, rng=rng)
-            B = ttmat_random(sizes, sizes, 2, rng=rng)
-            xd, yd, Ad, Bd = to_dense(x), to_dense(y), to_dense(A), to_dense(B)
+            xd, yd, Ad = to_dense(x), to_dense(y), to_dense(A)
             al, be = rng.standard_normal(2)
             errs = [
                 rel_err(to_dense(tt_add(x, y, al, be)), al * xd + be * yd),
                 rel_err(to_dense(tt_matvec(A, x)), Ad @ xd),
                 abs(tt_dot(x, y) - float(xd @ yd)) / max(1.0, abs(float(xd @ yd))),
-                rel_err(to_dense(ttmat_matmul(A, B)), Ad @ Bd),
-                rel_err(to_dense(ttmat_transpose(A)), Ad.T),
                 rel_err(to_dense(tt_round(tt_add(x, y), 0.0)), xd + yd),
             ]
             worst = max(worst, *errs)

@@ -39,14 +39,14 @@ from ttamen import (
     tt_norm,
     tt_random,
     ttmat_identity,
-    ttmat_matmul,
     ttmat_random,
-    ttmat_transpose,
 )
 from ttamen.amen import (
     _LOCAL_MAXITER,
+    _ROUND_OFF,
     _WIDEN_ABOVE,
     _expand,
+    _is_round_off,
     _is_symmetric,
     _LocalOperator,
     _merge_op_cores,
@@ -532,7 +532,13 @@ class TestLocalProblemLayer:
         A, _ = build_poisson(PoissonSpec(dimension=2, grid_points=64))
         assert _is_symmetric(qtt_quantize(A, tol=1e-13))  # 12 binary cores
         B = _nonsymmetric_system(3, 4, rng)[0]
-        assert _is_symmetric(ttmat_matmul(ttmat_transpose(B), B))  # normal equations
+        # B^T B, symmetric but not core by core: core k is sum_i B_k[a,i,j,c] B_k[b,i,l,e]
+        cores = [np.einsum("aijc,bile->abjlce", c, c) for c in B.cores]
+        BtB = TTMatrix([c.reshape(c.shape[0] ** 2, c.shape[2], c.shape[3], -1) for c in cores])
+        Bd = to_dense(B)
+        assert rel_err(to_dense(BtB), Bd.T @ Bd) < 1e-13
+        assert not all(np.array_equal(c, c.transpose(0, 2, 1, 3)) for c in BtB.cores)
+        assert _is_symmetric(BtB)
         assert not _is_symmetric(_nonsymmetric_system(3, 4, rng)[0])
         assert not _is_symmetric(_qtt_cme_system())
         assert not _is_symmetric(ttmat_random([3, 3], [4, 4], 2, rng=rng))
@@ -1876,6 +1882,46 @@ class TestGlobalResidual:
         x, log = solve(A, y, config=config)
         assert log.records
         assert np.isfinite(log.final_residual)
+
+
+class TestRoundOffRightHandSide:
+    """A ``y`` that is zero up to round-off is solved as the zero train."""
+
+    @ROUTES
+    def test_cancelled_rhs_converges_to_zero(self, solve, enrichment):
+        # y - y: an exactly zero vector whose norm computes to 5.4e-16
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        y0 = tt_add(y, y, 1.0, -1.0)
+        assert not to_dense(y0).any() and tt_norm(y0) > 0
+        x, log = solve(A, y0, config=SolverConfig(enrichment=enrichment))
+        assert (log.status, log.stop_reason) == ("converged", "residual")
+        assert len(log.records) == 1 and log.final_residual == 0.0
+        assert not to_dense(x).any()
+
+    @ROUTES
+    def test_scale_does_not_matter(self, solve, enrichment):
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        tiny = TTVector([1e-150 * y.cores[0]] + y.cores[1:])
+        config = SolverConfig(enrichment=enrichment)
+        (x, log), (xt, logt) = solve(A, y, config=config), solve(A, tiny, config=config)
+        assert (logt.status, len(logt.records), xt.ranks) == (log.status, len(log.records), x.ranks)
+        assert rel_err(1e150 * to_dense(xt), to_dense(x)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_is_not_round_off(self, scale):
+        # np.linalg.norm squares its entries: 1e-200 would read 0 unscaled
+        _, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        assert not _is_round_off(TTVector([scale * y.cores[0]] + y.cores[1:]))
+
+    def test_orthogonal_high_rank_rhs_is_not_round_off(self, rng):
+        # a left-orthogonal core of rank r has Frobenius norm sqrt(r): at
+        # rank 16 on 32 binary cores ||y|| is about 1e-17 of the product of
+        # the cores' norms, yet no step of the sweep cancels
+        y = orthogonalize(tt_random([2] * 32, 16, rng=rng), "left", 32)
+        ratio = tt_norm(y) / np.prod([np.linalg.norm(c) for c in y.cores])
+        assert ratio < _ROUND_OFF * 32 * np.finfo(float).eps
+        assert not _is_round_off(y)
+        assert _is_round_off(tt_add(y, y, 1.0, -1.0))
 
 
 class TestSweepPreparation:

@@ -58,7 +58,7 @@ class TestSpecValidation:
         spec = ExperimentSpec(
             problem="heat", solver="cg", d=0, n=1, tol=2.0, kickrank=0,
             max_sweeps=0, max_rank=0, reference="exact", n_steps=0,
-            t_final=0.0, scheme="leapfrog",
+            t_final=0.0,
         )
         with pytest.raises(SpecError) as exc:
             spec.validate()
@@ -66,7 +66,7 @@ class TestSpecValidation:
         for frag in (
             "problem=", "solver=", "d=0", "n=1", "tol=2.0", "kickrank=0",
             "max_sweeps=0", "max_rank=0", "reference='exact'", "n_steps=0",
-            "t_final=0.0", "scheme='leapfrog'",
+            "t_final=0.0",
         ):
             assert frag in msg
 
@@ -435,7 +435,8 @@ class TestMain:
             ("cme_time", {"t_final": "1"}, ["t_final='1' (must be a real number)"]),
             ("poisson", {"solver": ["amen_svd"]}, ["solver=['amen_svd'] (must be a string)"]),
             ("poisson", {"out": 5}, ["out=5 (must be a string)"]),
-            ("cme_time", {"scheme": 1}, ["scheme=1 (must be a string)"]),
+            # Crank-Nicolson is the one time scheme
+            ("cme_time", {"scheme": "crank_nicolson"}, ["unknown spec fields: scheme"]),
             ("poisson", {"reference": None}, ["reference=None (must be a string)"]),
             ("custom", {"matrix": 3, "rhs": "y.tt"}, ["matrix=3 (must be a string)"]),
             (

@@ -82,8 +82,6 @@ def test_every_imported_name_is_read(path):
 UNREAD_EXPORTS = {
     "assemble_local",  # README names it as the way to inspect a local system
     "ttmat_random",  # tests/test_acceptance.py imports it
-    "ttmat_transpose",  # tests/test_acceptance.py imports it
-    "ttmat_matmul",  # tests/test_acceptance.py imports it
 }
 
 
@@ -123,6 +121,12 @@ def test_every_public_name_is_read_outside_the_tests():
     exported = {name for module in star_imported_modules() for name in module.__all__}
     assert exported - read - UNREAD_EXPORTS == set()
     assert UNREAD_EXPORTS <= exported
+
+
+@pytest.mark.parametrize("name", ["ttmat_matmul", "ttmat_transpose"])
+def test_no_operator_product_or_transpose(name):
+    # no solve forms one (the normal-equations route that did is gone)
+    assert not hasattr(ttamen, name) and not hasattr(ttamen.tt, name)
 
 
 # defaulted parameters that no call outside the tests passes, kept on purpose:
