@@ -24,7 +24,7 @@ def show(log, label, wall):
     print(f"\n{label}: status={log.status}, {wall:.2f} s")
     print("  sweep  residual     max rank")
     for rec in log.records:
-        print(f"  {rec.sweep:5d}  {rec.rel_residual:.3e}  {rec.max_rank:8d}")
+        print(f"  {rec.sweep:5d}  {rec.rel_residual:.3e}  {max(rec.ranks):8d}")
 
 
 def main():

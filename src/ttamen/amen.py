@@ -45,20 +45,7 @@ from .tt import (
     tt_round,  # unused here, but bench/tracing.py wraps it by this name
 )
 
-__all__ = [
-    "SolverConfig",
-    "SweepState",
-    "EnrichmentState",
-    "ConvergenceLog",
-    "SweepRecord",
-    "build_environments",
-    "assemble_local",
-    "solve_local",
-    "enrich_svd",
-    "enrich_chol",
-    "amen_solve",
-    "dmrg_solve",
-]
+__all__ = ["SolverConfig", "ConvergenceLog", "SweepRecord", "amen_solve", "dmrg_solve"]
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +111,6 @@ class SweepRecord:
     sweep: int
     wall_time: float
     rel_residual: float
-    max_rank: int
     local_converged: bool
     steps: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
@@ -232,16 +218,12 @@ def _check_sizes(A: TTMatrix, y: TTVector, x: TTVector):
         raise ValueError("operator / vector sizes are inconsistent")
 
 
-def build_environments(
-    A: TTMatrix, y: TTVector, x: TTVector, symmetric: Optional[bool] = None
-) -> SweepState:
+def build_environments(A: TTMatrix, y: TTVector, x: TTVector, symmetric: bool) -> SweepState:
     """Populate all right environments; left ones start at identities.
 
-    ``symmetric`` says whether ``A`` is symmetric (see :func:`_is_symmetric`);
-    when omitted, ``A`` is probed.
+    ``symmetric`` says whether ``A`` is symmetric (see :func:`_is_symmetric`).
     """
-    _check_sizes(A, y, x)
-    state = SweepState(A, y, _is_symmetric(A) if symmetric is None else symmetric)
+    state = SweepState(A, y, symmetric)
     for k in range(x.d - 1, 0, -1):
         state.advance_right(k, x)
     return state
@@ -267,16 +249,6 @@ def _is_symmetric(A: TTMatrix) -> bool:
         vaw = vaw @ np.einsum("i,PijQ,j->PQ", v, core, w)
         bound = bound @ np.einsum("i,PijQ,j->PQ", w, np.abs(core), v)
     return bool(abs(wav[0] - vaw[0]) <= 1e-10 * bound[0])
-
-
-def assemble_local(state: SweepState, x: TTVector, k: int):
-    """Dense local system (B_k, b_k) at 1-based position k.
-
-    Row/column ordering is the Fortran vectorization of the core, i.e. the
-    left rank index fastest.
-    """
-    L, (Ac,), R, b, _ = _local_problem(state, x, k - 1, 1)
-    return _Workspace().build(L, Ac, R), b
 
 
 def _local_problem(state: SweepState, x, k0: int, sites: int):
@@ -757,13 +729,11 @@ class EnrichmentState:
     right cores, so none has more than ``kickrank`` columns.
     """
 
-    def __init__(self, method: str, kickrank: int, rng=None):
-        if method not in _BACK_ENDS:
-            raise ValueError(f"unknown enrichment method {method!r}")
+    def __init__(self, method: str, kickrank: int, rng: np.random.Generator):
         self.method = method
         self.kickrank = kickrank
         self.width = kickrank
-        self.rng = np.random.default_rng(rng)
+        self.rng = rng
         self.residual_tt: Optional[TTVector] = None
         self._tails: list = []
         self._env: Optional[SweepState] = None
@@ -974,6 +944,18 @@ def _is_round_off(y: TTVector) -> bool:
     return False
 
 
+# the norms of a solve square their entries: with ‖y‖ within 2**±_NORM_RANGE
+# every square, from ‖y‖'s to a residual's some eps below it, stays normal
+# with room to spare, and a y outside is solved scaled by a power of two to a
+# norm in [1/2, 1)
+_NORM_RANGE = 256
+
+
+def _scaled(x: TTVector, exp: int) -> TTVector:
+    """``2**exp x``, exact (short of a subnormal): only the first core is scaled."""
+    return TTVector([np.ldexp(x.cores[0], exp), *x.cores[1:]])
+
+
 def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     """Sweep until the check stops the run; return the iterate of ``log.best``.
 
@@ -985,7 +967,8 @@ def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     One residual sweep over each start iterate gives both the check of the
     sweep before and the svd/chol tail factors of the sweep after.  Only
     svd/chol read the first start iterate's factors, and nothing reads its
-    norm, so the other runs skip that sweep.
+    norm, so the other runs skip that sweep.  A ``y`` far from unit scale
+    is solved scaled by a power of two (see ``_NORM_RANGE``).
     """
     rng = np.random.default_rng(config.seed)
     x = x0.copy() if x0 is not None else _default_guess(A.col_sizes, rng)
@@ -995,6 +978,12 @@ def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     if _is_round_off(y):
         y = TTVector([np.zeros_like(c) for c in y.cores])
     ynorm = tt_norm(y)
+    shift = 0  # the run solves A (2**-shift x) = 2**-shift y
+    if ynorm > 0 and not 2.0**-_NORM_RANGE <= ynorm <= 2.0**_NORM_RANGE:
+        shift = math.frexp(ynorm)[1]
+        y, ynorm = _scaled(y, -shift), math.ldexp(ynorm, -shift)
+        if x0 is not None:
+            x = _scaled(x, -shift)
     yscale = ynorm if ynorm > 0 else 1.0
     log = ConvergenceLog()
     ens = None
@@ -1021,7 +1010,6 @@ def _run_alternating(A, y, x0, config, sites=1, recorder=None):
             sweep=sweep + 1,
             wall_time=time.perf_counter() - t0,
             rel_residual=float(rel),
-            max_rank=max(x.ranks),
             local_converged=local_conv,
             steps=stats,
             ranks=list(x.ranks),
@@ -1051,7 +1039,7 @@ def _run_alternating(A, y, x0, config, sites=1, recorder=None):
     else:
         log.status = "max_sweeps"
         log.stop_reason = "max_sweeps"
-    return x_best, log
+    return (_scaled(x_best, shift) if shift else x_best), log
 
 
 def amen_solve(

@@ -235,7 +235,7 @@ def write_log(log, path, err=None):
                     repr(float(rec.wall_time)),
                     repr(float(rec.rel_residual)),
                     "" if err is None or rec is not best else repr(float(err)),
-                    rec.max_rank,
+                    max(rec.ranks),
                     int(rec.local_converged),
                 ]
             )

@@ -39,7 +39,6 @@ __all__ = [
     "tt_random",
     "tt_ones",
     "tt_unit",
-    "ttmat_random",
     "ttmat_identity",
     "ttmat_round",
 ]
@@ -507,7 +506,14 @@ def tt_norm(x: TTVector) -> float:
         r, n, R = core.shape
         carry = _qr((carry @ core.reshape(r, n * R)).reshape(-1, R), mode="r")
     last = x.cores[-1]
-    return float(np.linalg.norm(carry @ last.reshape(last.shape[0], -1)))
+    v = carry @ last.reshape(last.shape[0], -1)
+    top = np.abs(v).max()
+    if top > 0 and not 2.0**-500 < top < 2.0**500:
+        # the norm squares v's entries: where the largest square would leave
+        # the normal range, take it of v scaled by a power of two, exactly
+        e = math.frexp(top)[1]
+        return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    return float(np.linalg.norm(v))
 
 
 # ----------------------------------------------------------------------
@@ -617,18 +623,6 @@ def tt_ones(mode_sizes) -> TTVector:
 def tt_unit(mode_sizes) -> TTVector:
     """The rank-1 first unit vector ``e_0``: the first unit vector in every mode."""
     return TTVector([np.eye(1, n).reshape(1, n, 1) for n in mode_sizes])
-
-
-def ttmat_random(row_sizes, col_sizes, ranks, rng=None) -> TTMatrix:
-    rng = np.random.default_rng(rng)
-    d = len(row_sizes)
-    if np.isscalar(ranks):
-        ranks = [1] + [int(ranks)] * (d - 1) + [1]
-    cores = [
-        rng.standard_normal((ranks[k], row_sizes[k], col_sizes[k], ranks[k + 1]))
-        for k in range(d)
-    ]
-    return TTMatrix(cores)
 
 
 def ttmat_identity(mode_sizes) -> TTMatrix:

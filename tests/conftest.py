@@ -22,6 +22,7 @@ from ttamen import (
     tt_random,
     ttmat_identity,
 )
+from ttamen.amen import _local_problem, _Workspace
 
 
 def slow_dense_vector(x: TTVector) -> np.ndarray:
@@ -76,6 +77,22 @@ def frame_matrix(x: TTVector, k: int) -> np.ndarray:
         cores[k - 1] = unit.reshape(shape, order="F")
         columns.append(slow_dense_vector(TTVector(cores)))
     return np.column_stack(columns)
+
+
+def ttmat_random(row_sizes, col_sizes, ranks, rng) -> TTMatrix:
+    """Gaussian random TT operator; ``ranks`` is an int or a full R_0..R_d list."""
+    d = len(row_sizes)
+    if np.isscalar(ranks):
+        ranks = [1] + [int(ranks)] * (d - 1) + [1]
+    shapes = zip(ranks, row_sizes, col_sizes, ranks[1:])
+    return TTMatrix([rng.standard_normal(shape) for shape in shapes])
+
+
+def assemble_local(state, x: TTVector, k: int):
+    """Dense local system ``(B_k, b_k)`` at 1-based position k, in the
+    Fortran vectorization of the core (left rank index fastest)."""
+    L, (Ac,), R, b, _ = _local_problem(state, x, k - 1, 1)
+    return _Workspace().build(L, Ac, R), b
 
 
 def random_spd_system(d: int, n: int, rng):

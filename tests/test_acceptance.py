@@ -28,8 +28,6 @@ from ttamen import (
     build_poisson,
     build_time_system,
     dmrg_solve,
-    enrich_chol,
-    enrich_svd,
     instrumented_amen_run,
     qtt_quantize,
     to_dense,
@@ -43,15 +41,15 @@ from ttamen import (
     tt_random,
     tt_round,
     ttmat_identity,
-    ttmat_random,
 )
+from ttamen.amen import enrich_chol, enrich_svd
 from ttamen.diagnostics import (
     dense_oracle_solve,
     run_fom_check,
     run_kantorovich_check,
 )
 
-from conftest import random_spd_system, rel_err
+from conftest import random_spd_system, rel_err, ttmat_random
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "fixtures"

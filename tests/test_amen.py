@@ -12,34 +12,26 @@ import pytest
 import ttamen.amen
 from ttamen import (
     CascadeCMESpec,
-    EnrichmentState,
     PoissonSpec,
     SolverConfig,
-    SweepState,
     TTMatrix,
     TTVector,
     TimeSystemSpec,
     amen_solve,
-    assemble_local,
     build_cme_operator,
-    build_environments,
     build_initial_state,
     build_poisson,
     build_time_system,
     dmrg_solve,
-    enrich_chol,
-    enrich_svd,
     instrumented_amen_run,
     orthogonalize,
     qtt_quantize,
-    solve_local,
     to_dense,
     tt_add,
     tt_matvec,
     tt_norm,
     tt_random,
     ttmat_identity,
-    ttmat_random,
 )
 from ttamen.amen import (
     _LOCAL_MAXITER,
@@ -58,13 +50,26 @@ from ttamen.amen import (
     _solve_local_problem,
     _sweep,
     _Workspace,
+    build_environments,
+    enrich_chol,
+    enrich_svd,
+    EnrichmentState,
+    solve_local,
+    SweepState,
     unvec_core,
     vec_core,
 )
 from ttamen.diagnostics import dense_oracle_solve
 from ttamen.tt import _left_interface, ttmat_to_tt
 
-from conftest import frame_matrix, random_spd_system, rel_err, right_interface
+from conftest import (
+    assemble_local,
+    frame_matrix,
+    random_spd_system,
+    rel_err,
+    right_interface,
+    ttmat_random,
+)
 
 
 def dense_local_oracle(A, y, x, k):
@@ -87,7 +92,7 @@ class TestEnvironments:
         A = ttmat_random([5], [5], 1, rng=rng)
         y = tt_random([5], 1, rng=rng)
         x = tt_random([5], 1, rng=rng)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         assert state.left_op[0].shape == (1, 1, 1)
         assert state.right_op[0].shape == (1, 1, 1)
 
@@ -97,7 +102,7 @@ class TestEnvironments:
         y = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(tt_random([n] * d, 2, rng=rng), "right", 1)
         x = orthogonalize(x, "left", 1)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         B, _ = assemble_local(state, x, 1)
         assert np.linalg.norm(B - np.eye(B.shape[0])) < 1e-12
 
@@ -110,20 +115,13 @@ class TestEnvironments:
         # make the frame orthonormal around position k, as in a real sweep
         x = orthogonalize(x, "left", pivot=k)
         x = orthogonalize(x, "right", pivot=k)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         for p in range(k - 1):
             state.advance_left(p, x)
         B, b = assemble_local(state, x, k)
         B_ref, b_ref = dense_local_oracle(A, y, x, k)
         assert rel_err(B, B_ref) < 1e-11
         assert rel_err(b, b_ref) < 1e-11
-
-    def test_size_mismatch_rejected(self, rng):
-        A = ttmat_identity([2, 2])
-        y = tt_random([2, 2], 1, rng=rng)
-        x = tt_random([2, 3], 1, rng=rng)
-        with pytest.raises(ValueError):
-            build_environments(A, y, x)
 
     @staticmethod
     def swept(A, y, x, w=None):
@@ -178,7 +176,7 @@ class TestEnvironments:
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
         x = tt_random([n] * d, 3, rng=rng)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         B, _ = assemble_local(state, x, 1)
         v = x.cores[0]
         loc = _LocalOperator(state.left_op[0], (A.cores[0],), state.right_op[0], _Workspace())
@@ -197,7 +195,7 @@ def _local_operator_case(case, rng):
         A = ttmat_random([n] * d, [n] * d, 2, rng=rng)
         y = tt_random([n] * d, 2, rng=rng)
         x = tt_random([n] * d, 8, rng=rng)  # ranks 1, 4, 8, 8, 4, 1
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         for p in range(2):
             state.advance_left(p, x)
         L, (A1, A2), R = state.left_op[2], A.cores[2:4], state.right_op[3]
@@ -216,7 +214,7 @@ def _local_operator_case(case, rng):
     y = tt_random([n] * d, 2, rng=rng)
     x = tt_random([n] * d, ranks, rng=rng)
     k = 2 if case == "large_mode" else 3
-    state = build_environments(A, y, x)
+    state = build_environments(A, y, x, False)
     for p in range(k - 1):
         state.advance_left(p, x)
     B, _ = assemble_local(state, x, k)
@@ -304,7 +302,7 @@ class TestLocalSolvers:
         A, y = random_spd_system(d, n, rng)
         x = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(x, "right", 1)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         B, b = assemble_local(state, x, 1)
         ref = np.linalg.solve(B, b)
         loc = _LocalOperator(state.left_op[0], (A.cores[0],), state.right_op[0], _Workspace())
@@ -453,7 +451,7 @@ class TestLocalProblemLayer:
     def test_one_and_two_site_entries_match(self, rng, cap):
         A, y = random_spd_system(3, 4, rng)
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, True)
         config = SolverConfig(tol=1e-8, max_direct_size=cap)
         one, entry1 = _solve_local_problem(state, x, 0, 1, config, _Workspace())
         two, entry2 = _solve_local_problem(state, x, 0, 2, config, _Workspace())
@@ -478,7 +476,7 @@ class TestLocalProblemLayer:
         # the local-problem layer keeps the guess and says so
         A = TTMatrix([M.reshape(1, n, n, 1)])
         y, x = TTVector([b.reshape(1, n, 1)]), TTVector([np.zeros((1, n, 1))])
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         config = SolverConfig(tol=1e-8, max_direct_size=0)  # rtol 1e-10 locally
         core, entry = _solve_local_problem(state, x, 0, 1, config, _Workspace())
         assert np.array_equal(core, x.cores[0])
@@ -518,7 +516,7 @@ class TestLocalProblemLayer:
             ]
         )
         x = orthogonalize(orthogonalize(x, "left", 2), "right", 2)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, True)
         state.advance_left(0, x)
         krylov, _, direct = self.spy(monkeypatch)
         _solve_local_problem(state, x, 1, 1, SolverConfig(), _Workspace())
@@ -605,7 +603,7 @@ def _workspace_case(case, rng):
     x = tt_random(A.col_sizes, rank, rng=rng)
     if case == "two_site":
         A, y, x = _merged_pair(A, y, x, k0)
-    state = build_environments(A, y, x)
+    state = build_environments(A, y, x, False)
     for p in range(k0):
         state.advance_left(p, x)
     return state, A, y, x, k0
@@ -847,7 +845,7 @@ class TestResidualBlocks:
         y = tt_random([n] * d, 2, rng=rng)
         x = tt_random([n] * d, 2, rng=rng)
         x = orthogonalize(x, "left", pivot=k)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, False)
         for p in range(k - 1):
             state.advance_left(p, x)
         u_core = rng.standard_normal(x.cores[k - 1].shape)
@@ -1237,7 +1235,7 @@ class TestSweep:
                 e = xs - to_dense(xc)
                 energies.append(e @ (Ad @ e))
 
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, True)
         config = SolverConfig(tol=1e-12, max_direct_size=1 << 16)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
@@ -1270,7 +1268,7 @@ class TestSweep:
         # the run builds the next sweep's factors while this list is alive
         A, y = random_spd_system(4, 3, rng)
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, True)
         ens = EnrichmentState(enrichment, 2, rng=rng)
         _prepare(ens, A, y, x)
         assert all(isinstance(F, np.ndarray) for F in ens._tails[1 : x.d])
@@ -1280,7 +1278,7 @@ class TestSweep:
     def test_no_enrichment_on_last_core(self, rng):
         A, y = random_spd_system(3, 3, rng)
         x = orthogonalize(tt_random(A.col_sizes, 2, rng=rng), "right", 1)
-        state = build_environments(A, y, x)
+        state = build_environments(A, y, x, True)
         ens = EnrichmentState("svd", 2, rng=rng)
         _prepare(ens, A, y, x)
         out, stats = _sweep(x, state, ens, SolverConfig(tol=1e-8), _Workspace(), 1)
@@ -1418,7 +1416,7 @@ class TestSolvers:
         x1, log1 = amen_solve(A, y, config=config)
         x2, log2 = amen_solve(A, y, config=config)
         columns = [
-            [(r.rel_residual, r.max_rank, r.local_converged, r.steps, r.ranks)
+            [(r.rel_residual, r.local_converged, r.steps, r.ranks)
              for r in log.records]
             for log in (log1, log2)
         ]
@@ -1441,8 +1439,6 @@ class TestSolvers:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_rank"):
                 SolverConfig(max_rank=bad)
-        with pytest.raises(ValueError):
-            EnrichmentState("bogus", 2)
 
     @pytest.mark.parametrize(
         "field, value, complaint",
@@ -1842,7 +1838,6 @@ class TestEnrichmentWidth:
         later = [w for record in log.records[trigger + 1:] for w in _widths(record)]
         assert 2 * kickrank in later
         # the rank profile of every sweep is kept
-        assert all(r.max_rank == max(r.ranks) for r in log.records)
         assert log.records[-1].ranks == list(x.ranks)
 
     def test_max_rank_trims_the_wider_blocks(self, system):
@@ -1924,6 +1919,33 @@ class TestRoundOffRightHandSide:
         assert _is_round_off(tt_add(y, y, 1.0, -1.0))
 
 
+SCALES = [1e-200, 1e-170, 1e-150, 1e150, 1e160, 1e200]
+
+
+class TestRightHandSideScale:
+    """A ``y`` far from unit scale solves like its unit-scale copy: the
+    solve's norms square their entries, which under- or overflow unscaled."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize(
+        "solve, enrichment",
+        [(amen_solve, "svd"), (amen_solve, "als"), (amen_solve, "none"), (dmrg_solve, "none")],
+        ids=["svd", "als", "none", "dmrg_solve"],
+    )
+    def test_solves_like_unit_scale(self, solve, enrichment, scale):
+        A, y = build_poisson(PoissonSpec(dimension=3, grid_points=4))
+        exact = np.linalg.solve(to_dense(A), to_dense(y))
+        config = SolverConfig(tol=1e-10, enrichment=enrichment)
+        x, log = solve(A, y, config=config)
+        xs, logs = solve(A, TTVector([scale * y.cores[0]] + y.cores[1:]), config=config)
+        assert (logs.status, len(logs.records)) == (log.status, len(log.records))
+        assert max(logs.best.ranks) == max(log.best.ranks)
+        # finite, and not the 0.0 of a norm whose squares underflowed
+        assert log.final_residual / 10 <= logs.final_residual <= 10 * log.final_residual
+        error = rel_err(to_dense(x), exact)
+        assert rel_err(to_dense(xs) / scale, exact) <= max(10 * error, 1e-14)
+
+
 class TestSweepPreparation:
     """One residual sweep per start iterate and one symmetry probe per solve;
     no set-up after the last sweep."""
@@ -1983,9 +2005,8 @@ class TestSweepPreparation:
         probes = self.count_calls(monkeypatch, ttamen.amen, "_is_symmetric")
         x, log = solve(A, y, config=SolverConfig(tol=1e-12, max_sweeps=4))
         assert len(log.records) > 1 and len(probes) == 1
-        # a given answer is taken as it is; a direct caller gets the probe
+        # the environments take the solve's answer as it is
         assert not build_environments(A, y, x, False).symmetric
-        assert build_environments(A, y, x).symmetric and len(probes) == 2
 
     @pytest.mark.parametrize("enrichment", ["svd", "chol"])
     def test_solve_starts_no_thread(self, monkeypatch, enrichment):

@@ -24,7 +24,6 @@ from ttamen import (
     tt_io_write,
     tt_random,
     ttmat_identity,
-    ttmat_random,
 )
 from ttamen.cli import (
     CSV_HEADER,
@@ -43,6 +42,8 @@ from ttamen.cli import (
     run_experiment,
     write_log,
 )
+
+from conftest import ttmat_random
 
 
 def read_csv(path):
@@ -91,8 +92,8 @@ class TestWriteLog:
     def test_rows_and_empty_error_field(self, tmp_path):
         from ttamen import SweepRecord
         log = ConvergenceLog()
-        log.records.append(SweepRecord(1, 0.5, 1e-3, 4, False))
-        log.records.append(SweepRecord(2, 1.0, 1e-6, 6, True))
+        log.records.append(SweepRecord(1, 0.5, 1e-3, False, ranks=[1, 4, 1]))
+        log.records.append(SweepRecord(2, 1.0, 1e-6, True, ranks=[1, 6, 1]))
         path = tmp_path / "log.csv"
         write_log(log, path)
         assert [row[3] for row in read_csv(path)[1:]] == ["", ""]  # no error given
@@ -102,6 +103,7 @@ class TestWriteLog:
         assert rows[1][3] == ""  # only the returned iterate's row holds the error
         assert float(rows[2][3]) == 2.5e-7
         assert float(rows[1][1]) <= float(rows[2][1])  # monotone wall time
+        assert [row[4] for row in rows[1:]] == ["4", "6"]  # the largest rank
 
 
 class TestRunExperiment:

@@ -15,6 +15,7 @@ from ttamen import (
     sd_run,
     sd_step,
     tt_add,
+    tt_random,
     ttmat_identity,
 )
 from ttamen.diagnostics import (
@@ -25,7 +26,7 @@ from ttamen.diagnostics import (
     run_rate_check,
 )
 
-from conftest import rel_err
+from conftest import rel_err, ttmat_random
 
 
 class TestKantorovich:
@@ -169,7 +170,6 @@ class TestInstrumentedRun:
         assert all(0 <= w <= 1 + 1e-12 for w in sweep["omega"])
 
     def test_non_spd_rejected(self, rng):
-        from ttamen import tt_random, ttmat_random
         A = ttmat_random([3, 3], [3, 3], 2, rng=rng)
         with pytest.raises(ValueError):
             instrumented_amen_run(A, tt_random([3, 3], 1, rng=rng))

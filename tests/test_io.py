@@ -14,10 +14,9 @@ from ttamen import (
     tt_io_read,
     tt_io_write,
     tt_random,
-    ttmat_random,
 )
 
-from conftest import rel_err
+from conftest import rel_err, ttmat_random
 
 
 def write_reference_file(path, cores):

@@ -23,7 +23,6 @@ from ttamen import (
     tt_round,
     tt_unit,
     ttmat_identity,
-    ttmat_random,
     ttmat_round,
 )
 from ttamen.amen import vec_core
@@ -41,7 +40,14 @@ from ttamen.tt import (
     _svd_trunc,
 )
 
-from conftest import frame_matrix, rel_err, right_interface, slow_dense_matrix, slow_dense_vector
+from conftest import (
+    frame_matrix,
+    rel_err,
+    right_interface,
+    slow_dense_matrix,
+    slow_dense_vector,
+    ttmat_random,
+)
 
 
 def random_sizes(rng, d_max=4, n_max=5):
@@ -560,6 +566,14 @@ class TestNorm:
             x = tt_random(sizes, int(rng.integers(1, 5)), rng=rng)
             dense = np.linalg.norm(slow_dense_vector(x))
             assert abs(tt_norm(x) - dense) <= 1e-13 * dense
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-150, 1e150, 1e160, 1e200])
+    def test_far_from_unit_scale(self, rng, scale):
+        # np.linalg.norm squares its entries: unscaled, the last step reads 0
+        # below about 1e-154 and inf above about 1e154
+        x = tt_random([4, 4, 4], 2, rng=rng)
+        scaled = TTVector([scale * x.cores[0]] + x.cores[1:])
+        assert abs(tt_norm(scaled) / scale / tt_norm(x) - 1.0) <= 1e-15
 
 
 # ----------------------------------------------------------------------
